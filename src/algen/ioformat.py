@@ -125,8 +125,12 @@ def _int_vector_doc(v) -> list:
     return [int_str(x) for x in v]
 
 
-def _parse_int_vector(doc, context: str) -> tuple[int, ...]:
-    return tuple(parse_int(x) for x in _expect_list(doc, context))
+def _parse_int_vector(doc, context: str, rank: Optional[int] = None) -> tuple[int, ...]:
+    """Integer vector; with rank given, its length must equal the rank."""
+    vec = tuple(parse_int(x) for x in _expect_list(doc, context))
+    if rank is not None and len(vec) != rank:
+        raise FormatError(f"{context} length {len(vec)} != rank {rank}")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +493,7 @@ def _global_payload(report: GlobalGenerationReport) -> dict:
 def _parse_global_payload(doc, ambient: int) -> GlobalGenerationReport:
     doc = _expect_dict(doc, "verification report")
     rows = [
-        _parse_int_vector(row, "subgroup row")
+        _parse_int_vector(row, "subgroup row", ambient)
         for row in _expect_list(doc.get("subgroup"), "subgroup")
     ]
     for flag in ("generates", "generic_generates"):
@@ -661,6 +665,13 @@ def parse_lift_certificate(doc) -> tuple[LiftCertificate, int]:
 # ---------------------------------------------------------------------------
 
 
+def _parse_int_elements(doc: dict, rank: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        _parse_int_vector(v, "element", rank)
+        for v in _expect_list(doc.get("elements"), "elements")
+    )
+
+
 def _require_kind(parsed: ParsedAlgebra, integral: bool, kind: str):
     if parsed.is_integral != integral:
         side = "a Z algebra" if integral else "a field algebra"
@@ -709,10 +720,7 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
 
         if kind == "bad-primes":
             _require_kind(parsed, True, kind)
-            elements = tuple(
-                _parse_int_vector(v, "element")
-                for v in _expect_list(doc.get("elements"), "elements")
-            )
+            elements = _parse_int_elements(doc, parsed.algebra.rank)
             bound = parse_int(doc.get("factor_bound"))
             fresh = bad_primes(parsed.algebra, elements, bound)
             expected = bad_primes_doc(parsed.algebra, elements, fresh, bound)
@@ -722,10 +730,7 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
 
         if kind == "global-generation":
             _require_kind(parsed, True, kind)
-            elements = tuple(
-                _parse_int_vector(v, "element")
-                for v in _expect_list(doc.get("elements"), "elements")
-            )
+            elements = _parse_int_elements(doc, parsed.algebra.rank)
             bound = parse_int(doc.get("factor_bound"))
             fresh = verify_global_generation(parsed.algebra, elements, bound)
             expected = global_generation_doc(parsed.algebra, elements, fresh, bound)

@@ -99,6 +99,13 @@ class RowReducer:
         zero = self.field.zero
         return all(x == zero for x in self.residual(v))
 
+    def copy(self) -> "RowReducer":
+        """An independent reducer holding the same span."""
+        twin = RowReducer(self.field, self.width)
+        twin.rows = [list(row) for row in self.rows]
+        twin.pivots = list(self.pivots)
+        return twin
+
     def snapshot(self) -> EchelonBasis:
         return EchelonBasis(
             field=self.field,

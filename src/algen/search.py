@@ -1,21 +1,28 @@
 """Generator-tuple search: exhaustive counts, random probes, completability.
 
-Exhaustive enumeration runs in lexicographic order over concatenated
+Exhaustive enumeration tests tuples in lexicographic order over concatenated
 coordinate vectors whenever the candidate count fits the budget, so refuted
 sizes are certified and the reported tuple is the lexicographically smallest
-one.  Otherwise seeded random sampling gives upper bounds only.  Every
-random draw uses a per-trial generator derived from (seed, trial index), so
+one.  The subalgebra a tuple generates depends only on its linear span (with
+the constants adjoined when unital), so each distinct span is closed once:
+a tuple whose span already appeared earlier at the same size was refuted
+then and is skipped, and so is every extension of a prefix whose span
+already appeared at the same length.  `tested` still counts tuples.
+Otherwise seeded random sampling gives upper bounds only.  Every random
+draw uses a per-trial generator derived from (seed, trial index), so
 results are reproducible regardless of how the work is scheduled.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import Element, GenerationCertificate, Multialgebra, is_generating
 from .fields import Field, PrimeField, validate_vector
+from .linalg import RowReducer
 
 
 class BudgetExhausted(RuntimeError):
@@ -37,14 +44,6 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
-
-
-def _element_from_index(p: int, r: int, t: int) -> tuple[int, ...]:
-    # big-endian digits, so increasing t is lexicographic coordinate order
-    coords = []
-    for k in range(r - 1, -1, -1):
-        coords.append((t // p**k) % p)
-    return tuple(coords)
 
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
@@ -85,67 +84,37 @@ class MinGenReport:
     attempts: tuple[SizeAttempt, ...]
     unital: bool
 
-    @property
-    def conclusive(self) -> bool:
-        return self.n_upper is not None
-
 
 def min_generators(
     alg: Multialgebra, budget: SearchBudget = DEFAULT_BUDGET, unital: bool = False
 ) -> MinGenReport:
     """Smallest generating tuple size, iterating n = 0, 1, 2, ...
 
-    Sizes whose full candidate space fits max_exhaustive are enumerated
-    completely (certifying the lower bound); larger sizes fall back to
-    seeded random sampling.  The iteration stops at the first size that
-    yields a generating tuple, and never needs to pass n = dim since the
-    basis itself generates.
+    Each size is a completability search from the empty tuple.  Sizes whose
+    full candidate space fits max_exhaustive are enumerated completely
+    (certifying the lower bound); larger sizes fall back to seeded random
+    sampling.  The iteration stops at the first size that yields a
+    generating tuple, and never needs to pass n = dim since the basis
+    itself generates.
     """
     field = _require_prime_field(alg)
-    p, r = field.p, alg.dim
     attempts: list[SizeAttempt] = []
     all_below_exhausted = True
-    for n in range(r + 1):
-        total = p ** (r * n)
-        if total <= budget.max_exhaustive:
-            for index in range(total):
-                elements = [
-                    _element_from_index(p, r, (index // (p ** (r * (n - 1 - s)))) % (p**r))
-                    for s in range(n)
-                ]
-                ok, cert = is_generating(
-                    alg, elements, unital=unital, method="exhaustive", index=index
-                )
-                if ok:
-                    attempts.append(SizeAttempt(n, total, True, index + 1, True))
-                    return MinGenReport(
-                        n_upper=n,
-                        certificate=cert,
-                        lower_bound_certified=all_below_exhausted,
-                        attempts=tuple(attempts),
-                        unital=unital,
-                    )
-            attempts.append(SizeAttempt(n, total, True, total, False))
-        else:
-            for trial in range(budget.random_trials):
-                rng = _trial_rng(budget.seed, trial)
-                elements = [
-                    _random_element(rng, field, r, budget.coeff_height) for _ in range(n)
-                ]
-                ok, cert = is_generating(
-                    alg, elements, unital=unital, method="random", seed=budget.seed, trial=trial
-                )
-                if ok:
-                    attempts.append(SizeAttempt(n, total, False, trial + 1, True))
-                    return MinGenReport(
-                        n_upper=n,
-                        certificate=cert,
-                        lower_bound_certified=all_below_exhausted,
-                        attempts=tuple(attempts),
-                        unital=unital,
-                    )
-            attempts.append(SizeAttempt(n, total, False, budget.random_trials, False))
-            all_below_exhausted = False
+    for n in range(alg.dim + 1):
+        total = field.p ** (alg.dim * n)
+        exhaustive = total <= budget.max_exhaustive
+        res = completable(alg, [], n, budget, unital)
+        found = res.status == "found"
+        attempts.append(SizeAttempt(n, total, exhaustive, res.tested, found))
+        if found:
+            return MinGenReport(
+                n_upper=n,
+                certificate=res.certificate,
+                lower_bound_certified=all_below_exhausted,
+                attempts=tuple(attempts),
+                unital=unital,
+            )
+        all_below_exhausted = all_below_exhausted and exhaustive
     return MinGenReport(
         n_upper=None,
         certificate=None,
@@ -228,17 +197,8 @@ def completable(
     slots = n - i  # zero slots: the tuple itself is tested as-is
     total = p ** (r * slots)
     if total <= budget.max_exhaustive:
-        for index in range(total):
-            extension = tuple(
-                _element_from_index(p, r, (index // (p ** (r * (slots - 1 - s)))) % (p**r))
-                for s in range(slots)
-            )
-            ok, cert = is_generating(
-                alg, fixed + list(extension), unital=unital, method="exhaustive", index=index
-            )
-            if ok:
-                return CompletionResult("found", extension, cert, index + 1)
-        return CompletionResult("certified_none", None, None, total)
+        found = _exhaustive_completion(alg, fixed, slots, unital)
+        return found or CompletionResult("certified_none", None, None, total)
     for trial in range(budget.random_trials):
         rng = _trial_rng(budget.seed, trial)
         extension = tuple(
@@ -250,3 +210,66 @@ def completable(
         if ok:
             return CompletionResult("found", extension, cert, trial + 1)
     return CompletionResult("inconclusive", None, None, budget.random_trials)
+
+
+def _exhaustive_completion(
+    alg: Multialgebra, fixed: list[Element], slots: int, unital: bool
+) -> Optional[CompletionResult]:
+    """First generating extension of fixed by slots elements, or None.
+
+    Extensions are tested in lexicographic order by a depth-first walk that
+    keeps the RREF of span(fixed + prefix), with the constants when unital.
+    The closure starts from exactly that RREF, so it decides the verdict,
+    the closure dimension and the monomial count.  A prefix whose RREF
+    already appeared at the same length had all of its extensions refuted
+    then (else the walk would have returned), so its subtree is skipped;
+    the index still counts the tuples in it.
+    """
+    base = RowReducer(alg.field, alg.dim)
+    for v in fixed:
+        base.insert(v)
+    if unital:
+        for const in alg.constants():
+            base.insert(const)
+    seen: list[set] = [set() for _ in range(slots)]
+    return _walk(alg, fixed, unital, seen, [], base, 0)
+
+
+def _walk(
+    alg: Multialgebra,
+    fixed: list[Element],
+    unital: bool,
+    seen: list[set],
+    chosen: list[Element],
+    reducer: RowReducer,
+    index: int,
+) -> Optional[CompletionResult]:
+    """First generating extension of fixed + chosen, or None.
+
+    index is the position of the first tuple below this node.  seen[d]
+    holds the RREFs met at prefix length d + 1.  This is a module-level
+    function rather than a nested one because a recursive closure is a
+    reference cycle, which would keep seen alive until a full collection.
+    """
+    p, r = alg.field.p, alg.dim
+    depth = len(chosen)
+    if depth == len(seen):
+        ok, cert = is_generating(
+            alg, fixed + chosen, unital=unital, method="exhaustive", index=index
+        )
+        return CompletionResult("found", tuple(chosen), cert, index + 1) if ok else None
+    below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
+    # product() varies the last coordinate fastest: lexicographic order
+    for t, v in enumerate(itertools.product(range(p), repeat=r)):
+        child = reducer.copy()
+        child.insert(v)
+        key = tuple(map(tuple, child.rows))
+        if key in seen[depth]:
+            continue
+        seen[depth].add(key)
+        chosen.append(v)
+        found = _walk(alg, fixed, unital, seen, chosen, child, index + t * below)
+        chosen.pop()
+        if found is not None:
+            return found
+    return None

@@ -314,6 +314,30 @@ def test_lift_round_trip_and_verify():
     assert verify_certificate(parsed, bad)[0] is False
 
 
+def test_verify_reports_short_elements_as_malformed():
+    A = integral_split_etale(3)
+    parsed = ParsedAlgebra(A)
+    elements = ((1, 2, 3),)
+    docs = (
+        bad_primes_doc(A, elements, bad_primes(A, elements), 1_000_000),
+        global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000),
+    )
+    for doc in docs:
+        bad = _reload(doc)
+        bad["elements"][0] = bad["elements"][0][:2]
+        ok, detail = verify_certificate(parsed, bad)
+        assert not ok and detail.startswith("malformed")
+
+
+def test_verify_reports_short_subgroup_rows_as_malformed():
+    A = integral_zero_module((3, 0, 0, 0))
+    parsed = ParsedAlgebra(A)
+    bad = _reload(lift_certificate_doc(A, forster_lift(A, 4), 1_000_000))
+    bad["verification"]["subgroup"] = [row[:2] for row in bad["verification"]["subgroup"]]
+    ok, detail = verify_certificate(parsed, bad)
+    assert not ok and detail.startswith("malformed")
+
+
 def test_verify_rejects_mismatched_kinds():
     A = integral_split_etale(3)
     alg = split_etale(GF(2), 3)

@@ -1,10 +1,21 @@
-import pytest
+import itertools
+import random
 
-from algen.algebra import is_generating, replay_certificate
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import algen.search
+from algen.algebra import Multialgebra, is_generating, make_tensor, replay_certificate
 from algen.fields import GF, QQ
+from algen.ioformat import canonical_json, mingen_report_doc
+from algen.linalg import rref
 from algen.search import (
     DEFAULT_BUDGET,
+    CompletionResult,
+    MinGenReport,
     SearchBudget,
+    SizeAttempt,
     completable,
     min_generators,
     random_probe,
@@ -158,3 +169,190 @@ def test_determinism():
     b = SearchBudget(max_exhaustive=10, random_trials=25, seed=9)
     assert min_generators(A, b) == min_generators(A, b)
     assert random_probe(A, 2, b) == random_probe(A, 2, b)
+
+
+# ---------------------------------------------------------------------------
+# Differential check against a brute-force search that closes every tuple
+# ---------------------------------------------------------------------------
+
+
+def _brute_completion(alg, fixed, n, budget, unital):
+    """Reference search: one closure per candidate tuple, no span bookkeeping."""
+    p, r = alg.field.p, alg.dim
+    slots = n - len(fixed)
+    total = p ** (r * slots)
+    if total <= budget.max_exhaustive:
+        vectors = list(itertools.product(range(p), repeat=r))
+        for index, ext in enumerate(itertools.product(vectors, repeat=slots)):
+            ok, cert = is_generating(
+                alg, list(fixed) + list(ext), unital=unital, method="exhaustive", index=index
+            )
+            if ok:
+                return CompletionResult("found", ext, cert, index + 1)
+        return CompletionResult("certified_none", None, None, total)
+    h = budget.coeff_height
+    for trial in range(budget.random_trials):
+        rng = random.Random(budget.seed * (1 << 64) + trial)
+        ext = tuple(
+            tuple(alg.field.coerce(rng.randint(-h, h)) for _ in range(r)) for _ in range(slots)
+        )
+        ok, cert = is_generating(
+            alg, list(fixed) + list(ext), unital=unital, method="random", seed=budget.seed, trial=trial
+        )
+        if ok:
+            return CompletionResult("found", ext, cert, trial + 1)
+    return CompletionResult("inconclusive", None, None, budget.random_trials)
+
+
+def _brute_min_generators(alg, budget, unital):
+    attempts = []
+    certified = True
+    for n in range(alg.dim + 1):
+        total = alg.field.p ** (alg.dim * n)
+        res = _brute_completion(alg, (), n, budget, unital)
+        found = res.status == "found"
+        attempts.append(SizeAttempt(n, total, total <= budget.max_exhaustive, res.tested, found))
+        if found:
+            return MinGenReport(n, res.certificate, certified, tuple(attempts), unital)
+        certified = certified and total <= budget.max_exhaustive
+    return MinGenReport(None, None, False, tuple(attempts), unital)
+
+
+@st.composite
+def small_algebras(draw):
+    """Random structure constants over F_2 or F_3 in dimension <= 3.
+
+    Products are sparse so that refuted sizes (the expensive, span-repeating
+    case) are common.  Some algebras get e_0 as a designated unit, some an
+    extra constant that only the unital closure adjoins, some a unary map.
+    """
+    p = draw(st.sampled_from((2, 3)))
+    dim = draw(st.integers(0, 3))
+    field = GF(p)
+    coeff = st.integers(0, p - 1)
+    with_unit = dim > 0 and draw(st.booleans())
+    triples = []
+    for i, j in itertools.product(range(dim), repeat=2):
+        if with_unit and 0 in (i, j):
+            triples.append(((i, j), i + j, 1))  # e_0 e_j = e_j e_0 = e_j
+        elif draw(st.integers(0, 3)) == 0:
+            triples.append(((i, j), draw(st.integers(0, dim - 1)), draw(coeff)))
+    ops = [make_tensor(field, dim, 2, triples)]
+    unit_index = None
+    if with_unit:
+        unit_index = len(ops)
+        ops.append(make_tensor(field, dim, 0, [((), 0, 1)]))
+    if dim > 0 and draw(st.booleans()):
+        ops.append(make_tensor(field, dim, 0, [((), k, draw(coeff)) for k in range(dim)]))
+    if dim > 0 and draw(st.booleans()):
+        ops.append(
+            make_tensor(field, dim, 1, [((i,), draw(st.integers(0, dim - 1)), draw(coeff)) for i in range(dim)])
+        )
+    return Multialgebra(field=field, dim=dim, ops=tuple(ops), product_index=0, unit_index=unit_index)
+
+
+budgets = st.builds(
+    SearchBudget,
+    max_exhaustive=st.sampled_from((1, 30, 1_000_000)),
+    random_trials=st.integers(1, 6),
+    seed=st.integers(0, 3),
+    coeff_height=st.integers(1, 3),
+)
+
+DIFFERENTIAL = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@DIFFERENTIAL
+@given(alg=small_algebras(), budget=budgets, unital=st.booleans())
+def test_min_generators_matches_brute_force(alg, budget, unital):
+    rep = min_generators(alg, budget, unital)
+    oracle = _brute_min_generators(alg, budget, unital)
+    assert rep == oracle
+    assert canonical_json(mingen_report_doc(alg, rep, budget)) == canonical_json(
+        mingen_report_doc(alg, oracle, budget)
+    )
+
+
+@DIFFERENTIAL
+@given(
+    alg=small_algebras(),
+    budget=budgets,
+    unital=st.booleans(),
+    prefix_len=st.integers(0, 2),
+    slots=st.integers(0, 2),
+    data=st.data(),
+)
+def test_completable_matches_brute_force(alg, budget, unital, prefix_len, slots, data):
+    p = alg.field.p
+    vector = st.tuples(*[st.integers(0, p - 1)] * alg.dim)
+    prefix = [data.draw(vector) for _ in range(prefix_len)]
+    n = prefix_len + slots
+    assert completable(alg, prefix, n, budget, unital) == _brute_completion(
+        alg, tuple(prefix), n, budget, unital
+    )
+
+
+def _count_closures(monkeypatch):
+    calls = []
+
+    def counted(alg, elements, **kwargs):
+        elements = list(elements)
+        calls.append((alg, elements, kwargs["unital"]))
+        return is_generating(alg, elements, **kwargs)
+
+    monkeypatch.setattr(algen.search, "is_generating", counted)
+    return calls
+
+
+def _spans(calls):
+    return [
+        rref(alg.field, elements + (alg.constants() if unital else []), alg.dim).rows
+        for alg, elements, unital in calls
+    ]
+
+
+def test_repeated_span_is_closed_once(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    # F_3^2 has 9 vectors but only 5 spans of one vector: 0 and 4 lines
+    res = completable(zero_algebra(GF(3), 2), [], 1)
+    assert res.status == "certified_none" and res.tested == 9
+    assert len(calls) == 5
+    assert len(set(_spans(calls))) == len(calls)
+    calls.clear()
+    # after the prefix (0, 1), the extensions (0, 0) and (0, 1) span alike
+    res = completable(zero_algebra(GF(2), 2), [(0, 1)], 2)
+    assert res.status == "found" and res.extension == ((1, 0),) and res.tested == 3
+    assert [c[1][1] for c in calls] == [(0, 0), (1, 0)]
+
+
+def test_min_generators_skips_tuples_with_seen_span(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    A = zero_algebra(GF(2), 2)
+    rep = min_generators(A)
+    assert [a.tested for a in rep.attempts] == [1, 4, 7]
+    assert rep.certificate.index == 6
+    # n = 2 closes (0, v) for the four v, then ((0,1), (1,0)); the pairs
+    # ((0,1), (0,0)) and ((0,1), (0,1)) repeat the span of ((0,0), (0,1))
+    assert len(calls) == 1 + 4 + 5
+    per_size = {}
+    for span, (_, elements, _) in zip(_spans(calls), calls):
+        per_size.setdefault(len(elements), []).append(span)
+    assert all(len(set(spans)) == len(spans) for spans in per_size.values())
+
+
+def test_unital_span_includes_constants(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    # zero product on F_2^3 plus the constant c = (1, 1, 1): no single vector
+    # generates, and with c adjoined v and v + c span the same subspace
+    zero = make_tensor(GF(2), 3, 2, [])
+    const = make_tensor(GF(2), 3, 0, [((), k, 1) for k in range(3)])
+    A = Multialgebra(field=GF(2), dim=3, ops=(zero, const), product_index=0)
+    res = completable(A, [], 1, unital=True)
+    assert res.status == "certified_none" and res.tested == 8
+    assert [c[1][0] for c in calls] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    calls.clear()
+    res = completable(A, [], 1)
+    assert res.status == "certified_none" and res.tested == 8
+    assert len(calls) == 8
