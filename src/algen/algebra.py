@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .fields import GF, QQ, Field, Scalar, validate_vector
 from .linalg import EchelonBasis, RowReducer
 
 Element = tuple[Scalar, ...]
+
+# Closures over Q are first run mod this prime (see _closure_reducer).  It is
+# small enough that GF's trial-division primality check takes milliseconds.
+_WITNESS_PRIME = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -156,41 +161,64 @@ class Multialgebra:
     # -- law checks (constructor-time) ---------------------------------------
 
     def _check_unit(self):
-        e = tuple(_eval_tensor(self.ops[self.unit_index], self.field, self.dim, ()))
-        prod = self.ops[self.product_index]
-        for i in range(self.dim):
-            b = _basis_vector(self.field, self.dim, i)
-            left = tuple(_eval_tensor(prod, self.field, self.dim, (e, b)))
-            right = tuple(_eval_tensor(prod, self.field, self.dim, (b, e)))
-            if left != b or right != b:
+        """e.b_i = b_i = b_i.e for every i, from the matrices of left and right
+        multiplication by e, both built in one pass over the product entries."""
+        field, r = self.field, self.dim
+        zero, add, mul = field.zero, field.add, field.mul
+        e = _eval_tensor(self.ops[self.unit_index], field, r, ())
+        left = [[zero] * r for _ in range(r)]
+        right = [[zero] * r for _ in range(r)]
+        # left[j] accumulates e.b_j and right[i] accumulates b_i.e
+        for (i, j), outs in self.ops[self.product_index].entries:
+            for x, row in ((e[i], left[j]), (e[j], right[i])):
+                if x != zero:
+                    for l, c in outs:
+                        row[l] = add(row[l], mul(x, c))
+        for i in range(r):
+            b = list(_basis_vector(field, r, i))
+            if left[i] != b or right[i] != b:
                 raise ValueError("designated unit fails the unit law")
 
     def _check_involution(self):
-        sigma = self.ops[self.involution_index]
-        prod = self.ops[self.product_index]
-        images = [
-            tuple(_eval_tensor(sigma, self.field, self.dim, (_basis_vector(self.field, self.dim, i),)))
-            for i in range(self.dim)
-        ]
-        for i in range(self.dim):
-            twice = tuple(_eval_tensor(sigma, self.field, self.dim, (images[i],)))
-            if twice != _basis_vector(self.field, self.dim, i):
+        """sigma(sigma(b_i)) = b_i and sigma(b_i.b_j) = sigma(b_j).sigma(b_i),
+        with every tensor value looked up by its index tuple."""
+        field, r = self.field, self.dim
+        zero, add, mul = field.zero, field.add, field.mul
+        sigma = dict(self.ops[self.involution_index].entries)
+        prod = dict(self.ops[self.product_index].entries)
+
+        def combine(table, terms):
+            # sum of x * table[idx] over the (idx, x) terms, as a dense vector
+            out = [zero] * r
+            for idx, x in terms:
+                for l, c in table.get(idx, ()):
+                    out[l] = add(out[l], mul(x, c))
+            return out
+
+        images = [sigma.get((i,), ()) for i in range(r)]
+        for i in range(r):
+            twice = combine(sigma, (((l,), c) for l, c in images[i]))
+            if twice != list(_basis_vector(field, r, i)):
                 raise ValueError("designated involution is not an involution")
-        for i in range(self.dim):
-            bi = _basis_vector(self.field, self.dim, i)
-            for j in range(self.dim):
-                bj = _basis_vector(self.field, self.dim, j)
-                lhs = tuple(
-                    _eval_tensor(
-                        sigma,
-                        self.field,
-                        self.dim,
-                        (tuple(_eval_tensor(prod, self.field, self.dim, (bi, bj))),),
-                    )
+        for i in range(r):
+            for j in range(r):
+                lhs = combine(sigma, (((l,), c) for l, c in prod.get((i, j), ())))
+                rhs = combine(
+                    prod, (((k, m), mul(x, y)) for k, x in images[j] for m, y in images[i])
                 )
-                rhs = tuple(_eval_tensor(prod, self.field, self.dim, (images[j], images[i])))
                 if lhs != rhs:
                     raise ValueError("designated involution is not an anti-automorphism")
+
+    @cached_property
+    def _reduced(self) -> Optional["Multialgebra"]:
+        """This algebra over F_P for P = _WITNESS_PRIME, or None when the field
+        is not Q or some structure constant is not P-integral."""
+        if self.field != QQ:
+            return None
+        try:
+            return reduce_mod_p(self, _WITNESS_PRIME)
+        except ValueError:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +229,45 @@ class Multialgebra:
 def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool) -> tuple[RowReducer, int]:
     """Close the span of rows under all operations; returns (reducer, monomial count).
 
-    Rounds evaluate every positive-arity operation on all tuples of the
-    current canonical basis (lexicographic order); by multilinearity this is
+    The seed is the rows, plus the arity-0 constants when unital.  Rounds
+    evaluate every positive-arity operation on all tuples of the current
+    canonical basis (lexicographic order); by multilinearity this is
     sufficient.  Each round either grows the dimension or is the fixpoint,
-    so at most dim enlargement rounds run.
+    so at most dim enlargement rounds run.  The monomial count is the final
+    dimension minus the rank of the seed.
+
+    Over Q, when the structure constants and the seed are P-integral, the
+    seed is first closed over F_P (_modular_witness).  Let L be the
+    Z_(P)-lattice spanned by the basis and S the Z_(P)-subalgebra of L
+    generated by the seed: S spans the closure over Q, and its image in L/PL
+    is the closure of the reduced seed.  If that closure is full, then
+    L = S + PL, so L = S by Nakayama's lemma and the seed generates over Q.
+    Otherwise the straight-line steps of the modular run are replayed over
+    Q; their values lie in the closure by construction, and the rounds then
+    decide the rest exactly, so a bad prime costs time, never correctness.
     """
     field = alg.field
     r = alg.dim
+    seed = [*rows, *alg.constants()] if unital else rows
     reducer = RowReducer(field, r)
-    for v in rows:
+    for v in seed:
         reducer.insert(v)
-    if unital:
-        for const in alg.constants():
-            reducer.insert(const)
-    monomials = 0
+    seed_dim = reducer.dim
+    if seed_dim < r and alg._reduced is not None:
+        witness = _modular_witness(alg._reduced, seed)
+        if witness is not None:
+            kept, steps = witness
+            if steps is None:
+                reducer.rows = [list(_basis_vector(field, r, i)) for i in range(r)]
+                reducer.pivots = list(range(r))
+                return reducer, r - seed_dim
+            values = [seed[i] for i in kept]
+            for op_index, args in steps:
+                value = _eval_tensor(alg.ops[op_index], field, r, [values[a] for a in args])
+                values.append(value)
+                reducer.insert(value)
     if reducer.dim == r:
-        return reducer, monomials
+        return reducer, r - seed_dim
     while True:
         basis_rows = [tuple(row) for row in reducer.rows]
         grew = False
@@ -226,17 +277,60 @@ def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool) -
             for args in itertools.product(basis_rows, repeat=op.arity):
                 value = _eval_tensor(op, field, r, args)
                 if reducer.insert(value):
-                    monomials += 1
                     grew = True
                     if reducer.dim == r:
-                        return reducer, monomials
+                        return reducer, r - seed_dim
         if not grew:
-            return reducer, monomials
+            return reducer, reducer.dim - seed_dim
+
+
+def _modular_witness(reduced: Multialgebra, seed: Sequence[Element]):
+    """Close the seed in the algebra over F_P as a straight-line program.
+
+    Operations are evaluated on the growing list of generators: the seed
+    vectors that enlarged the span (their indices are returned as kept),
+    then every value that enlarged it, recorded as an (op index, argument
+    indices) step.  Generator j is combined with all earlier generators, so
+    the list spans the closure when the loop ends.  Returns None when a seed
+    entry is not P-integral, (kept, None) when the closure is the whole
+    algebra, and (kept, steps) otherwise.
+    """
+    field = reduced.field
+    r = reduced.dim
+    try:
+        gens = [validate_vector(field, v, r) for v in seed]
+    except ValueError:
+        return None
+    reducer = RowReducer(field, r)
+    kept = [i for i, v in enumerate(gens) if reducer.insert(v)]
+    gens = [gens[i] for i in kept]
+    steps = []
+    ops = [(k, op) for k, op in enumerate(reduced.ops) if op.arity and op.entries]
+    j = 0
+    while j < len(gens):
+        for op_index, op in ops:
+            for args in itertools.product(range(j + 1), repeat=op.arity):
+                if j not in args:
+                    continue
+                value = _eval_tensor(op, field, r, [gens[a] for a in args])
+                if reducer.insert(value):
+                    if reducer.dim == r:
+                        return kept, None
+                    gens.append(value)
+                    steps.append((op_index, args))
+        j += 1
+    return kept, steps
 
 
 @dataclass(frozen=True)
 class GenerationCertificate:
-    """Replayable record that a tuple was tested for generation."""
+    """Replayable record that a tuple was tested for generation.
+
+    monomial_count is closure_dim minus the rank of the elements (with the
+    arity-0 constants when unital): the number of operation values that
+    enlarged the span.  It depends only on the closure, not on the order in
+    which the closure was computed.
+    """
 
     elements: tuple[Element, ...]
     closure_dim: int

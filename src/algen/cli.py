@@ -256,7 +256,9 @@ def _cmd_verify_cert(args) -> int:
     ok, detail = verify_certificate(parsed, doc)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     _emit({"ok": ok, "kind": kind, "detail": detail}, detail)
-    return 0 if ok else 1
+    if ok:
+        return 0
+    return 2 if detail.startswith("inconclusive") else 1
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .integral import (
     reduce_element,
     verify_global_generation,
 )
-from .intmat import crt
+from .intmat import FactorizationIncomplete, crt
 from .search import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -460,23 +460,28 @@ def _expect(condition: bool, message: str):
         raise _Mismatch(message)
 
 
-def replay_lift(A: IntegralAlgebra, cert: LiftCertificate) -> tuple[bool, str]:
+def replay_lift(
+    A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int = 1_000_000
+) -> tuple[bool, str]:
     """Re-derive every assertion of a lift certificate without searching.
 
     The recorded local extensions are the only search-derived data; prime
     selection, CRT gluing, bad-prime sets, partitions, and the final
-    verification are all recomputed and compared.  Returns (ok, detail).
+    verification are all recomputed and compared, factoring with the
+    certificate's factor_bound.  Returns (ok, detail).
     """
     try:
-        _replay(A, cert)
+        _replay(A, cert, factor_bound)
     except _Mismatch as bad:
         return False, str(bad)
     except (ValueError, IndexError, TypeError) as bad:
         return False, f"malformed certificate: {bad}"
+    except FactorizationIncomplete as stuck:
+        return False, f"inconclusive: {stuck}"
     return True, "ok"
 
 
-def _replay(A: IntegralAlgebra, cert: LiftCertificate):
+def _replay(A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int):
     _expect(tuple(cert.factors) == A.factors, "module invariant factors differ")
     n = cert.n
     _expect(n >= 0, "negative n")
@@ -539,7 +544,7 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate):
                     completed == tuple(tuple(v) for v in rec.completed),
                     f"step {step_no}: completed tuple differs at {p}",
                 )
-                support = bad_primes(A, completed)
+                support = bad_primes(A, completed, factor_bound)
                 _expect(
                     not support.generic_fail and support.primes == tuple(rec.excluded),
                     f"step {step_no}: bad primes differ at {p}",
@@ -563,6 +568,6 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate):
         _expect(complaint is None, f"step {step_no}: {complaint}")
 
     _expect(all(cell.level == n for cell in cells), "cells below level n at the end")
-    verification = verify_global_generation(A, cert.generators)
+    verification = verify_global_generation(A, cert.generators, factor_bound)
     _expect(verification.generates, "generators do not generate globally")
     _expect(verification == cert.verification, "verification record differs")

@@ -44,7 +44,7 @@ from .integral import (
     reduce_element,
     verify_global_generation,
 )
-from .intmat import lattice_from_vectors
+from .intmat import FactorizationIncomplete, lattice_from_vectors
 from .search import MinGenReport, SearchBudget, SizeAttempt, min_generators
 
 ALGEBRA_FORMAT = "algen-algebra"
@@ -741,7 +741,7 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         if kind == "lift":
             _require_kind(parsed, True, kind)
             cert, bound = parse_lift_certificate(doc)
-            ok, detail = replay_lift(parsed.algebra, cert)
+            ok, detail = replay_lift(parsed.algebra, cert, bound)
             if not ok:
                 return False, detail
             if canonical_json(lift_certificate_doc(parsed.algebra, cert, bound)) != canonical_json(doc):
@@ -751,3 +751,5 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         raise FormatError(f"unknown certificate kind {kind!r}")
     except FormatError as bad:
         return False, f"malformed certificate: {bad}"
+    except FactorizationIncomplete as stuck:
+        return False, f"inconclusive: {stuck}"

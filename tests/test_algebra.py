@@ -3,9 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from algen.algebra import (
+    GenerationCertificate,
     Multialgebra,
+    _basis_vector,
+    _eval_tensor,
+    _modular_witness,
+    _WITNESS_PRIME,
     base_change_check,
     closure,
     is_generating,
@@ -13,15 +20,23 @@ from algen.algebra import (
     reduce_mod_p,
     replay_certificate,
 )
-from algen.fields import GF, QQ
-from algen.linalg import rref
+from algen.fields import GF, QQ, validate_vector
+from algen.ioformat import canonical_json, generation_certificate_doc
+from algen.linalg import RowReducer, rref
 from algen.zoo import (
+    albert,
+    albert_generators,
+    canonical_matrix_generators,
     field_extension_etale,
     matrix_algebra,
+    octonion_generators,
     quaternion_algebra,
     split_etale,
+    split_octonion,
     zero_algebra,
 )
+
+P = _WITNESS_PRIME
 
 
 def as_matrix(v, n):
@@ -224,3 +239,305 @@ def test_scaling_and_supertuple_invariance():
             if ok:
                 extra = random_elements(rng, alg, 1)
                 assert is_generating(alg, s + extra)[0]
+
+
+# ---------------------------------------------------------------------------
+# The closure kernel against the plain round loop
+# ---------------------------------------------------------------------------
+
+
+def _plain_closure(alg, rows, unital):
+    """The closure kernel without the mod-P witness: rounds over the RREF
+    basis from the start, counting the inserts that grew the span."""
+    field = alg.field
+    r = alg.dim
+    reducer = RowReducer(field, r)
+    for v in rows:
+        reducer.insert(v)
+    if unital:
+        for const in alg.constants():
+            reducer.insert(const)
+    monomials = 0
+    if reducer.dim == r:
+        return reducer, monomials
+    while True:
+        basis_rows = [tuple(row) for row in reducer.rows]
+        grew = False
+        for op in alg.ops:
+            if op.arity == 0 or not op.entries:
+                continue
+            for args in itertools.product(basis_rows, repeat=op.arity):
+                value = _eval_tensor(op, field, r, args)
+                if reducer.insert(value):
+                    monomials += 1
+                    grew = True
+                    if reducer.dim == r:
+                        return reducer, monomials
+        if not grew:
+            return reducer, monomials
+
+
+def _assert_matches_plain_loop(alg, elements, unital):
+    rows = tuple(tuple(QQ.coerce(x) for x in v) for v in elements)
+    reducer, monomials = _plain_closure(alg, rows, unital)
+    assert closure(alg, rows, unital).rows == reducer.snapshot().rows
+    ok, cert = is_generating(alg, rows, unital)
+    assert ok == (reducer.dim == alg.dim)
+    assert (cert.closure_dim, cert.monomial_count) == (reducer.dim, monomials)
+    oracle = GenerationCertificate(
+        elements=rows,
+        closure_dim=reducer.dim,
+        ambient_dim=alg.dim,
+        unital=unital,
+        monomial_count=monomials,
+    )
+    assert canonical_json(generation_certificate_doc(alg, cert)) == canonical_json(
+        generation_certificate_doc(alg, oracle)
+    )
+    assert replay_certificate(alg, oracle)
+
+
+# small rationals, with the witness prime itself and its inverse now and then,
+# so that the reduction mod P loses rank or does not exist
+rationals = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-2, 2),
+    st.sampled_from((P, -2 * P, Fraction(1, P), Fraction(P, 2))),
+)
+
+
+@st.composite
+def rational_algebras(draw):
+    dim = draw(st.integers(1, 4))
+    with_unit = draw(st.booleans())
+    triples = []
+    for i, j in itertools.product(range(dim), repeat=2):
+        if with_unit and 0 in (i, j):
+            triples.append(((i, j), i + j, 1))
+        elif draw(st.integers(0, 2)) == 0:
+            triples.append(((i, j), draw(st.integers(0, dim - 1)), draw(rationals)))
+    ops = [make_tensor(QQ, dim, 2, triples)]
+    unit_index = None
+    if with_unit:
+        unit_index = len(ops)
+        ops.append(make_tensor(QQ, dim, 0, [((), 0, 1)]))
+    if draw(st.booleans()):
+        ops.append(make_tensor(QQ, dim, 0, [((), k, draw(rationals)) for k in range(dim)]))
+    if draw(st.booleans()):
+        ops.append(
+            make_tensor(QQ, dim, 1, [((i,), draw(st.integers(0, dim - 1)), draw(rationals)) for i in range(dim)])
+        )
+    return Multialgebra(field=QQ, dim=dim, ops=tuple(ops), product_index=0, unit_index=unit_index)
+
+
+DIFFERENTIAL = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@DIFFERENTIAL
+@given(alg=rational_algebras(), unital=st.booleans(), data=st.data())
+def test_closure_matches_plain_round_loop(alg, unital, data):
+    count = data.draw(st.integers(0, 3))
+    elements = [data.draw(st.tuples(*[rationals] * alg.dim)) for _ in range(count)]
+    _assert_matches_plain_loop(alg, elements, unital)
+
+
+def test_closure_exact_when_witness_prime_is_bad():
+    # b0 b0 = P b1: over Q {b0} generates, mod P its closure is span(b0)
+    prod = make_tensor(QQ, 2, 2, [((0, 0), 1, P)])
+    A = Multialgebra(field=QQ, dim=2, ops=(prod,), product_index=0)
+    assert not is_generating(A._reduced, [(1, 0)])[0]
+    ok, cert = is_generating(A, [(1, 0)])
+    assert ok and cert.closure_dim == 2 and cert.monomial_count == 1
+    _assert_matches_plain_loop(A, [(1, 0)], False)
+    # a seed vector that vanishes mod P still counts over Q
+    ok, cert = is_generating(A, [(P, 0)])
+    assert ok and cert.monomial_count == 1
+
+
+def test_closure_without_p_integral_data_takes_plain_loop():
+    prod = make_tensor(QQ, 2, 2, [((0, 0), 1, Fraction(1, P)), ((1, 1), 0, 1)])
+    A = Multialgebra(field=QQ, dim=2, ops=(prod,), product_index=0)
+    assert A._reduced is None
+    ok, cert = is_generating(A, [(1, 0)])
+    assert ok and cert.monomial_count == 1
+    _assert_matches_plain_loop(A, [(1, 0)], True)
+
+    B = matrix_algebra(QQ, 2)
+    seed = [(Fraction(1, P), 1, 0, 0), (0, 0, 1, 0)]
+    assert B._reduced is not None
+    assert _modular_witness(B._reduced, [validate_vector(QQ, v, 4) for v in seed]) is None
+    assert is_generating(B, seed)[0]
+    _assert_matches_plain_loop(B, seed, False)
+    _assert_matches_plain_loop(B, seed[:1], True)
+
+
+def test_closure_of_proper_subalgebras_matches_plain_loop():
+    # upper-triangular pairs: the mod-P run ends below full dimension (for
+    # Mat_2 one short of it), so the steps are replayed and the rounds decide
+    for n in (2, 3):
+        A = matrix_algebra(QQ, n)
+        e11 = tuple(Fraction(int(k == 0)) for k in range(n * n))
+        upper = tuple(Fraction(k + 1) if k // n <= k % n else Fraction(0) for k in range(n * n))
+        _, cert = is_generating(A, [e11, upper])
+        assert cert.closure_dim < n * n
+        _assert_matches_plain_loop(A, [e11, upper], False)
+        _assert_matches_plain_loop(A, [upper], True)
+
+
+def _zoo_cases():
+    rng = random.Random(41)
+    cases = []
+    for alg, gens in (
+        (matrix_algebra(QQ, 3), list(canonical_matrix_generators(QQ, 3))),
+        (split_octonion(QQ), list(octonion_generators(QQ))),
+        (quaternion_algebra(QQ), [(0, 1, 0, 0), (0, 0, 1, 0)]),
+        (split_etale(QQ, 4), [(1, 2, 3, 4)]),
+        (zero_algebra(QQ, 3), [(1, 0, 0), (0, 1, 0)]),
+        (albert(QQ), list(albert_generators(QQ))),
+        (matrix_algebra(GF(3), 2), [(1, 0, 0, 0), (0, 1, 1, 0)]),
+        (split_etale(GF(2), 3), [(0, 1, 1)]),
+    ):
+        cases.append((alg, gens))
+        cases.append((alg, gens[:1]))
+        if alg.dim <= 9:
+            height = alg.field.p if alg.field != QQ else 3
+            cases.append((alg, [tuple(rng.randrange(height) for _ in range(alg.dim))]))
+    return cases
+
+
+def test_monomial_count_is_closure_dim_minus_seed_rank():
+    for alg, gens in _zoo_cases():
+        for unital in (False, True):
+            _, cert = is_generating(alg, gens, unital)
+            seed = [validate_vector(alg.field, v, alg.dim) for v in gens] + (alg.constants() if unital else [])
+            seed_rank = rref(alg.field, seed, alg.dim).dim
+            assert cert.monomial_count == cert.closure_dim - seed_rank
+            assert replay_certificate(alg, cert)
+
+
+# ---------------------------------------------------------------------------
+# Law checks against the brute-force versions
+# ---------------------------------------------------------------------------
+
+
+def _brute_check_unit(alg, unit_index):
+    field, dim = alg.field, alg.dim
+    e = tuple(_eval_tensor(alg.ops[unit_index], field, dim, ()))
+    prod = alg.ops[alg.product_index]
+    for i in range(dim):
+        b = _basis_vector(field, dim, i)
+        left = tuple(_eval_tensor(prod, field, dim, (e, b)))
+        right = tuple(_eval_tensor(prod, field, dim, (b, e)))
+        if left != b or right != b:
+            raise ValueError("designated unit fails the unit law")
+
+
+def _brute_check_involution(alg, involution_index):
+    field, dim = alg.field, alg.dim
+    sigma = alg.ops[involution_index]
+    prod = alg.ops[alg.product_index]
+    images = [
+        tuple(_eval_tensor(sigma, field, dim, (_basis_vector(field, dim, i),)))
+        for i in range(dim)
+    ]
+    for i in range(dim):
+        twice = tuple(_eval_tensor(sigma, field, dim, (images[i],)))
+        if twice != _basis_vector(field, dim, i):
+            raise ValueError("designated involution is not an involution")
+    for i in range(dim):
+        bi = _basis_vector(field, dim, i)
+        for j in range(dim):
+            bj = _basis_vector(field, dim, j)
+            lhs = tuple(
+                _eval_tensor(sigma, field, dim, (tuple(_eval_tensor(prod, field, dim, (bi, bj))),))
+            )
+            rhs = tuple(_eval_tensor(prod, field, dim, (images[j], images[i])))
+            if lhs != rhs:
+                raise ValueError("designated involution is not an anti-automorphism")
+
+
+def _signed_involution(draw, dim, fix_zero):
+    """A permutation pi with pi^2 = 1 and signs with s_i s_pi(i) = 1."""
+    order = draw(st.permutations(range(1 if fix_zero else 0, dim)))
+    pi = list(range(dim))
+    for a, b in zip(order[::2], order[1::2]):
+        if draw(st.booleans()):
+            pi[a], pi[b] = b, a
+    signs = [1] * dim
+    for i in range(dim):
+        if i <= pi[i] and not (fix_zero and i == 0):
+            signs[i] = signs[pi[i]] = draw(st.sampled_from((1, -1)))
+    return pi, signs
+
+
+@st.composite
+def designated_algebras(draw):
+    """Tensors with a planted unit b0 and/or a planted signed-permutation
+    involution, then perturbed now and then so that a law may fail."""
+    field = draw(st.sampled_from((GF(2), GF(3), QQ)))
+    dim = draw(st.integers(1, 4))
+    coeff = st.integers(-2, 2) if field == QQ else st.integers(0, field.p - 1)
+    with_unit = draw(st.booleans())
+    with_involution = draw(st.booleans())
+    low = 1 if with_unit else 0
+    table = []
+    for i, j in itertools.product(range(low, dim), repeat=2):
+        if draw(st.integers(0, 2)) == 0:
+            table.append(((i, j), draw(st.integers(0, dim - 1)), draw(coeff)))
+    sigma = []
+    if with_involution:
+        pi, s = _signed_involution(draw, dim, with_unit)
+        sigma = [((l,), pi[l], s[l]) for l in range(dim)]
+        # T + Phi(T) with Phi(T)(i, j) = s_i s_j sigma(T(pi j, pi i)) is an
+        # anti-automorphism table for sigma
+        table += [
+            ((pi[b], pi[a]), pi[l], s[pi[a]] * s[pi[b]] * s[l] * c) for (a, b), l, c in table
+        ]
+    if with_unit:
+        table += [((0, j), j, 1) for j in range(dim)] + [((j, 0), j, 1) for j in range(1, dim)]
+    unit = [((), 0, 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        spot = draw(st.sampled_from(("product", "unit", "involution")))
+        entry = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)), draw(coeff))
+        if spot == "product":
+            table.append(((entry[0], entry[1]), draw(st.integers(0, dim - 1)), entry[2]))
+        elif spot == "unit":
+            unit.append(((), entry[0], entry[2]))
+        else:
+            sigma.append(((entry[0],), entry[1], entry[2]))
+    ops = (
+        make_tensor(field, dim, 2, table),
+        make_tensor(field, dim, 0, unit),
+        make_tensor(field, dim, 1, sigma),
+    )
+    return field, dim, ops, with_unit, with_involution
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=designated_algebras())
+def test_law_checks_match_brute_force(case):
+    field, dim, ops, with_unit, with_involution = case
+    plain = Multialgebra(field=field, dim=dim, ops=ops, product_index=0)
+    expected = None
+    try:
+        if with_unit:
+            _brute_check_unit(plain, 1)
+        if with_involution:
+            _brute_check_involution(plain, 2)
+    except ValueError as bad:
+        expected = str(bad)
+    got = None
+    try:
+        Multialgebra(
+            field=field,
+            dim=dim,
+            ops=ops,
+            product_index=0,
+            unit_index=1 if with_unit else None,
+            involution_index=2 if with_involution else None,
+        )
+    except ValueError as bad:
+        got = str(bad)
+    assert got == expected

@@ -179,6 +179,10 @@ def test_bad_primes(capsys, e3z, tmp_path):
     assert doc["report"]["primes"] == ["2"] and doc["report"]["exponent"] == "2"
     cert = write(tmp_path, "bp.json", doc)
     assert run(capsys, "verify-cert", e3z, cert)[0] == 0
+    doc["elements"][0] = ["0", "1", "10000000000000000000000007"]
+    code, verdict = run(capsys, "verify-cert", e3z, write(tmp_path, "big.json", doc))
+    assert code == 2 and verdict["ok"] is False
+    assert verdict["detail"].startswith("inconclusive: could not factor")
     code, doc = run(capsys, "bad-primes", e3z, "--tuple", '[["0","0","0"]]')
     assert code == 1 and doc["report"]["generic_fail"] is True
     assert run(capsys, "bad-primes", e3z, "--tuple", '[["1","2"]]')[0] == 3

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import algen.forster
 from algen.algebra import is_generating
 from algen.fields import GF, QQ
 from algen.forster import forster_lift
@@ -13,6 +14,7 @@ from algen.integral import (
     integral_zero_module,
     verify_global_generation,
 )
+from algen.intmat import FactorizationIncomplete
 from algen.ioformat import (
     FormatError,
     ParsedAlgebra,
@@ -364,3 +366,48 @@ def test_elements_and_local_report_docs():
     assert doc["status"] == "counterexample" and doc["prime"] == "2"
     assert doc["support"]["primes"] == ["2"]
     assert doc["completions"][0][1] == "certified_none"
+
+
+def test_verify_reports_unfactorable_exponent_as_inconclusive(monkeypatch):
+    A = integral_split_etale(3)
+    parsed = ParsedAlgebra(A)
+    elements = ((1, 2, 3),)
+    docs = (
+        bad_primes_doc(A, elements, bad_primes(A, elements), 1_000_000),
+        global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000),
+    )
+    for doc in docs:
+        bad = _reload(doc)
+        # the exponent has a cofactor above the proven Miller-Rabin range
+        bad["elements"][0] = ["0", "1", "10000000000000000000000007"]
+        ok, detail = verify_certificate(parsed, bad)
+        assert not ok and detail.startswith("inconclusive: could not factor")
+
+    Z = integral_zero_module((3, 0))
+    doc = lift_certificate_doc(Z, forster_lift(Z, 2), 1_000_000)
+
+    def unfactorable(*args):
+        raise FactorizationIncomplete(10**25 + 7, (), 10**25 + 7)
+
+    monkeypatch.setattr(algen.forster, "bad_primes", unfactorable)
+    ok, detail = verify_certificate(ParsedAlgebra(Z), _reload(doc))
+    assert not ok and detail.startswith("inconclusive: could not factor")
+
+
+def test_lift_replay_uses_the_certificate_factor_bound(monkeypatch):
+    A = integral_zero_module((3, 0))
+    doc = lift_certificate_doc(A, forster_lift(A, 2, factor_bound=4_321), 4_321)
+    seen = []
+
+    def recording(real):
+        def call(A, elements, factor_bound=1_000_000):
+            seen.append((real.__name__, factor_bound))
+            return real(A, elements, factor_bound)
+
+        return call
+
+    for name in ("bad_primes", "verify_global_generation"):
+        monkeypatch.setattr(algen.forster, name, recording(getattr(algen.forster, name)))
+    assert verify_certificate(ParsedAlgebra(A), _reload(doc)) == (True, "ok")
+    assert {name for name, _ in seen} == {"bad_primes", "verify_global_generation"}
+    assert {bound for _, bound in seen} == {4_321}
