@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .fields import GF, QQ, Field, Scalar, validate_vector
@@ -67,27 +69,103 @@ def make_tensor(
     return OperationTensor(arity=arity, entries=tuple(entries))
 
 
-def _basis_vector(field: Field, dim: int, i: int) -> Element:
-    return tuple(field.one if j == i else field.zero for j in range(dim))
+def eval_tensor(op: OperationTensor, dim: int, args) -> list:
+    """Multilinear extension of the tensor applied to coordinate vectors.
 
-
-def _eval_tensor(op: OperationTensor, field: Field, dim: int, args) -> list:
-    """Multilinear extension of the tensor applied to coordinate vectors."""
-    zero = field.zero
-    mul, add = field.mul, field.add
-    out = [zero] * dim
+    Applies + and * to the coordinates as given (ints over F_p and Z,
+    Fractions or integer-scaled ints over Q) and skips zero coordinates by
+    truthiness.  The result is not reduced: callers reduce each coordinate
+    once, % p over F_p and reduce_element over Z.
+    """
+    out = [0] * dim
+    if op.arity == 2:
+        # binary products are nearly all the work: the same loop, unrolled
+        left, right = args
+        for (i, j), outs in op.entries:
+            x = left[i]
+            if x:
+                y = right[j]
+                if y:
+                    c = x * y
+                    for l, coeff in outs:
+                        out[l] += c * coeff
+        return out
     for idx, outs in op.entries:
-        c = field.one
+        c = 1
         for slot, i in enumerate(idx):
             x = args[slot][i]
-            if x == zero:
-                c = zero
+            if not x:
                 break
-            c = mul(c, x)
-        if c != zero:
+            c *= x
+        else:
             for l, coeff in outs:
-                out[l] = add(out[l], mul(c, coeff))
+                out[l] += c * coeff
     return out
+
+
+def check_roles(ops, dim: int, product_index: int, unit_index, involution_index, reduce) -> None:
+    """Validate the designated product, unit and involution of an algebra.
+
+    The unit and involution laws are checked on basis tuples, which suffices
+    by multilinearity, reading each tensor once: e.b_i = b_i = b_i.e from the
+    matrices of left and right multiplication by e, built in one pass over
+    the product entries, and sigma(sigma(b_i)) = b_i and sigma(b_i.b_j) =
+    sigma(b_j).sigma(b_i) with every tensor value looked up by its index
+    tuple.  reduce maps an unreduced coordinate list to the canonical list
+    the laws compare (% p over F_p, identity over Q, mod the invariant
+    factors over Z).
+    """
+    if not 0 <= product_index < len(ops):
+        raise ValueError("product index out of range")
+    if ops[product_index].arity != 2:
+        raise ValueError("designated product must have arity 2")
+    prod = ops[product_index].entries
+    basis = [[int(k == i) for k in range(dim)] for i in range(dim)]
+    if unit_index is not None:
+        if not 0 <= unit_index < len(ops):
+            raise ValueError("unit index out of range")
+        if ops[unit_index].arity != 0:
+            raise ValueError("designated unit must have arity 0")
+        e = reduce(eval_tensor(ops[unit_index], dim, ()))
+        left = [[0] * dim for _ in range(dim)]
+        right = [[0] * dim for _ in range(dim)]
+        # left[j] accumulates e.b_j and right[i] accumulates b_i.e
+        for (i, j), outs in prod:
+            for x, row in ((e[i], left[j]), (e[j], right[i])):
+                if x:
+                    for l, c in outs:
+                        row[l] += x * c
+        for i in range(dim):
+            if reduce(left[i]) != basis[i] or reduce(right[i]) != basis[i]:
+                raise ValueError("designated unit fails the unit law")
+    if involution_index is not None:
+        if not 0 <= involution_index < len(ops):
+            raise ValueError("involution index out of range")
+        if ops[involution_index].arity != 1:
+            raise ValueError("designated involution must have arity 1")
+        sigma = dict(ops[involution_index].entries)
+        table = dict(prod)
+
+        def combine(tensor, terms):
+            # sum of x * tensor[idx] over the (idx, x) terms, reduced
+            out = [0] * dim
+            for idx, x in terms:
+                for l, c in tensor.get(idx, ()):
+                    out[l] += x * c
+            return reduce(out)
+
+        images = [sigma.get((i,), ()) for i in range(dim)]
+        for i in range(dim):
+            if combine(sigma, (((l,), c) for l, c in images[i])) != basis[i]:
+                raise ValueError("designated involution is not an involution")
+        for i in range(dim):
+            for j in range(dim):
+                lhs = combine(sigma, (((l,), c) for l, c in table.get((i, j), ())))
+                rhs = combine(
+                    table, (((k, m), x * y) for k, x in images[j] for m, y in images[i])
+                )
+                if lhs != rhs:
+                    raise ValueError("designated involution is not an anti-automorphism")
 
 
 @dataclass(frozen=True)
@@ -109,24 +187,20 @@ class Multialgebra:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if not 0 <= self.product_index < len(self.ops):
-            raise ValueError("product index out of range")
-        if self.ops[self.product_index].arity != 2:
-            raise ValueError("designated product must have arity 2")
-        if self.unit_index is not None:
-            if not 0 <= self.unit_index < len(self.ops):
-                raise ValueError("unit index out of range")
-            if self.ops[self.unit_index].arity != 0:
-                raise ValueError("designated unit must have arity 0")
-            self._check_unit()
-        if self.involution_index is not None:
-            if not 0 <= self.involution_index < len(self.ops):
-                raise ValueError("involution index out of range")
-            if self.ops[self.involution_index].arity != 1:
-                raise ValueError("designated involution must have arity 1")
-            self._check_involution()
+        p = self.field.char
+        check_roles(
+            self.ops,
+            self.dim,
+            self.product_index,
+            self.unit_index,
+            self.involution_index,
+            (lambda v: [x % p for x in v]) if p else list,
+        )
 
     # -- evaluation --------------------------------------------------------
+
+    def _value(self, op: OperationTensor, args) -> Element:
+        return validate_vector(self.field, eval_tensor(op, self.dim, args), self.dim)
 
     def evaluate(self, op_index: int, args: Sequence[Sequence[Scalar]]) -> Element:
         if not 0 <= op_index < len(self.ops):
@@ -134,8 +208,7 @@ class Multialgebra:
         op = self.ops[op_index]
         if len(args) != op.arity:
             raise ValueError(f"operation {op_index} has arity {op.arity}, got {len(args)} arguments")
-        vetted = [validate_vector(self.field, a, self.dim) for a in args]
-        return tuple(_eval_tensor(op, self.field, self.dim, vetted))
+        return self._value(op, [validate_vector(self.field, a, self.dim) for a in args])
 
     def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Element:
         return self.evaluate(self.product_index, (x, y))
@@ -143,7 +216,7 @@ class Multialgebra:
     def unit_vector(self) -> Element:
         if self.unit_index is None:
             raise ValueError("algebra has no designated unit")
-        return tuple(_eval_tensor(self.ops[self.unit_index], self.field, self.dim, ()))
+        return self._value(self.ops[self.unit_index], ())
 
     def involution(self, x: Sequence[Scalar]) -> Element:
         if self.involution_index is None:
@@ -152,62 +225,7 @@ class Multialgebra:
 
     def constants(self) -> list[Element]:
         """Values of all arity-0 operations."""
-        return [
-            tuple(_eval_tensor(op, self.field, self.dim, ()))
-            for op in self.ops
-            if op.arity == 0
-        ]
-
-    # -- law checks (constructor-time) ---------------------------------------
-
-    def _check_unit(self):
-        """e.b_i = b_i = b_i.e for every i, from the matrices of left and right
-        multiplication by e, both built in one pass over the product entries."""
-        field, r = self.field, self.dim
-        zero, add, mul = field.zero, field.add, field.mul
-        e = _eval_tensor(self.ops[self.unit_index], field, r, ())
-        left = [[zero] * r for _ in range(r)]
-        right = [[zero] * r for _ in range(r)]
-        # left[j] accumulates e.b_j and right[i] accumulates b_i.e
-        for (i, j), outs in self.ops[self.product_index].entries:
-            for x, row in ((e[i], left[j]), (e[j], right[i])):
-                if x != zero:
-                    for l, c in outs:
-                        row[l] = add(row[l], mul(x, c))
-        for i in range(r):
-            b = list(_basis_vector(field, r, i))
-            if left[i] != b or right[i] != b:
-                raise ValueError("designated unit fails the unit law")
-
-    def _check_involution(self):
-        """sigma(sigma(b_i)) = b_i and sigma(b_i.b_j) = sigma(b_j).sigma(b_i),
-        with every tensor value looked up by its index tuple."""
-        field, r = self.field, self.dim
-        zero, add, mul = field.zero, field.add, field.mul
-        sigma = dict(self.ops[self.involution_index].entries)
-        prod = dict(self.ops[self.product_index].entries)
-
-        def combine(table, terms):
-            # sum of x * table[idx] over the (idx, x) terms, as a dense vector
-            out = [zero] * r
-            for idx, x in terms:
-                for l, c in table.get(idx, ()):
-                    out[l] = add(out[l], mul(x, c))
-            return out
-
-        images = [sigma.get((i,), ()) for i in range(r)]
-        for i in range(r):
-            twice = combine(sigma, (((l,), c) for l, c in images[i]))
-            if twice != list(_basis_vector(field, r, i)):
-                raise ValueError("designated involution is not an involution")
-        for i in range(r):
-            for j in range(r):
-                lhs = combine(sigma, (((l,), c) for l, c in prod.get((i, j), ())))
-                rhs = combine(
-                    prod, (((k, m), mul(x, y)) for k, x in images[j] for m, y in images[i])
-                )
-                if lhs != rhs:
-                    raise ValueError("designated involution is not an anti-automorphism")
+        return [self._value(op, ()) for op in self.ops if op.arity == 0]
 
     @cached_property
     def _reduced(self) -> Optional["Multialgebra"]:
@@ -220,68 +238,194 @@ class Multialgebra:
         except ValueError:
             return None
 
+    @cached_property
+    def _scaled_ops(self) -> tuple[OperationTensor, ...]:
+        """Over Q, each tensor times the lcm of its denominators, with int
+        coefficients: a nonzero multiple of every value, for the closure's
+        integer rounds."""
+        scaled = []
+        for op in self.ops:
+            d = lcm(*(c.denominator for _, outs in op.entries for _, c in outs))
+            entries = tuple(
+                (idx, tuple((l, c.numerator * (d // c.denominator)) for l, c in outs))
+                for idx, outs in op.entries
+            )
+            scaled.append(OperationTensor(arity=op.arity, entries=entries))
+        return tuple(scaled)
+
 
 # ---------------------------------------------------------------------------
 # Subalgebra closure and generation
 # ---------------------------------------------------------------------------
 
 
-def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool) -> tuple[RowReducer, int]:
-    """Close the span of rows under all operations; returns (reducer, monomial count).
+def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool):
+    """Close the span of rows under all operations; returns (span, monomial count).
 
-    The seed is the rows, plus the arity-0 constants when unital.  Rounds
-    evaluate every positive-arity operation on all tuples of the current
-    canonical basis (lexicographic order); by multilinearity this is
-    sufficient.  Each round either grows the dimension or is the fixpoint,
-    so at most dim enlargement rounds run.  The monomial count is the final
-    dimension minus the rank of the seed.
+    The span is a RowReducer over F_p and a _RationalSpan over Q; both have
+    dim and snapshot().  The seed is the rows, plus the arity-0 constants
+    when unital.  Rounds evaluate every positive-arity operation on all
+    tuples of the canonical basis taken at the start of the round
+    (lexicographic order); by multilinearity this is sufficient.  Each round
+    either grows the dimension or is the fixpoint, so at most dim
+    enlargement rounds run.  The monomial count is the final dimension minus
+    the rank of the seed.
 
-    Over Q, when the structure constants and the seed are P-integral, the
-    seed is first closed over F_P (_modular_witness).  Let L be the
-    Z_(P)-lattice spanned by the basis and S the Z_(P)-subalgebra of L
-    generated by the seed: S spans the closure over Q, and its image in L/PL
-    is the closure of the reduced seed.  If that closure is full, then
-    L = S + PL, so L = S by Nakayama's lemma and the seed generates over Q.
-    Otherwise the straight-line steps of the modular run are replayed over
-    Q; their values lie in the closure by construction, and the rounds then
-    decide the rest exactly, so a bad prime costs time, never correctness.
+    Over Q everything after the seed is integer arithmetic: only the span of
+    a value matters, so the tensors scaled to integers (_scaled_ops) are
+    evaluated on basis rows scaled to integers, and _RationalSpan keeps the
+    RREF over a common denominator.  When the structure constants and the
+    seed are P-integral, the seed is first closed over F_P
+    (_modular_witness).  Let L be the Z_(P)-lattice spanned by the basis and
+    S the Z_(P)-subalgebra of L generated by the seed: S spans the closure
+    over Q, and its image in L/PL is the closure of the reduced seed.  If
+    that closure is full, then L = S + PL, so L = S by Nakayama's lemma and
+    the seed generates over Q.  Otherwise the straight-line steps of the
+    modular run are replayed over Q; their values lie in the closure by
+    construction, and the rounds then decide the rest exactly, so a bad
+    prime costs time, never correctness.
     """
     field = alg.field
     r = alg.dim
     seed = [*rows, *alg.constants()] if unital else rows
-    reducer = RowReducer(field, r)
-    for v in seed:
-        reducer.insert(v)
-    seed_dim = reducer.dim
+    if field == QQ:
+        span = _RationalSpan(r)
+        ops, grow, basis = alg._scaled_ops, span.grow, span.basis
+        for v in seed:
+            grow(_integral_row(v))
+    else:
+        span = RowReducer(field, r)
+        ops, grow = alg.ops, span.insert
+
+        def basis():
+            # a copy: inserts rewrite the rows in place during the round
+            return [tuple(row) for row in span.rows]
+
+        for v in seed:
+            grow(v)
+    seed_dim = span.dim
     if seed_dim < r and alg._reduced is not None:
         witness = _modular_witness(alg._reduced, seed)
         if witness is not None:
             kept, steps = witness
             if steps is None:
-                reducer.rows = [list(_basis_vector(field, r, i)) for i in range(r)]
-                reducer.pivots = list(range(r))
-                return reducer, r - seed_dim
-            values = [seed[i] for i in kept]
+                span.fill()
+                return span, r - seed_dim
+            values = [_integral_row(seed[i]) for i in kept]
             for op_index, args in steps:
-                value = _eval_tensor(alg.ops[op_index], field, r, [values[a] for a in args])
-                values.append(value)
-                reducer.insert(value)
-    if reducer.dim == r:
-        return reducer, r - seed_dim
+                values.append(eval_tensor(ops[op_index], r, [values[a] for a in args]))
+                grow(values[-1])
+    if span.dim == r:
+        return span, r - seed_dim
+    ops = [op for op in ops if op.arity and op.entries]
     while True:
-        basis_rows = [tuple(row) for row in reducer.rows]
+        basis_rows = basis()
         grew = False
-        for op in alg.ops:
-            if op.arity == 0 or not op.entries:
-                continue
+        for op in ops:
             for args in itertools.product(basis_rows, repeat=op.arity):
-                value = _eval_tensor(op, field, r, args)
-                if reducer.insert(value):
+                if grow(eval_tensor(op, r, args)):
                     grew = True
-                    if reducer.dim == r:
-                        return reducer, r - seed_dim
+                    if span.dim == r:
+                        return span, r - seed_dim
         if not grew:
-            return reducer, reducer.dim - seed_dim
+            return span, span.dim - seed_dim
+
+
+def _integral_row(v: Sequence[Scalar]) -> list[int]:
+    """A rational vector times the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v]
+
+
+class _RationalSpan:
+    """A subspace of Q^width as its RREF held in integers.
+
+    rows[i] is delta * R_i for the RREF rows R_i (pivot pivots[i]) and delta
+    the lcm of their denominators, so the snapshot is exactly the RREF a
+    RowReducer over Q would hold.  A vector u lies in the span iff
+    delta * u[k] = sum_i u[pivots[i]] * rows[i][k] for every non-pivot
+    column k, the only candidate combination being sum_i u[pivots[i]] R_i.
+    Test and insert are scale-invariant, so u may be any nonzero integer
+    multiple of a value, as scaled tensors on scaled rows produce.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.delta = 1
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+        self._equations()
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def _equations(self):
+        # per non-pivot column k, the (pivot, rows[i][k]) terms that are nonzero
+        taken = set(self.pivots)
+        self.columns = [
+            (k, [(c, row[k]) for c, row in zip(self.pivots, self.rows) if row[k]])
+            for k in range(self.width)
+            if k not in taken
+        ]
+
+    def grow(self, u: Sequence[int]) -> bool:
+        """Insert u unless it lies in the span; True iff the span grew."""
+        delta = self.delta
+        for k, column in self.columns:
+            if delta * u[k] != sum([u[c] * s for c, s in column]):
+                self._insert(u)
+                return True
+        return False
+
+    def _insert(self, u: Sequence[int]):
+        delta = self.delta
+        # w = delta * (u - sum_i u[c_i] R_i): zero on the pivot columns
+        w = [delta * x for x in u]
+        for c, row in zip(self.pivots, self.rows):
+            a = u[c]
+            if a:
+                w = [x - a * y for x, y in zip(w, row)]
+        q = next(k for k, x in enumerate(w) if x)
+        lead = w[q]
+        # the new row is w / lead; clearing column q from R_i and moving to
+        # the denominator delta * lead turns rows[i] into lead * rows[i] -
+        # rows[i][q] * w, and the new row into delta * w
+        rows = [[lead * x - row[q] * y for x, y in zip(row, w)] for row in self.rows]
+        at = next((i for i, c in enumerate(self.pivots) if c > q), len(self.pivots))
+        rows.insert(at, [delta * x for x in w])
+        delta *= lead
+        g = gcd(delta, *(x for row in rows for x in row))
+        if delta < 0:
+            g = -g
+        self.delta = delta // g
+        self.rows = [[x // g for x in row] for row in rows]
+        self.pivots.insert(at, q)
+        self._equations()
+
+    def basis(self) -> list[list[int]]:
+        """The RREF rows, each scaled to primitive integers."""
+        out = []
+        for row in self.rows:
+            g = gcd(*row)
+            out.append([x // g for x in row])
+        return out
+
+    def fill(self):
+        """Become the whole space."""
+        r = self.width
+        self.delta = 1
+        self.rows = [[int(j == i) for j in range(r)] for i in range(r)]
+        self.pivots = list(range(r))
+        self._equations()
+
+    def snapshot(self) -> EchelonBasis:
+        return EchelonBasis(
+            field=QQ,
+            width=self.width,
+            rows=tuple(tuple(Fraction(x, self.delta) for x in row) for row in self.rows),
+            pivots=tuple(self.pivots),
+        )
 
 
 def _modular_witness(reduced: Multialgebra, seed: Sequence[Element]):
@@ -296,6 +440,7 @@ def _modular_witness(reduced: Multialgebra, seed: Sequence[Element]):
     algebra, and (kept, steps) otherwise.
     """
     field = reduced.field
+    p = field.p
     r = reduced.dim
     try:
         gens = [validate_vector(field, v, r) for v in seed]
@@ -312,11 +457,11 @@ def _modular_witness(reduced: Multialgebra, seed: Sequence[Element]):
             for args in itertools.product(range(j + 1), repeat=op.arity):
                 if j not in args:
                     continue
-                value = _eval_tensor(op, field, r, [gens[a] for a in args])
+                value = eval_tensor(op, r, [gens[a] for a in args])
                 if reducer.insert(value):
                     if reducer.dim == r:
                         return kept, None
-                    gens.append(value)
+                    gens.append([x % p for x in value])
                     steps.append((op_index, args))
         j += 1
     return kept, steps
@@ -354,8 +499,8 @@ def closure(alg: Multialgebra, seed: Iterable[Sequence[Scalar]], unital: bool = 
     excluded and the non-unital subalgebra is computed.
     """
     rows = [validate_vector(alg.field, v, alg.dim) for v in seed]
-    reducer, _ = _closure_reducer(alg, rows, unital)
-    return reducer.snapshot()
+    span, _ = _closure_reducer(alg, rows, unital)
+    return span.snapshot()
 
 
 def is_generating(
@@ -369,10 +514,10 @@ def is_generating(
 ) -> tuple[bool, GenerationCertificate]:
     """Decide whether the tuple generates; always returns a certificate."""
     rows = tuple(validate_vector(alg.field, v, alg.dim) for v in elements)
-    reducer, monomials = _closure_reducer(alg, rows, unital)
+    span, monomials = _closure_reducer(alg, rows, unital)
     cert = GenerationCertificate(
         elements=rows,
-        closure_dim=reducer.dim,
+        closure_dim=span.dim,
         ambient_dim=alg.dim,
         unital=unital,
         monomial_count=monomials,
@@ -381,7 +526,7 @@ def is_generating(
         trial=trial,
         index=index,
     )
-    return reducer.dim == alg.dim, cert
+    return span.dim == alg.dim, cert
 
 
 def replay_certificate(alg: Multialgebra, cert: GenerationCertificate) -> bool:
@@ -392,8 +537,8 @@ def replay_certificate(alg: Multialgebra, cert: GenerationCertificate) -> bool:
         rows = tuple(validate_vector(alg.field, v, alg.dim) for v in cert.elements)
     except ValueError:
         return False
-    reducer, monomials = _closure_reducer(alg, rows, cert.unital)
-    return reducer.dim == cert.closure_dim and monomials == cert.monomial_count
+    span, monomials = _closure_reducer(alg, rows, cert.unital)
+    return span.dim == cert.closure_dim and monomials == cert.monomial_count
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Multialgebra, OperationTensor, is_generating, make_tensor
+from .algebra import (
+    Multialgebra,
+    OperationTensor,
+    check_roles,
+    eval_tensor,
+    is_generating,
+    make_tensor,
+)
 from .fields import GF, QQ, is_prime
 from .intmat import (
     FactorizationIncomplete,
@@ -44,8 +51,12 @@ def _int_vector(v: Sequence[int], m: int) -> tuple[int, ...]:
 
 def reduce_element(factors: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative: coordinate i reduced into [0, d_i) when d_i > 0."""
-    vec = _int_vector(v, len(factors))
-    return tuple(x % d if d else x for d, x in zip(factors, vec))
+    return tuple(_reduce(factors, _int_vector(v, len(factors))))
+
+
+def _reduce(factors: Sequence[int], v: Sequence[int]) -> list[int]:
+    """reduce_element without validation, for evaluator output."""
+    return [x % d if d else x for d, x in zip(factors, v)]
 
 
 def make_z_tensor(
@@ -80,23 +91,6 @@ def make_z_tensor(
         if outs:
             entries.append((idx, tuple(outs)))
     return OperationTensor(arity=arity, entries=tuple(entries))
-
-
-def _eval_z_tensor(op: OperationTensor, m: int, args) -> list[int]:
-    """Multilinear extension over the integers (no modular reduction)."""
-    out = [0] * m
-    for idx, outs in op.entries:
-        c = 1
-        for slot, i in enumerate(idx):
-            x = args[slot][i]
-            if x == 0:
-                c = 0
-                break
-            c *= x
-        if c:
-            for l, coeff in outs:
-                out[l] += c * coeff
-    return out
 
 
 @dataclass(frozen=True)
@@ -147,32 +141,20 @@ class IntegralAlgebra:
                                 f"factor {d_in} at input {slot_coord} vs "
                                 f"coefficient {c} into coordinate {l}"
                             )
-        if not 0 <= self.product_index < len(self.ops):
-            raise ValueError("product index out of range")
-        if self.ops[self.product_index].arity != 2:
-            raise ValueError("designated product must have arity 2")
-        if self.unit_index is not None:
-            if not 0 <= self.unit_index < len(self.ops):
-                raise ValueError("unit index out of range")
-            if self.ops[self.unit_index].arity != 0:
-                raise ValueError("designated unit must have arity 0")
-            self._check_unit()
-        if self.involution_index is not None:
-            if not 0 <= self.involution_index < len(self.ops):
-                raise ValueError("involution index out of range")
-            if self.ops[self.involution_index].arity != 1:
-                raise ValueError("designated involution must have arity 1")
-            self._check_involution()
+        check_roles(
+            self.ops,
+            self.rank,
+            self.product_index,
+            self.unit_index,
+            self.involution_index,
+            lambda v: _reduce(self.factors, v),
+        )
 
     # -- basic structure -----------------------------------------------------
 
     @property
     def rank(self) -> int:
         return len(self.factors)
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.factors if d == 0)
 
     def relation_rows(self) -> list[tuple[int, ...]]:
         """Generators of the subgroup of Z^m that presents the torsion."""
@@ -183,9 +165,6 @@ class IntegralAlgebra:
             if d
         ]
 
-    def basis_element(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, op_index: int, args: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -195,7 +174,7 @@ class IntegralAlgebra:
         if len(args) != op.arity:
             raise ValueError(f"operation {op_index} has arity {op.arity}, got {len(args)} arguments")
         vetted = [_int_vector(a, self.rank) for a in args]
-        return reduce_element(self.factors, _eval_z_tensor(op, self.rank, vetted))
+        return reduce_element(self.factors, eval_tensor(op, self.rank, vetted))
 
     def product(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
         return self.evaluate(self.product_index, (x, y))
@@ -203,54 +182,12 @@ class IntegralAlgebra:
     def unit_vector(self) -> tuple[int, ...]:
         if self.unit_index is None:
             raise ValueError("algebra has no designated unit")
-        return reduce_element(
-            self.factors, _eval_z_tensor(self.ops[self.unit_index], self.rank, ())
-        )
+        return reduce_element(self.factors, eval_tensor(self.ops[self.unit_index], self.rank, ()))
 
     def involution(self, x: Sequence[int]) -> tuple[int, ...]:
         if self.involution_index is None:
             raise ValueError("algebra has no designated involution")
         return self.evaluate(self.involution_index, (x,))
-
-    # -- law checks (constructor-time) ----------------------------------------
-
-    def _check_unit(self):
-        e = reduce_element(self.factors, _eval_z_tensor(self.ops[self.unit_index], self.rank, ()))
-        prod = self.ops[self.product_index]
-        for i in range(self.rank):
-            b = self.basis_element(i)
-            left = reduce_element(self.factors, _eval_z_tensor(prod, self.rank, (e, b)))
-            right = reduce_element(self.factors, _eval_z_tensor(prod, self.rank, (b, e)))
-            if left != b or right != b:
-                raise ValueError("designated unit fails the unit law")
-
-    def _check_involution(self):
-        sigma = self.ops[self.involution_index]
-        prod = self.ops[self.product_index]
-
-        def reduced(v):
-            return reduce_element(self.factors, v)
-
-        images = [
-            reduced(_eval_z_tensor(sigma, self.rank, (self.basis_element(i),)))
-            for i in range(self.rank)
-        ]
-        for i in range(self.rank):
-            twice = reduced(_eval_z_tensor(sigma, self.rank, (images[i],)))
-            if twice != self.basis_element(i):
-                raise ValueError("designated involution is not an involution")
-        for i in range(self.rank):
-            bi = self.basis_element(i)
-            for j in range(self.rank):
-                bj = self.basis_element(j)
-                lhs = reduced(
-                    _eval_z_tensor(
-                        sigma, self.rank, (reduced(_eval_z_tensor(prod, self.rank, (bi, bj))),)
-                    )
-                )
-                rhs = reduced(_eval_z_tensor(prod, self.rank, (images[j], images[i])))
-                if lhs != rhs:
-                    raise ValueError("designated involution is not an anti-automorphism")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +257,7 @@ def normalize_presentation(
         triples = []
         for coords in itertools.product(kept, repeat=op.arity):
             args = [W[c] for c in coords]
-            value = to_new(_eval_z_tensor(op, m, args))
+            value = to_new(eval_tensor(op, m, args))
             new_idx = tuple(pos[c] for c in coords)
             for l, c in enumerate(value):
                 if c:
@@ -439,7 +376,7 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
     rows.extend(reduce_element(A.factors, v) for v in elements)
     for op in A.ops:
         if op.arity == 0:
-            rows.append(tuple(_eval_z_tensor(op, m, ())))
+            rows.append(tuple(eval_tensor(op, m, ())))
     current = lattice_from_vectors(rows, m)
     while True:
         produced: list[Sequence[int]] = list(current.rows)
@@ -447,7 +384,7 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
             if op.arity == 0 or not op.entries:
                 continue
             for args in itertools.product(current.rows, repeat=op.arity):
-                produced.append(_eval_z_tensor(op, m, args))
+                produced.append(eval_tensor(op, m, args))
         refreshed = lattice_from_vectors(produced, m)
         if refreshed.rows == current.rows:
             return refreshed

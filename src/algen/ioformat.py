@@ -45,11 +45,17 @@ from .integral import (
     verify_global_generation,
 )
 from .intmat import FactorizationIncomplete, lattice_from_vectors
-from .search import MinGenReport, SearchBudget, SizeAttempt, min_generators
+from .search import DEFAULT_BUDGET, MinGenReport, SearchBudget, SizeAttempt, min_generators
 
 ALGEBRA_FORMAT = "algen-algebra"
 CERTIFICATE_FORMAT = "algen-certificate"
 FORMAT_VERSION = "1"
+
+# A mingen document carries the budget its search ran under, and verifying
+# it reruns that search; budgets above these caps are refused as too costly
+# to verify, so the verifier's cost does not depend on the document.
+MAX_VERIFY_EXHAUSTIVE = 10 * DEFAULT_BUDGET.max_exhaustive
+MAX_VERIFY_TRIALS = 10 * DEFAULT_BUDGET.random_trials
 
 
 class FormatError(ValueError):
@@ -683,7 +689,8 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
 
     Every mathematical claim is recomputed: generation certificates rerun the
     closure, mingen reports rerun the whole (deterministic, seeded) search
-    under the recorded budget, bad-prime and global-generation reports are
+    under the recorded budget (refused as inconclusive above the
+    MAX_VERIFY_* caps), bad-prime and global-generation reports are
     recomputed and compared field by field, and lift certificates go through
     the full step-by-step replay.  Returns (ok, detail).
     """
@@ -712,6 +719,11 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
             unital = doc.get("unital")
             if not isinstance(unital, bool):
                 raise FormatError("unital flag must be a boolean")
+            if budget.max_exhaustive > MAX_VERIFY_EXHAUSTIVE or budget.random_trials > MAX_VERIFY_TRIALS:
+                return False, (
+                    "inconclusive: too costly to verify (budget above "
+                    f"max_exhaustive {MAX_VERIFY_EXHAUSTIVE}, random_trials {MAX_VERIFY_TRIALS})"
+                )
             fresh = min_generators(parsed.algebra, budget, unital=unital)
             expected = mingen_report_doc(parsed.algebra, fresh, budget)
             if canonical_json(expected) != canonical_json(doc):

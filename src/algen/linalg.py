@@ -35,22 +35,28 @@ class EchelonBasis:
         """Residual of v after eliminating all pivot columns."""
         if len(v) != self.width:
             raise ValueError(f"vector length {len(v)} != ambient {self.width}")
-        return tuple(_reduce_row(self.field, list(v), self.rows, self.pivots))
+        return tuple(_reduce_row(self.field.char, list(v), self.rows, self.pivots))
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def __contains__(self, v) -> bool:
         return self.contains(v)
 
 
-def _reduce_row(field: Field, work: list, rows, pivots) -> list:
-    sub, mul, zero = field.sub, field.mul, field.zero
+def _reduce_row(p: int, work: list, rows, pivots) -> list:
+    """Eliminate the pivot columns from work in place with Python operators.
+
+    Over F_p (p > 0) work may hold any integers: each pivot coefficient is
+    reduced when read and every coordinate once at the end.  Over Q (p = 0)
+    the scalars are Fractions.
+    """
     for row, c in zip(rows, pivots):
-        coeff = work[c]
-        if coeff != zero:
-            work[:] = [sub(x, mul(coeff, y)) for x, y in zip(work, row)]
+        coeff = work[c] % p if p else work[c]
+        if coeff:
+            work[:] = [x - coeff * y for x, y in zip(work, row)]
+    if p:
+        work[:] = [x % p for x in work]
     return work
 
 
@@ -59,6 +65,7 @@ class RowReducer:
 
     def __init__(self, field: Field, width: int):
         self.field = field
+        self.p = field.char
         self.width = width
         self.rows: list[list[Scalar]] = []
         self.pivots: list[int] = []
@@ -68,36 +75,41 @@ class RowReducer:
         return len(self.rows)
 
     def residual(self, v: Sequence[Scalar]) -> list[Scalar]:
+        """v with the pivot columns eliminated.  Over F_p, v may hold any
+        integers (unreduced evaluator output); the residual is reduced."""
         if len(v) != self.width:
             raise ValueError(f"vector length {len(v)} != ambient {self.width}")
-        return _reduce_row(self.field, list(v), self.rows, self.pivots)
+        return _reduce_row(self.p, list(v), self.rows, self.pivots)
 
     def insert(self, v: Sequence[Scalar]) -> bool:
         """Add v to the span.  Returns True iff the dimension grew."""
-        field = self.field
-        zero = field.zero
+        p = self.p
         work = self.residual(v)
-        pivot = next((i for i, x in enumerate(work) if x != zero), None)
+        pivot = next((i for i, x in enumerate(work) if x), None)
         if pivot is None:
             return False
         lead = work[pivot]
-        if lead != field.one:
-            inv = field.inv(lead)
-            work = [field.mul(inv, x) for x in work]
+        if lead != 1:
+            inv = self.field.inv(lead)
+            if p:
+                work = [inv * x % p for x in work]
+            else:
+                work = [inv * x for x in work]
         # eliminate the new pivot column from the existing rows
-        sub, mul = field.sub, field.mul
         for row in self.rows:
             coeff = row[pivot]
-            if coeff != zero:
-                row[:] = [sub(x, mul(coeff, y)) for x, y in zip(row, work)]
+            if coeff:
+                if p:
+                    row[:] = [(x - coeff * y) % p for x, y in zip(row, work)]
+                else:
+                    row[:] = [x - coeff * y for x, y in zip(row, work)]
         at = next((k for k, c in enumerate(self.pivots) if c > pivot), len(self.pivots))
         self.rows.insert(at, work)
         self.pivots.insert(at, pivot)
         return True
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.residual(v))
+        return not any(self.residual(v))
 
     def copy(self) -> "RowReducer":
         """An independent reducer holding the same span."""
@@ -127,7 +139,3 @@ def rref(field: Field, rows: Iterable[Sequence[Scalar]], width: int | None = Non
         reducer.insert(validate_vector(field, r, width))
     return reducer.snapshot()
 
-
-def reduce_vector(basis: EchelonBasis, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """Residual of v modulo the subspace; zero iff v lies in it."""
-    return basis.reduce(v)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,8 +11,6 @@ from hypothesis import strategies as st
 from algen.algebra import (
     GenerationCertificate,
     Multialgebra,
-    _basis_vector,
-    _eval_tensor,
     _modular_witness,
     _WITNESS_PRIME,
     base_change_check,
@@ -21,8 +21,9 @@ from algen.algebra import (
     replay_certificate,
 )
 from algen.fields import GF, QQ, validate_vector
+from algen.integral import IntegralAlgebra, make_z_tensor
 from algen.ioformat import canonical_json, generation_certificate_doc
-from algen.linalg import RowReducer, rref
+from algen.linalg import rref
 from algen.zoo import (
     albert,
     albert_generators,
@@ -246,17 +247,68 @@ def test_scaling_and_supertuple_invariance():
 # ---------------------------------------------------------------------------
 
 
+def _ref_eval(op, dim, args, add, mul, zero, one):
+    """Multilinear extension of a tensor through the given ring operations."""
+    out = [zero] * dim
+    for idx, outs in op.entries:
+        c = one
+        for slot, i in enumerate(idx):
+            c = mul(c, args[slot][i])
+        for l, coeff in outs:
+            out[l] = add(out[l], mul(c, coeff))
+    return tuple(out)
+
+
+def _field_eval(op, field, dim, args):
+    return _ref_eval(op, dim, args, field.add, field.mul, field.zero, field.one)
+
+
+def _basis(field, dim, i):
+    return tuple(field.one if k == i else field.zero for k in range(dim))
+
+
+class _FieldReducer:
+    """RREF through the field's methods: the reference for RowReducer."""
+
+    def __init__(self, field, width):
+        self.field, self.width = field, width
+        self.rows, self.pivots = [], []
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def insert(self, v):
+        f = self.field
+        work = list(v)
+        for row, c in zip(self.rows, self.pivots):
+            coeff = work[c]
+            work = [f.sub(x, f.mul(coeff, y)) for x, y in zip(work, row)]
+        pivot = next((i for i, x in enumerate(work) if x != f.zero), None)
+        if pivot is None:
+            return False
+        inv = f.inv(work[pivot])
+        work = [f.mul(inv, x) for x in work]
+        self.rows = [[f.sub(x, f.mul(row[pivot], y)) for x, y in zip(row, work)] for row in self.rows]
+        at = sum(1 for c in self.pivots if c < pivot)
+        self.rows.insert(at, work)
+        self.pivots.insert(at, pivot)
+        return True
+
+
 def _plain_closure(alg, rows, unital):
-    """The closure kernel without the mod-P witness: rounds over the RREF
-    basis from the start, counting the inserts that grew the span."""
+    """The closure kernel without the mod-P witness or integer rounds, in
+    field-method arithmetic: rounds over the RREF basis from the start,
+    counting the inserts that grew the span."""
     field = alg.field
     r = alg.dim
-    reducer = RowReducer(field, r)
+    reducer = _FieldReducer(field, r)
     for v in rows:
         reducer.insert(v)
     if unital:
-        for const in alg.constants():
-            reducer.insert(const)
+        for op in alg.ops:
+            if op.arity == 0:
+                reducer.insert(_field_eval(op, field, r, ()))
     monomials = 0
     if reducer.dim == r:
         return reducer, monomials
@@ -267,7 +319,7 @@ def _plain_closure(alg, rows, unital):
             if op.arity == 0 or not op.entries:
                 continue
             for args in itertools.product(basis_rows, repeat=op.arity):
-                value = _eval_tensor(op, field, r, args)
+                value = _field_eval(op, field, r, args)
                 if reducer.insert(value):
                     monomials += 1
                     grew = True
@@ -280,7 +332,7 @@ def _plain_closure(alg, rows, unital):
 def _assert_matches_plain_loop(alg, elements, unital):
     rows = tuple(tuple(QQ.coerce(x) for x in v) for v in elements)
     reducer, monomials = _plain_closure(alg, rows, unital)
-    assert closure(alg, rows, unital).rows == reducer.snapshot().rows
+    assert closure(alg, rows, unital).rows == tuple(map(tuple, reducer.rows))
     ok, cert = is_generating(alg, rows, unital)
     assert ok == (reducer.dim == alg.dim)
     assert (cert.closure_dim, cert.monomial_count) == (reducer.dim, monomials)
@@ -308,14 +360,28 @@ rationals = st.one_of(
 
 @st.composite
 def rational_algebras(draw):
+    """Random Q algebras of dimension <= 4 whose closures make the exact
+    rounds grow: besides random tables, a Jordan product (x y + y x) / 2
+    with its 1/2 constants, the bad prime b_i b_i = P b_(i+1) (full over Q,
+    not mod P), a 1/P constant (no reduction mod P, no witness), and extra
+    arity-0, arity-1 and arity-3 operations."""
     dim = draw(st.integers(1, 4))
     with_unit = draw(st.booleans())
+    shape = draw(st.sampled_from(("random", "jordan", "bad-prime", "no-witness")))
     triples = []
     for i, j in itertools.product(range(dim), repeat=2):
         if with_unit and 0 in (i, j):
             triples.append(((i, j), i + j, 1))
+        elif shape == "bad-prime" and i == j and i + 1 < dim:
+            triples.append(((i, i), i + 1, P))
         elif draw(st.integers(0, 2)) == 0:
             triples.append(((i, j), draw(st.integers(0, dim - 1)), draw(rationals)))
+    if shape == "jordan":
+        triples = [(idx, l, Fraction(c) / 2) for idx, l, c in triples] + [
+            ((j, i), l, Fraction(c) / 2) for (i, j), l, c in triples
+        ]
+    elif shape == "no-witness" and not (with_unit and dim == 1):
+        triples.append(((dim - 1, dim - 1), 0, Fraction(1, P)))
     ops = [make_tensor(QQ, dim, 2, triples)]
     unit_index = None
     if with_unit:
@@ -327,6 +393,13 @@ def rational_algebras(draw):
         ops.append(
             make_tensor(QQ, dim, 1, [((i,), draw(st.integers(0, dim - 1)), draw(rationals)) for i in range(dim)])
         )
+    if draw(st.booleans()):
+        index = st.integers(0, dim - 1)
+        entries = [
+            ((draw(index), draw(index), draw(index)), draw(index), draw(rationals))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        ops.append(make_tensor(QQ, dim, 3, entries))
     return Multialgebra(field=QQ, dim=dim, ops=tuple(ops), product_index=0, unit_index=unit_index)
 
 
@@ -341,6 +414,23 @@ def test_closure_matches_plain_round_loop(alg, unital, data):
     count = data.draw(st.integers(0, 3))
     elements = [data.draw(st.tuples(*[rationals] * alg.dim)) for _ in range(count)]
     _assert_matches_plain_loop(alg, elements, unital)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alg=rational_algebras())
+def test_scaled_tensors_are_one_integer_multiple(alg):
+    # the integer rounds rely on each scaled tensor being lambda * T for one
+    # positive integer lambda per tensor
+    for op, scaled in zip(alg.ops, alg._scaled_ops):
+        assert [idx for idx, _ in op.entries] == [idx for idx, _ in scaled.entries]
+        pairs = [
+            (c, s)
+            for (_, outs), (_, souts) in zip(op.entries, scaled.entries)
+            for (_, c), (_, s) in zip(outs, souts)
+        ]
+        assert all(isinstance(s, int) for _, s in pairs)
+        assert len({s / c for c, s in pairs}) <= 1
+        assert all(s / c > 0 for c, s in pairs)
 
 
 def test_closure_exact_when_witness_prime_is_bad():
@@ -422,73 +512,101 @@ def test_monomial_count_is_closure_dim_minus_seed_rank():
 # ---------------------------------------------------------------------------
 
 
-def _brute_check_unit(alg, unit_index):
-    field, dim = alg.field, alg.dim
-    e = tuple(_eval_tensor(alg.ops[unit_index], field, dim, ()))
-    prod = alg.ops[alg.product_index]
-    for i in range(dim):
-        b = _basis_vector(field, dim, i)
-        left = tuple(_eval_tensor(prod, field, dim, (e, b)))
-        right = tuple(_eval_tensor(prod, field, dim, (b, e)))
-        if left != b or right != b:
-            raise ValueError("designated unit fails the unit law")
+def _brute_check_laws(ops, dim, unit_index, involution_index, evaluate, basis):
+    """The unit and involution laws by evaluating the product (op 0) on
+    basis vectors, one evaluation per vector or pair; evaluate returns
+    canonical tuples."""
+    prod = ops[0]
+    if unit_index is not None:
+        e = evaluate(ops[unit_index], ())
+        for i in range(dim):
+            b = basis(i)
+            if evaluate(prod, (e, b)) != b or evaluate(prod, (b, e)) != b:
+                raise ValueError("designated unit fails the unit law")
+    if involution_index is not None:
+        sigma = ops[involution_index]
+        images = [evaluate(sigma, (basis(i),)) for i in range(dim)]
+        for i in range(dim):
+            if evaluate(sigma, (images[i],)) != basis(i):
+                raise ValueError("designated involution is not an involution")
+        for i in range(dim):
+            for j in range(dim):
+                lhs = evaluate(sigma, (evaluate(prod, (basis(i), basis(j))),))
+                if lhs != evaluate(prod, (images[j], images[i])):
+                    raise ValueError("designated involution is not an anti-automorphism")
 
 
-def _brute_check_involution(alg, involution_index):
-    field, dim = alg.field, alg.dim
-    sigma = alg.ops[involution_index]
-    prod = alg.ops[alg.product_index]
-    images = [
-        tuple(_eval_tensor(sigma, field, dim, (_basis_vector(field, dim, i),)))
-        for i in range(dim)
-    ]
-    for i in range(dim):
-        twice = tuple(_eval_tensor(sigma, field, dim, (images[i],)))
-        if twice != _basis_vector(field, dim, i):
-            raise ValueError("designated involution is not an involution")
-    for i in range(dim):
-        bi = _basis_vector(field, dim, i)
-        for j in range(dim):
-            bj = _basis_vector(field, dim, j)
-            lhs = tuple(
-                _eval_tensor(sigma, field, dim, (tuple(_eval_tensor(prod, field, dim, (bi, bj))),))
-            )
-            rhs = tuple(_eval_tensor(prod, field, dim, (images[j], images[i])))
-            if lhs != rhs:
-                raise ValueError("designated involution is not an anti-automorphism")
-
-
-def _signed_involution(draw, dim, fix_zero):
-    """A permutation pi with pi^2 = 1 and signs with s_i s_pi(i) = 1."""
-    order = draw(st.permutations(range(1 if fix_zero else 0, dim)))
+def _signed_involution(draw, factors, fixed):
+    """A permutation pi with pi^2 = 1 that only swaps coordinates with equal
+    invariant factors and fixes `fixed`, and signs with s_i s_pi(i) = 1."""
+    dim = len(factors)
+    order = draw(st.permutations([i for i in range(dim) if i != fixed]))
     pi = list(range(dim))
     for a, b in zip(order[::2], order[1::2]):
-        if draw(st.booleans()):
+        if factors[a] == factors[b] and draw(st.booleans()):
             pi[a], pi[b] = b, a
     signs = [1] * dim
     for i in range(dim):
-        if i <= pi[i] and not (fix_zero and i == 0):
+        if i <= pi[i] and i != fixed:
             signs[i] = signs[pi[i]] = draw(st.sampled_from((1, -1)))
     return pi, signs
 
 
 @st.composite
-def designated_algebras(draw):
-    """Tensors with a planted unit b0 and/or a planted signed-permutation
-    involution, then perturbed now and then so that a law may fail."""
-    field = draw(st.sampled_from((GF(2), GF(3), QQ)))
+def invariant_factors(draw):
+    """A divisibility chain of torsion factors followed by free coordinates."""
     dim = draw(st.integers(1, 4))
-    coeff = st.integers(-2, 2) if field == QQ else st.integers(0, field.p - 1)
+    factors = []
+    d = draw(st.sampled_from((2, 3)))
+    for _ in range(draw(st.integers(0, dim))):
+        factors.append(d)
+        d *= draw(st.sampled_from((1, 2, 3)))
+    return tuple(factors) + (0,) * (dim - len(factors))
+
+
+def _descending(factors, idx, out, c):
+    """The smallest multiple of c with which the entry descends to the module:
+    torsion d_in at an input must annihilate it modulo the target factor."""
+    d_out = factors[out]
+    for i in idx:
+        d_in = factors[i]
+        if d_in:
+            if d_out == 0:
+                return 0
+            c *= d_out // math.gcd(d_in, d_out)
+    return c
+
+
+@st.composite
+def designated_algebras(draw):
+    """Tensors over F_2, F_3, Q or Z^m / torsion with a planted unit b_u
+    (u the last coordinate, so that every factor divides its factor) and/or
+    a planted signed-permutation involution, then perturbed now and then so
+    that a law may fail."""
+    ring = draw(st.sampled_from((GF(2), GF(3), QQ, "Z")))
+    if ring == "Z":
+        factors = draw(invariant_factors())
+        coeff = st.integers(-3, 3)
+    else:
+        factors = (0,) * draw(st.integers(1, 4))
+        coeff = st.integers(-2, 2) if ring == QQ else st.integers(0, ring.p - 1)
+    dim = len(factors)
+    u = dim - 1
     with_unit = draw(st.booleans())
     with_involution = draw(st.booleans())
-    low = 1 if with_unit else 0
-    table = []
-    for i, j in itertools.product(range(low, dim), repeat=2):
-        if draw(st.integers(0, 2)) == 0:
-            table.append(((i, j), draw(st.integers(0, dim - 1)), draw(coeff)))
+
+    def entry(idx, out):
+        return idx, out, _descending(factors, idx, out, draw(coeff))
+
+    others = [i for i in range(dim) if not (with_unit and i == u)]
+    table = [
+        entry((i, j), draw(st.integers(0, dim - 1)))
+        for i, j in itertools.product(others, repeat=2)
+        if draw(st.integers(0, 2)) == 0
+    ]
     sigma = []
     if with_involution:
-        pi, s = _signed_involution(draw, dim, with_unit)
+        pi, s = _signed_involution(draw, factors, u if with_unit else None)
         sigma = [((l,), pi[l], s[l]) for l in range(dim)]
         # T + Phi(T) with Phi(T)(i, j) = s_i s_j sigma(T(pi j, pi i)) is an
         # anti-automorphism table for sigma
@@ -496,48 +614,66 @@ def designated_algebras(draw):
             ((pi[b], pi[a]), pi[l], s[pi[a]] * s[pi[b]] * s[l] * c) for (a, b), l, c in table
         ]
     if with_unit:
-        table += [((0, j), j, 1) for j in range(dim)] + [((j, 0), j, 1) for j in range(1, dim)]
-    unit = [((), 0, 1)]
+        table += [((u, j), j, 1) for j in range(dim)] + [((j, u), j, 1) for j in others]
+    unit = [((), u, 1)]
     for _ in range(draw(st.integers(0, 2))):
-        spot = draw(st.sampled_from(("product", "unit", "involution")))
-        entry = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)), draw(coeff))
-        if spot == "product":
-            table.append(((entry[0], entry[1]), draw(st.integers(0, dim - 1)), entry[2]))
+        spot = draw(st.sampled_from(("product", "left of unit", "right of unit", "unit", "involution")))
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        if spot.endswith("of unit") and with_unit:
+            # products with the unit on one side only break one of its laws
+            i, j = (u, j) if spot.startswith("left") else (i, u)
+        if spot in ("product", "left of unit", "right of unit"):
+            table.append(entry((i, j), draw(st.integers(0, dim - 1))))
         elif spot == "unit":
-            unit.append(((), entry[0], entry[2]))
+            unit.append(((), i, draw(coeff)))
         else:
-            sigma.append(((entry[0],), entry[1], entry[2]))
-    ops = (
-        make_tensor(field, dim, 2, table),
-        make_tensor(field, dim, 0, unit),
-        make_tensor(field, dim, 1, sigma),
-    )
-    return field, dim, ops, with_unit, with_involution
+            sigma.append(entry((i,), j))
+    if ring == "Z":
+        ops = tuple(make_z_tensor(factors, k, t) for k, t in ((2, table), (0, unit), (1, sigma)))
+    else:
+        ops = tuple(make_tensor(ring, dim, k, t) for k, t in ((2, table), (0, unit), (1, sigma)))
+    return ring, factors, ops, with_unit, with_involution
 
 
-@settings(max_examples=300, deadline=None)
+def _build(ring, factors, ops, unit_index=None, involution_index=None):
+    if ring == "Z":
+        return IntegralAlgebra(factors, ops, 0, unit_index, involution_index)
+    return Multialgebra(ring, len(factors), ops, 0, unit_index, involution_index)
+
+
+@settings(max_examples=400, deadline=None)
 @given(case=designated_algebras())
 def test_law_checks_match_brute_force(case):
-    field, dim, ops, with_unit, with_involution = case
-    plain = Multialgebra(field=field, dim=dim, ops=ops, product_index=0)
+    ring, factors, ops, with_unit, with_involution = case
+    dim = len(factors)
+    _build(ring, factors, ops)  # the tensors themselves are valid
+    if ring == "Z":
+
+        def evaluate(op, args):
+            raw = _ref_eval(op, dim, args, operator.add, operator.mul, 0, 1)
+            return tuple(x % d if d else x for d, x in zip(factors, raw))
+
+        def basis(i):
+            return tuple(int(k == i) for k in range(dim))
+
+    else:
+
+        def evaluate(op, args):
+            return _field_eval(op, ring, dim, args)
+
+        def basis(i):
+            return _basis(ring, dim, i)
+
+    unit_index = 1 if with_unit else None
+    involution_index = 2 if with_involution else None
     expected = None
     try:
-        if with_unit:
-            _brute_check_unit(plain, 1)
-        if with_involution:
-            _brute_check_involution(plain, 2)
+        _brute_check_laws(ops, dim, unit_index, involution_index, evaluate, basis)
     except ValueError as bad:
         expected = str(bad)
     got = None
     try:
-        Multialgebra(
-            field=field,
-            dim=dim,
-            ops=ops,
-            product_index=0,
-            unit_index=1 if with_unit else None,
-            involution_index=2 if with_involution else None,
-        )
+        _build(ring, factors, ops, unit_index, involution_index)
     except ValueError as bad:
         got = str(bad)
     assert got == expected

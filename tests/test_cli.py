@@ -151,6 +151,10 @@ def test_mingen(capsys, tmp_path):
     assert report["n_upper"] == "2" and report["lower_bound_certified"] is True
     cert_path = write(tmp_path, "mingen.json", report)
     assert run(capsys, "verify-cert", path, cert_path)[0] == 0
+    # a budget far above the default is not rerun: inconclusive, exit 2
+    report["budget"]["max_exhaustive"] = "1" + "0" * 30
+    code, verdict = run(capsys, "verify-cert", path, write(tmp_path, "costly.json", report))
+    assert code == 2 and verdict["detail"].startswith("inconclusive: too costly to verify")
     # on two split factors the unital count drops to one
     code, doc = run(capsys, "zoo", "split-etale", "--field", "F2", "--n", "2")
     path = write(tmp_path, "e2.json", doc)

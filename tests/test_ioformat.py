@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import algen.forster
+import algen.ioformat
 from algen.algebra import is_generating
 from algen.fields import GF, QQ
 from algen.forster import forster_lift
@@ -27,6 +28,8 @@ from algen.ioformat import (
     global_generation_doc,
     lift_certificate_doc,
     local_report_doc,
+    MAX_VERIFY_EXHAUSTIVE,
+    MAX_VERIFY_TRIALS,
     mingen_report_doc,
     parse_algebra,
     parse_budget,
@@ -261,6 +264,29 @@ def test_mingen_verify():
     bad = _reload(doc)
     bad["certificate"]["elements"][0][0] = "1"
     assert verify_certificate(parsed, bad)[0] is False
+
+
+def test_mingen_verify_refuses_costly_budgets(monkeypatch):
+    alg = split_etale(GF(2), 3)
+    parsed = ParsedAlgebra(alg)
+    doc = mingen_report_doc(alg, min_generators(alg, DEFAULT_BUDGET), DEFAULT_BUDGET)
+    assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
+    assert MAX_VERIFY_EXHAUSTIVE >= DEFAULT_BUDGET.max_exhaustive
+    assert MAX_VERIFY_TRIALS >= DEFAULT_BUDGET.random_trials
+
+    def never(*args, **kwargs):
+        raise AssertionError("the search must not run")
+
+    monkeypatch.setattr(algen.ioformat, "min_generators", never)
+    for field, value in [
+        ("max_exhaustive", str(MAX_VERIFY_EXHAUSTIVE + 1)),
+        ("random_trials", str(MAX_VERIFY_TRIALS + 1)),
+        ("max_exhaustive", "1" + "0" * 40),
+    ]:
+        hostile = _reload(doc)
+        hostile["budget"][field] = value
+        ok, detail = verify_certificate(parsed, hostile)
+        assert not ok and detail.startswith("inconclusive: too costly to verify")
 
 
 def test_bad_primes_verify():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from algen.fields import GF, QQ
-from algen.linalg import RowReducer, reduce_vector, rref
+from algen.linalg import RowReducer, rref
 
 
 def span_fp(field, rows):
@@ -84,8 +84,8 @@ def test_rref_rejects_bad_entries():
 
 def test_reduce_vector():
     basis = rref(QQ, [[1, 0]])
-    assert reduce_vector(basis, (Fraction(3), Fraction(7))) == (0, 7)
-    assert reduce_vector(basis, (Fraction(5), Fraction(0))) == (0, 0)
+    assert basis.reduce((Fraction(3), Fraction(7))) == (0, 7)
+    assert basis.reduce((Fraction(5), Fraction(0))) == (0, 0)
     full = rref(GF(3), [[1, 2], [0, 1]])
     for v in itertools.product(range(3), repeat=2):
         assert full.reduce(v) == (0, 0)
