@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import is_generating
-from .fields import is_prime
 from .integral import (
     BadPrimesReport,
+    Fiber,
     GlobalGenerationReport,
     IntegralAlgebra,
     bad_primes,
@@ -33,7 +33,7 @@ from .integral import (
     reduce_element,
     verify_global_generation,
 )
-from .intmat import FactorizationIncomplete, crt
+from .intmat import FactorizationIncomplete, crt, proved_prime
 from .search import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -64,8 +64,9 @@ class ConstructibleSet:
     def __post_init__(self):
         members = frozenset(int(p) for p in self.primes)
         for p in members:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            # Miller-Rabin: a prime read from a document must not set the cost
+            if proved_prime(p) is not True:
+                raise ValueError(f"{p} is not a proven prime")
         object.__setattr__(self, "primes", members)
 
     # -- predicates --------------------------------------------------------
@@ -131,7 +132,7 @@ class ConstructibleSet:
         found = []
         candidate = 2
         while len(found) < k:
-            if is_prime(candidate) and candidate not in self.primes:
+            if proved_prime(candidate) and candidate not in self.primes:
                 found.append(candidate)
             candidate += 1
         return tuple(found)
@@ -294,6 +295,10 @@ def local_requirement(
 # ---------------------------------------------------------------------------
 
 
+class _Breach(RuntimeError):
+    """A lift invariant fails: an internal error in the prover, a rejection in replay."""
+
+
 def _check_partition(cells: Sequence[PartitionCell], step_count: int, n: int) -> Optional[str]:
     """Disjoint cover of all primes with per-cell dimension bounds, or a complaint."""
     union = finite_set(())
@@ -305,7 +310,8 @@ def _check_partition(cells: Sequence[PartitionCell], step_count: int, n: int) ->
         if cell.level < n and cell.region.dimension > 1 + cell.level - step_count:
             # Cells still in progress must stay on schedule: a cofinite
             # region at level i is tolerable only while steps <= i, a finite
-            # one only while steps <= i + 1.  Completed cells stop the clock.
+            # one only while steps <= i + 1.  Completed cells stop the clock;
+            # after step n + 1 no cell is left below level n.
             return (
                 f"dimension bound violated at level {cell.level} "
                 f"after {step_count} steps"
@@ -327,6 +333,74 @@ def _select_primes(cell: PartitionCell) -> list[int]:
     return sorted(cell.region.primes)
 
 
+def _advance(
+    A: IntegralAlgebra,
+    n: int,
+    cells: Sequence[PartitionCell],
+    generators: Sequence[tuple[int, ...]],
+    extend: Callable[[PartitionCell, int, Fiber], Sequence[tuple]],
+    factor_bound: int,
+) -> LiftStep:
+    """One lift step, shared by forster_lift and replay_lift.
+
+    `extend(cell, p, fib)` supplies the local extension of the cell's
+    witnessed prefix at the representative prime p (searched by the prover,
+    recorded and checked by the replay).  The first extension elements are
+    glued by CRT into the next generator, every completed tuple's bad primes
+    open a region, and each cell splits into the part that advances and the
+    part that stays.  Raises _Breach when an invariant of the step fails.
+    """
+    work = [(cell, _select_primes(cell)) for cell in cells if cell.level < n]
+    flat = [p for _, ps in work for p in ps]
+    if len(set(flat)) != len(flat):
+        raise _Breach("representative primes collide across cells")
+
+    local: list[tuple[PartitionCell, list[tuple[int, Fiber, tuple]]]] = []
+    congruences: list[list[tuple[int, int]]] = [[] for _ in range(A.rank)]
+    for cell, ps in work:
+        per = []
+        for p in ps:
+            fib = fiber_mod_p(A, p)
+            extension = tuple(extend(cell, p, fib))
+            lifted = fib.lift(extension[0])
+            for c in range(A.rank):
+                congruences[c].append((p, lifted[c]))
+            per.append((p, fib, extension))
+        local.append((cell, per))
+    element = reduce_element(A.factors, [crt(con) for con in congruences])
+    new_index = len(generators)
+
+    next_cells = [cell for cell in cells if cell.level >= n]
+    prime_steps: list[PrimeStep] = []
+    for cell, per in local:
+        opened = finite_set(())
+        for p, fib, extension in per:
+            completed = (
+                tuple(generators[t] for t in cell.witness)
+                + (element,)
+                + tuple(fib.lift(v) for v in extension[1:])
+            )
+            support = bad_primes(A, completed, factor_bound)
+            if support.generic_fail:
+                raise _Breach(f"completed tuple misses a free direction at {p}")
+            if p in support.primes:
+                raise _Breach(f"completed tuple fails at its own prime {p}")
+            opened = opened.union(cofinite_set(support.primes))
+            prime_steps.append(PrimeStep(p, cell.witness, extension, completed, support.primes))
+        advanced = cell.region.intersection(opened)
+        remaining = cell.region.difference(opened)
+        if not cell.region.cofinite and not remaining.is_empty:
+            raise _Breach("a finite region was not fully advanced")
+        if not advanced.is_empty:
+            next_cells.append(PartitionCell(advanced, cell.level + 1, cell.witness + (new_index,)))
+        if not remaining.is_empty:
+            next_cells.append(PartitionCell(remaining, cell.level, cell.witness))
+    complaint = _check_partition(next_cells, new_index + 1, n)
+    if complaint:
+        raise _Breach(complaint)
+    return LiftStep(element=element, completions=tuple(prime_steps), partition=tuple(next_cells))
+
+
 def forster_lift(
     A: IntegralAlgebra,
     n: int,
@@ -345,95 +419,28 @@ def forster_lift(
     if local.status == "inconclusive":
         raise BudgetExhausted("local requirement could not be verified within the budget")
 
-    cells: list[PartitionCell] = [PartitionCell(region=ALL_PRIMES, level=0, witness=())]
     generators: list[tuple[int, ...]] = []
+
+    def extend(cell: PartitionCell, p: int, fib: Fiber) -> tuple:
+        partial = [fib.project(generators[t]) for t in cell.witness]
+        res = completable(fib.algebra, partial, n, budget, unital=True)
+        if res.status == "certified_none":
+            raise RuntimeError(f"internal: witnessed prefix not completable at prime {p}")
+        if res.status == "inconclusive":
+            raise BudgetExhausted(f"completion search at prime {p} ran out of budget")
+        return res.extension
+
+    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, level=0, witness=()),)
     steps: list[LiftStep] = []
-    for _ in range(n + 1):
-        work: list[tuple[PartitionCell, list[int]]] = []
-        for cell in cells:
-            if cell.level < n:
-                work.append((cell, _select_primes(cell)))
-        flat = [p for _, ps in work for p in ps]
-        if len(set(flat)) != len(flat):
-            raise RuntimeError("internal: representative primes collide across cells")
+    try:
+        for _ in range(n + 1):
+            step = _advance(A, n, cells, generators, extend, factor_bound)
+            generators.append(step.element)
+            cells = step.partition
+            steps.append(step)
+    except _Breach as bad:
+        raise RuntimeError(f"internal: {bad}") from bad
 
-        completions: list[list[tuple[int, object, CompletionResult]]] = []
-        for cell, ps in work:
-            per = []
-            for p in ps:
-                fib = fiber_mod_p(A, p)
-                partial = [fib.project(generators[t]) for t in cell.witness]
-                res = completable(fib.algebra, partial, n, budget, unital=True)
-                if res.status == "certified_none":
-                    raise RuntimeError(
-                        f"internal: witnessed prefix not completable at prime {p}"
-                    )
-                if res.status == "inconclusive":
-                    raise BudgetExhausted(f"completion search at prime {p} ran out of budget")
-                per.append((p, fib, res))
-            completions.append(per)
-
-        congruences: list[list[tuple[int, int]]] = [[] for _ in range(A.rank)]
-        for per in completions:
-            for p, fib, res in per:
-                lifted = fib.lift(res.extension[0])
-                for c in range(A.rank):
-                    congruences[c].append((p, lifted[c]))
-        element = reduce_element(A.factors, [crt(con) for con in congruences])
-        new_index = len(generators)
-        generators.append(element)
-
-        next_cells = [cell for cell in cells if cell.level >= n]
-        prime_steps: list[PrimeStep] = []
-        for (cell, ps), per in zip(work, completions):
-            opened = finite_set(())
-            for p, fib, res in per:
-                completed = (
-                    tuple(generators[t] for t in cell.witness)
-                    + (element,)
-                    + tuple(fib.lift(v) for v in res.extension[1:])
-                )
-                support = bad_primes(A, completed, factor_bound)
-                if support.generic_fail:
-                    raise RuntimeError("internal: completed tuple misses a free direction")
-                if p in support.primes:
-                    raise RuntimeError("internal: completed tuple fails at its own prime")
-                opened = opened.union(cofinite_set(support.primes))
-                prime_steps.append(
-                    PrimeStep(
-                        prime=p,
-                        witness=cell.witness,
-                        extension=tuple(res.extension),
-                        completed=completed,
-                        excluded=support.primes,
-                    )
-                )
-            advanced = cell.region.intersection(opened)
-            remaining = cell.region.difference(opened)
-            if not cell.region.cofinite and not remaining.is_empty:
-                raise RuntimeError("internal: a finite region was not fully advanced")
-            if not advanced.is_empty:
-                next_cells.append(
-                    PartitionCell(
-                        region=advanced,
-                        level=cell.level + 1,
-                        witness=cell.witness + (new_index,),
-                    )
-                )
-            if not remaining.is_empty:
-                next_cells.append(
-                    PartitionCell(region=remaining, level=cell.level, witness=cell.witness)
-                )
-        cells = next_cells
-        complaint = _check_partition(cells, len(generators), n)
-        if complaint:
-            raise RuntimeError(f"internal: {complaint}")
-        steps.append(
-            LiftStep(element=element, completions=tuple(prime_steps), partition=tuple(cells))
-        )
-
-    if any(cell.level < n for cell in cells):
-        raise RuntimeError("internal: cells below level n remain after the final step")
     verification = verify_global_generation(A, generators, factor_bound)
     if not verification.generates:
         raise RuntimeError("internal: lifted generators fail global verification")
@@ -451,13 +458,9 @@ def forster_lift(
 # ---------------------------------------------------------------------------
 
 
-class _Mismatch(Exception):
-    pass
-
-
 def _expect(condition: bool, message: str):
     if not condition:
-        raise _Mismatch(message)
+        raise _Breach(message)
 
 
 def replay_lift(
@@ -465,14 +468,15 @@ def replay_lift(
 ) -> tuple[bool, str]:
     """Re-derive every assertion of a lift certificate without searching.
 
-    The recorded local extensions are the only search-derived data; prime
-    selection, CRT gluing, bad-prime sets, partitions, and the final
-    verification are all recomputed and compared, factoring with the
-    certificate's factor_bound.  Returns (ok, detail).
+    The recorded local extensions are the only search-derived data; each is
+    checked to generate its fiber, and prime selection, CRT gluing, bad-prime
+    sets, partitions, and the final verification are recomputed by the
+    prover's own step and compared, factoring with the certificate's
+    factor_bound.  Returns (ok, detail).
     """
     try:
         _replay(A, cert, factor_bound)
-    except _Mismatch as bad:
+    except _Breach as bad:
         return False, str(bad)
     except (ValueError, IndexError, TypeError) as bad:
         return False, f"malformed certificate: {bad}"
@@ -488,86 +492,42 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int):
     _expect(len(cert.generators) == n + 1, "generator count is not n + 1")
     _expect(len(cert.steps) == n + 1, "step count is not n + 1")
 
-    cells: list[PartitionCell] = [PartitionCell(region=ALL_PRIMES, level=0, witness=())]
     generators: list[tuple[int, ...]] = []
+    recorded = iter(())
+
+    def extend(cell: PartitionCell, p: int, fib: Fiber) -> tuple:
+        rec = next(recorded, None)
+        _expect(rec is not None and rec.prime == p, "selected primes differ")
+        _expect(rec.witness == cell.witness, f"witness mismatch at {p}")
+        _expect(len(rec.extension) == n - cell.level, f"wrong extension length at {p}")
+        partial = [fib.project(generators[t]) for t in cell.witness]
+        ok, _ = is_generating(fib.algebra, partial + [tuple(v) for v in rec.extension], unital=True)
+        _expect(ok, f"completion does not generate the fiber at {p}")
+        return rec.extension
+
+    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, level=0, witness=()),)
     for step_no, step in enumerate(cert.steps):
-        work = [(cell, _select_primes(cell)) for cell in cells if cell.level < n]
-        recorded = list(step.completions)
-        _expect(
-            [p for _, ps in work for p in ps] == [ps.prime for ps in recorded],
-            f"step {step_no}: selected primes differ",
-        )
-
-        pos = 0
-        per_cell: list[tuple[PartitionCell, list]] = []
-        congruences: list[list[tuple[int, int]]] = [[] for _ in range(A.rank)]
-        for cell, ps in work:
-            batch = []
-            for p in ps:
-                rec = recorded[pos]
-                pos += 1
-                _expect(rec.witness == cell.witness, f"step {step_no}: witness mismatch at {p}")
-                fib = fiber_mod_p(A, p)
+        recorded = iter(step.completions)
+        try:
+            fresh = _advance(A, n, cells, generators, extend, factor_bound)
+            _expect(next(recorded, None) is None, "selected primes differ")
+            _expect(fresh.element == tuple(step.element), "glued element differs")
+            _expect(
+                fresh.element == tuple(cert.generators[step_no]),
+                "generator differs from step element",
+            )
+            for ps, rec in zip(fresh.completions, step.completions):
                 _expect(
-                    len(rec.extension) == n - cell.level,
-                    f"step {step_no}: wrong extension length at {p}",
+                    ps.completed == tuple(tuple(v) for v in rec.completed),
+                    f"completed tuple differs at {ps.prime}",
                 )
-                partial = [fib.project(generators[t]) for t in cell.witness]
-                full = list(partial) + [tuple(v) for v in rec.extension]
-                ok, _ = is_generating(fib.algebra, full, unital=True)
-                _expect(ok, f"step {step_no}: completion does not generate the fiber at {p}")
-                lifted = fib.lift(rec.extension[0])
-                for c in range(A.rank):
-                    congruences[c].append((p, lifted[c]))
-                batch.append((p, fib, rec))
-            per_cell.append((cell, batch))
+                _expect(ps.excluded == tuple(rec.excluded), f"bad primes differ at {ps.prime}")
+            _expect(fresh.partition == tuple(step.partition), "partition snapshot differs")
+        except _Breach as bad:
+            raise _Breach(f"step {step_no}: {bad}") from None
+        generators.append(fresh.element)
+        cells = fresh.partition
 
-        element = reduce_element(A.factors, [crt(con) for con in congruences])
-        _expect(element == tuple(step.element), f"step {step_no}: glued element differs")
-        _expect(
-            element == tuple(cert.generators[step_no]),
-            f"step {step_no}: generator differs from step element",
-        )
-        generators.append(element)
-        new_index = len(generators) - 1
-
-        next_cells = [cell for cell in cells if cell.level >= n]
-        for cell, batch in per_cell:
-            opened = finite_set(())
-            for p, fib, rec in batch:
-                completed = (
-                    tuple(generators[t] for t in cell.witness)
-                    + (element,)
-                    + tuple(fib.lift(v) for v in rec.extension[1:])
-                )
-                _expect(
-                    completed == tuple(tuple(v) for v in rec.completed),
-                    f"step {step_no}: completed tuple differs at {p}",
-                )
-                support = bad_primes(A, completed, factor_bound)
-                _expect(
-                    not support.generic_fail and support.primes == tuple(rec.excluded),
-                    f"step {step_no}: bad primes differ at {p}",
-                )
-                _expect(p not in support.primes, f"step {step_no}: {p} excludes itself")
-                opened = opened.union(cofinite_set(support.primes))
-            advanced = cell.region.intersection(opened)
-            remaining = cell.region.difference(opened)
-            if not advanced.is_empty:
-                next_cells.append(
-                    PartitionCell(advanced, cell.level + 1, cell.witness + (new_index,))
-                )
-            if not remaining.is_empty:
-                next_cells.append(PartitionCell(remaining, cell.level, cell.witness))
-        _expect(
-            tuple(next_cells) == tuple(step.partition),
-            f"step {step_no}: partition snapshot differs",
-        )
-        cells = next_cells
-        complaint = _check_partition(cells, len(generators), n)
-        _expect(complaint is None, f"step {step_no}: {complaint}")
-
-    _expect(all(cell.level == n for cell in cells), "cells below level n at the end")
     verification = verify_global_generation(A, cert.generators, factor_bound)
     _expect(verification.generates, "generators do not generate globally")
     _expect(verification == cert.verification, "verification record differs")

@@ -78,10 +78,6 @@ class IntegerLattice:
             row[c] == 1 for row, c in zip(self.rows, self.pivots)
         )
 
-    def column_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Generator matrix with the basis as columns (transpose of rows)."""
-        return tuple(zip(*self.rows)) if self.rows else ()
-
 
 def _hnf_rows(vectors: Iterable[Sequence[int]], ambient: int):
     """Row-style HNF of the subgroup generated by the given vectors."""
@@ -133,23 +129,6 @@ def lattice_from_vectors(vectors: Iterable[Sequence[int]], ambient: int) -> Inte
         rows=tuple(tuple(r) for r in basis),
         pivots=tuple(pivots),
     )
-
-
-def hnf(matrix: Sequence[Sequence[int]]) -> IntegerLattice:
-    """Canonical form of the subgroup of Z^m spanned by the matrix columns."""
-    rows = [list(map(int, r)) for r in matrix]
-    m = len(rows)
-    if m == 0:
-        return lattice_from_vectors([], 0)
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError("ragged matrix")
-    return lattice_from_vectors(list(zip(*rows)), m)
-
-
-def full_lattice(ambient: int) -> IntegerLattice:
-    eye = tuple(tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient))
-    return IntegerLattice(ambient=ambient, rows=eye, pivots=tuple(range(ambient)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,31 +248,6 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     )
 
 
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    A = [list(map(int, r)) for r in matrix]
-    n = len(A)
-    if any(len(r) != n for r in A):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def invert_unimodular(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Inverse of an integer matrix with determinant +-1."""
     n = len(matrix)
@@ -314,13 +268,6 @@ def invert_unimodular(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
             ints.append(x.numerator)
         inv.append(tuple(ints))
     return tuple(inv)
-
-
-def matmul_int(a, b) -> tuple[tuple[int, ...], ...]:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import (
@@ -56,6 +55,9 @@ FORMAT_VERSION = "1"
 # to verify, so the verifier's cost does not depend on the document.
 MAX_VERIFY_EXHAUSTIVE = 10 * DEFAULT_BUDGET.max_exhaustive
 MAX_VERIFY_TRIALS = 10 * DEFAULT_BUDGET.random_trials
+# Likewise bad-prime, global-generation and lift documents carry the trial
+# division bound they were factored with (the CLI default is 1,000,000).
+MAX_VERIFY_FACTOR_BOUND = 10 * 1_000_000
 
 
 class FormatError(ValueError):
@@ -81,20 +83,11 @@ def parse_int(value) -> int:
         body = value.strip()
         digits = body[1:] if body[:1] in ("+", "-") else body
         if digits.isdigit():
-            return int(body)
+            try:
+                return int(body)
+            except ValueError as bad:  # e.g. more digits than int() converts
+                raise FormatError(str(bad)) from bad
     raise FormatError(f"expected an integer, got {value!r}")
-
-
-def scalar_str(x) -> str:
-    if isinstance(x, bool):
-        raise FormatError(f"not a scalar: {x!r}")
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    raise FormatError(f"not a scalar: {x!r}")
 
 
 def parse_scalar(field: Field, value):
@@ -580,7 +573,10 @@ def lift_certificate_doc(
                     {
                         "prime": int_str(ps.prime),
                         "witness": _int_vector_doc(ps.witness),
-                        "extension": [_int_vector_doc(v) for v in ps.extension],
+                        # fiber coordinates, canonically the residues in [0, p)
+                        "extension": [
+                            [int_str(x % ps.prime) for x in v] for v in ps.extension
+                        ],
                         "completed": [_int_vector_doc(v) for v in ps.completed],
                         "excluded": [int_str(p) for p in ps.excluded],
                     }
@@ -689,10 +685,10 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
 
     Every mathematical claim is recomputed: generation certificates rerun the
     closure, mingen reports rerun the whole (deterministic, seeded) search
-    under the recorded budget (refused as inconclusive above the
-    MAX_VERIFY_* caps), bad-prime and global-generation reports are
+    under the recorded budget, bad-prime and global-generation reports are
     recomputed and compared field by field, and lift certificates go through
-    the full step-by-step replay.  Returns (ok, detail).
+    the full step-by-step replay.  Budgets and factor bounds above the
+    MAX_VERIFY_* caps are refused as inconclusive.  Returns (ok, detail).
     """
     try:
         doc = _expect_dict(doc, "certificate document")
@@ -703,6 +699,13 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         kind = doc.get("kind")
         if doc.get("algebra_sha256") != algebra_hash(parsed.algebra):
             return False, "algebra hash mismatch"
+        if kind in ("bad-primes", "global-generation", "lift"):
+            bound = parse_int(doc.get("factor_bound"))
+            if bound > MAX_VERIFY_FACTOR_BOUND:
+                return False, (
+                    "inconclusive: too costly to verify (factor_bound above "
+                    f"{MAX_VERIFY_FACTOR_BOUND})"
+                )
 
         if kind == "generation":
             _require_kind(parsed, False, kind)
@@ -733,7 +736,6 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         if kind == "bad-primes":
             _require_kind(parsed, True, kind)
             elements = _parse_int_elements(doc, parsed.algebra.rank)
-            bound = parse_int(doc.get("factor_bound"))
             fresh = bad_primes(parsed.algebra, elements, bound)
             expected = bad_primes_doc(parsed.algebra, elements, fresh, bound)
             if canonical_json(expected) != canonical_json(doc):
@@ -743,7 +745,6 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         if kind == "global-generation":
             _require_kind(parsed, True, kind)
             elements = _parse_int_elements(doc, parsed.algebra.rank)
-            bound = parse_int(doc.get("factor_bound"))
             fresh = verify_global_generation(parsed.algebra, elements, bound)
             expected = global_generation_doc(parsed.algebra, elements, fresh, bound)
             if canonical_json(expected) != canonical_json(doc):
@@ -752,7 +753,7 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
 
         if kind == "lift":
             _require_kind(parsed, True, kind)
-            cert, bound = parse_lift_certificate(doc)
+            cert, _ = parse_lift_certificate(doc)
             ok, detail = replay_lift(parsed.algebra, cert, bound)
             if not ok:
                 return False, detail

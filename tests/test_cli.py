@@ -211,6 +211,10 @@ def test_lift_and_verify(capsys, e3z, tmp_path):
     tampered = write(tmp_path, "tampered.json", doc)
     code, verdict = run(capsys, "verify-cert", e3z, tampered)
     assert code == 1 and verdict["ok"] is False
+    # a factor bound far above the default is not used: inconclusive, exit 2
+    doc["factor_bound"] = "1" + "0" * 30
+    code, verdict = run(capsys, "verify-cert", e3z, write(tmp_path, "costly.json", doc))
+    assert code == 2 and verdict["detail"].startswith("inconclusive: too costly to verify")
 
 
 def test_lift_on_presentation(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from algen.forster import (
     ConstructibleSet,
     HypothesisFailure,
     PartitionCell,
+    _check_partition,
     cofinite_set,
     finite_set,
     forster_lift,
@@ -60,6 +62,18 @@ def test_constructible_set_basics():
         cofinite_set((1,))
     with pytest.raises(ValueError):
         finite_set(()).smallest()
+
+
+def test_region_members_are_proved_by_miller_rabin():
+    # trial division up to sqrt(p) takes about a minute near 10^18
+    start = time.perf_counter()
+    assert 1_000_000_000_000_000_003 in finite_set((1_000_000_000_000_000_003,))
+    with pytest.raises(ValueError):
+        finite_set((1_000_000_007 * 1_000_000_009,))
+    with pytest.raises(ValueError):
+        # beyond the range where the Miller-Rabin bases are a proof
+        cofinite_set((10**25 + 13,))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_constructible_set_algebra_matches_membership():
@@ -264,6 +278,16 @@ def test_partition_invariants_every_step():
                     # regions still in progress must stay on schedule
                     assert c.region.dimension <= 1 + c.level - count
         assert all(c.level == n for c in cert.steps[-1].partition)
+
+
+def test_partition_check_leaves_no_cell_below_level_n_after_step_n_plus_one():
+    # the lift and the replay end with every cell at level n because step
+    # n + 1 of this check allows no other partition
+    top = PartitionCell(cofinite_set((3,)), 2, (0, 1))
+    late = PartitionCell(finite_set((3,)), 1, (1,))
+    assert _check_partition((top, late), 2, 2) is None
+    assert "dimension bound" in _check_partition((top, late), 3, 2)
+    assert _check_partition((top, PartitionCell(finite_set((3,)), 2, (1, 2))), 3, 2) is None
 
 
 def test_recorded_witnesses_are_completable():

@@ -1,9 +1,15 @@
+import copy
+import functools
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import algen.forster
+import algen.integral
 import algen.ioformat
 from algen.algebra import is_generating
 from algen.fields import GF, QQ
@@ -29,6 +35,7 @@ from algen.ioformat import (
     lift_certificate_doc,
     local_report_doc,
     MAX_VERIFY_EXHAUSTIVE,
+    MAX_VERIFY_FACTOR_BOUND,
     MAX_VERIFY_TRIALS,
     mingen_report_doc,
     parse_algebra,
@@ -36,7 +43,6 @@ from algen.ioformat import (
     parse_int,
     parse_lift_certificate,
     parse_scalar,
-    scalar_str,
     serialize_algebra,
     verify_certificate,
 )
@@ -69,9 +75,9 @@ def test_parse_int():
 
 
 def test_scalars():
-    assert scalar_str(6) == "6"
-    assert scalar_str(Fraction(-3, 4)) == "-3/4"
-    assert scalar_str(Fraction(8, 2)) == "4"
+    assert QQ.format(6) == "6"
+    assert QQ.format(Fraction(-3, 4)) == "-3/4"
+    assert QQ.format(Fraction(8, 2)) == "4"
     assert parse_scalar(QQ, "3/4") == Fraction(3, 4)
     assert parse_scalar(QQ, "-2") == Fraction(-2)
     # num/den over a prime field means num * den^-1
@@ -289,6 +295,42 @@ def test_mingen_verify_refuses_costly_budgets(monkeypatch):
         assert not ok and detail.startswith("inconclusive: too costly to verify")
 
 
+def test_verify_refuses_costly_factor_bounds(monkeypatch):
+    A = integral_zero_module((3, 0))
+    parsed = ParsedAlgebra(A)
+    elements = ((1, 1),)
+    docs = (
+        bad_primes_doc(A, elements, bad_primes(A, elements), 1_000_000),
+        global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000),
+        lift_certificate_doc(A, forster_lift(A, 2), 1_000_000),
+    )
+    assert MAX_VERIFY_FACTOR_BOUND >= 1_000_000
+    for doc in docs:
+        assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
+
+    def never(*args, **kwargs):
+        raise AssertionError("factoring must not run")
+
+    monkeypatch.setattr(algen.integral, "factor", never)
+    for doc in docs:
+        for value in (str(MAX_VERIFY_FACTOR_BOUND + 1), "1" + "0" * 40):
+            hostile = _reload(doc)
+            hostile["factor_bound"] = value
+            ok, detail = verify_certificate(parsed, hostile)
+            assert not ok and detail.startswith("inconclusive: too costly to verify")
+
+
+def test_verify_proves_region_primes_without_trial_division():
+    # trial division up to sqrt(p) takes about a minute for p near 10^18
+    A = integral_zero_module((3, 0))
+    doc = _reload(lift_certificate_doc(A, forster_lift(A, 2), 1_000_000))
+    doc["steps"][0]["partition"][0]["region"]["primes"].append("1000000000000000003")
+    start = time.perf_counter()
+    ok, detail = verify_certificate(ParsedAlgebra(A), doc)
+    assert time.perf_counter() - start < 2.0
+    assert not ok and "partition" in detail
+
+
 def test_bad_primes_verify():
     A = integral_split_etale(3)
     parsed = ParsedAlgebra(A)
@@ -340,6 +382,12 @@ def test_lift_round_trip_and_verify():
     bad = _reload(doc)
     bad["steps"][0]["completions"][0]["excluded"] = ["5"]
     assert verify_certificate(parsed, bad)[0] is False
+    # a fiber coordinate written as another representative of its residue
+    bad = _reload(doc)
+    ps = bad["steps"][0]["completions"][0]
+    ps["extension"][0][0] = str(int(ps["extension"][0][0]) + int(ps["prime"]))
+    ok, detail = verify_certificate(parsed, bad)
+    assert not ok and "canonical" in detail
 
 
 def test_verify_reports_short_elements_as_malformed():
@@ -437,3 +485,82 @@ def test_lift_replay_uses_the_certificate_factor_bound(monkeypatch):
     assert verify_certificate(ParsedAlgebra(A), _reload(doc)) == (True, "ok")
     assert {name for name, _ in seen} == {"bad_primes", "verify_global_generation"}
     assert {bound for _, bound in seen} == {4_321}
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing lift documents
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _lift_fuzz_case():
+    A = integral_zero_module((3, 0))
+    return ParsedAlgebra(A), _reload(lift_certificate_doc(A, forster_lift(A, 2), 1_000_000))
+
+
+def _nodes(node, path=()):
+    """(path, value) for every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _is_int_str(value) -> bool:
+    return isinstance(value, str) and value.lstrip("-").isdigit()
+
+
+# "9" * 5000 is above Python's default limit for int() on decimal strings
+_HOSTILE_INTS = ["-1", "-2", "-7", "1" + "0" * 30, "-" + "3" * 40, "9" * 5000]
+_OTHER_TYPES = [None, True, False, 0, 2, "x", "", "1/2", [], ["0"], {}, {"cofinite": True}]
+_MUTATIONS = {
+    "drop": lambda path, value: isinstance(path[-1], str),
+    "retype": lambda path, value: True,
+    "truncate": lambda path, value: isinstance(value, list) and value,
+    "extend": lambda path, value: isinstance(value, list),
+    "integer": lambda path, value: _is_int_str(value),
+}
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_verify_survives_mutated_lift_documents(data):
+    parsed, original = _lift_fuzz_case()
+    assert verify_certificate(parsed, copy.deepcopy(original)) == (True, "ok")
+    doc = copy.deepcopy(original)
+    touched_bound = False
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        kind = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="kind")
+        paths = [path for path, value in _nodes(doc) if _MUTATIONS[kind](path, value)]
+        if not paths:
+            continue
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        key, value = path[-1], parent[path[-1]]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_OTHER_TYPES)))
+        elif kind == "truncate":
+            parent[key] = value[: data.draw(st.integers(0, len(value) - 1))]
+        elif kind == "extend":
+            extra = data.draw(st.sampled_from(value)) if value else "0"
+            parent[key] = value + [copy.deepcopy(extra)]
+        else:
+            parent[key] = data.draw(st.sampled_from(_HOSTILE_INTS))
+        touched_bound = touched_bound or path[0] == "factor_bound"
+    result = verify_certificate(parsed, doc)
+    assert isinstance(result, tuple) and len(result) == 2
+    ok, detail = result
+    assert isinstance(ok, bool) and isinstance(detail, str)
+    # the factor bound is a claim parameter: another bound is another claim
+    if doc != original and not touched_bound:
+        assert not ok, f"accepted a mutated document: {detail}"
