@@ -18,13 +18,14 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .fields import GF, QQ, Field, Scalar, validate_vector
+from .fields import QQ, Field, Scalar, validate_vector
 from .linalg import EchelonBasis, RowReducer
 
 Element = tuple[Scalar, ...]
 
-# Closures over Q are first run mod this prime (see _closure_reducer).  It is
-# small enough that GF's trial-division primality check takes milliseconds.
+# Closures over Q test each value against the span mod this prime first (see
+# _closure_reducer).  Any prime gives the same closures; one that rarely
+# divides the data met in practice leaves few values to the exact test.
 _WITNESS_PRIME = 2**31 - 1
 
 
@@ -228,21 +229,10 @@ class Multialgebra:
         return [self._value(op, ()) for op in self.ops if op.arity == 0]
 
     @cached_property
-    def _reduced(self) -> Optional["Multialgebra"]:
-        """This algebra over F_P for P = _WITNESS_PRIME, or None when the field
-        is not Q or some structure constant is not P-integral."""
-        if self.field != QQ:
-            return None
-        try:
-            return reduce_mod_p(self, _WITNESS_PRIME)
-        except ValueError:
-            return None
-
-    @cached_property
     def _scaled_ops(self) -> tuple[OperationTensor, ...]:
         """Over Q, each tensor times the lcm of its denominators, with int
         coefficients: a nonzero multiple of every value, for the closure's
-        integer rounds."""
+        integer arithmetic."""
         scaled = []
         for op in self.ops:
             d = lcm(*(c.denominator for _, outs in op.entries for _, c in outs))
@@ -264,71 +254,97 @@ def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool):
 
     The span is a RowReducer over F_p and a _RationalSpan over Q; both have
     dim and snapshot().  The seed is the rows, plus the arity-0 constants
-    when unital.  Rounds evaluate every positive-arity operation on all
-    tuples of the canonical basis taken at the start of the round
-    (lexicographic order); by multilinearity this is sufficient.  Each round
-    either grows the dimension or is the fixpoint, so at most dim
-    enlargement rounds run.  The monomial count is the final dimension minus
-    the rank of the seed.
+    when unital.  One straight-line loop keeps a list of generators: first
+    the seed vectors that enlarged the span, then every operation value that
+    enlarged it.  Generator j is combined with the index tuples that contain
+    j and earlier generators only.  The loop stops at full dimension or when
+    the list runs out; then every operation on every tuple of generators
+    lies in their span, which is therefore closed (by multilinearity it is
+    the closure), and its dimension is the number of generators.  The
+    monomial count is the final dimension minus the rank of the seed.
 
-    Over Q everything after the seed is integer arithmetic: only the span of
-    a value matters, so the tensors scaled to integers (_scaled_ops) are
-    evaluated on basis rows scaled to integers, and _RationalSpan keeps the
-    RREF over a common denominator.  When the structure constants and the
-    seed are P-integral, the seed is first closed over F_P
-    (_modular_witness).  Let L be the Z_(P)-lattice spanned by the basis and
-    S the Z_(P)-subalgebra of L generated by the seed: S spans the closure
-    over Q, and its image in L/PL is the closure of the reduced seed.  If
-    that closure is full, then L = S + PL, so L = S by Nakayama's lemma and
-    the seed generates over Q.  Otherwise the straight-line steps of the
-    modular run are replayed over Q; their values lie in the closure by
-    construction, and the rounds then decide the rest exactly, so a bad
-    prime costs time, never correctness.
+    Over F_p each generator is the reduced row that RowReducer.insert adds.
+    Over Q only the span of a value matters, so the tensors scaled to
+    integers (_scaled_ops) are evaluated on integer generators, and each
+    value is first tested against the span of the generators mod P =
+    _WITNESS_PRIME.  While the generators are independent mod P, a value v
+    outside their span mod P is outside their span over Q: if v = sum_i
+    a_i g_i over Q, clearing denominators gives d v = sum_i b_i g_i in
+    integers with gcd(d, b_1, ...) = 1; P cannot divide d, for then sum_i
+    b_i g_i = 0 mod P would force P to divide every b_i, so v is d^-1 sum_i
+    b_i g_i mod P.  The same argument shows that generators independent mod
+    P are independent over Q, so such a value becomes a new generator with
+    no exact work, and r of them span Q^r.  Values inside the span mod P
+    are kept pending.  When the generators run out below full dimension,
+    the exact span of the generators decides each pending value; one that
+    is new over Q (P was a bad prime for it) becomes a generator, and the
+    loop goes on testing every value exactly.  A bad prime costs time,
+    never correctness, and no structure constant needs to be P-integral.
     """
-    field = alg.field
     r = alg.dim
     seed = [*rows, *alg.constants()] if unital else rows
-    if field == QQ:
-        span = _RationalSpan(r)
-        ops, grow, basis = alg._scaled_ops, span.grow, span.basis
-        for v in seed:
-            grow(_integral_row(v))
+    if alg.field == QQ:
+        ops = alg._scaled_ops
+        seed = [_integral_row(v) for v in seed]
+        span = _RationalSpan(r, _WITNESS_PRIME)
+        pending = []
     else:
-        span = RowReducer(field, r)
-        ops, grow = alg.ops, span.insert
-
-        def basis():
-            # a copy: inserts rewrite the rows in place during the round
-            return [tuple(row) for row in span.rows]
-
-        for v in seed:
-            grow(v)
-    seed_dim = span.dim
-    if seed_dim < r and alg._reduced is not None:
-        witness = _modular_witness(alg._reduced, seed)
-        if witness is not None:
-            kept, steps = witness
-            if steps is None:
-                span.fill()
-                return span, r - seed_dim
-            values = [_integral_row(seed[i]) for i in kept]
-            for op_index, args in steps:
-                values.append(eval_tensor(ops[op_index], r, [values[a] for a in args]))
-                grow(values[-1])
-    if span.dim == r:
-        return span, r - seed_dim
+        ops = alg.ops
+        span = RowReducer(alg.field, r)
+        pending = None
+    grow = span.insert
+    gens = []
+    for v in seed:
+        g = grow(v)
+        if g:
+            gens.append(g)
+        elif pending is not None:
+            pending.append(v)
+    seed_rank = len(gens)
+    if pending and seed_rank < r:
+        # a seed vector inside the span mod P may still be new over Q
+        exact = _RationalSpan(r)
+        seed_rank = sum(1 for v in seed if exact.insert(v))
     ops = [op for op in ops if op.arity and op.entries]
-    while True:
-        basis_rows = basis()
-        grew = False
+    start = 0
+    while len(gens) < r:
+        for op, args in _new_tuples(ops, gens, start):
+            value = eval_tensor(op, r, args)
+            g = grow(value)
+            if g:
+                gens.append(g)
+                if len(gens) == r:
+                    break
+            elif pending is not None:
+                pending.append(value)
+        if pending is None or len(gens) == r:
+            break
+        # the mod-P generators ran out: decide the pending values exactly
+        start = len(gens)
+        span = _RationalSpan(r)
+        grow = span.insert
+        for g in gens:
+            grow(g)
+        gens += [v for v in pending if grow(v)]
+        pending = None
+    if pending is not None:
+        # the generators reached full dimension mod P, so over Q as well
+        span = _RationalSpan(r)
+        span.fill()
+    return span, len(gens) - seed_rank
+
+
+def _new_tuples(ops, gens: list, start: int):
+    """(op, arguments) for each op and each tuple of generators whose
+    highest index j is at least start; reads gens as it grows, so the
+    generators appended meanwhile are combined too."""
+    j = start
+    while j < len(gens):
         for op in ops:
-            for args in itertools.product(basis_rows, repeat=op.arity):
-                if grow(eval_tensor(op, r, args)):
-                    grew = True
-                    if span.dim == r:
-                        return span, r - seed_dim
-        if not grew:
-            return span, span.dim - seed_dim
+            for idx in itertools.product(range(j + 1), repeat=op.arity):
+                if j in idx:
+                    yield op, [gens[a] for a in idx]
+        j += 1
 
 
 def _integral_row(v: Sequence[Scalar]) -> list[int]:
@@ -338,19 +354,22 @@ def _integral_row(v: Sequence[Scalar]) -> list[int]:
 
 
 class _RationalSpan:
-    """A subspace of Q^width as its RREF held in integers.
+    """A subspace of Q^width as its RREF held in integers, or with a modulus
+    P the span of integer vectors reduced mod P as its RREF over F_P.
 
-    rows[i] is delta * R_i for the RREF rows R_i (pivot pivots[i]) and delta
-    the lcm of their denominators, so the snapshot is exactly the RREF a
-    RowReducer over Q would hold.  A vector u lies in the span iff
-    delta * u[k] = sum_i u[pivots[i]] * rows[i][k] for every non-pivot
-    column k, the only candidate combination being sum_i u[pivots[i]] R_i.
-    Test and insert are scale-invariant, so u may be any nonzero integer
-    multiple of a value, as scaled tensors on scaled rows produce.
+    rows[i] is delta * R_i for the RREF rows R_i (pivot pivots[i]); delta is
+    the lcm of their denominators over Q, so the snapshot is exactly the RREF
+    a RowReducer over Q would hold, and 1 mod P.  A vector u lies in the
+    span iff delta * u[k] = sum_i u[pivots[i]] * rows[i][k] (mod P) for
+    every non-pivot column k, the only candidate combination being sum_i
+    u[pivots[i]] R_i.  Test and insert are scale-invariant, so u may be any
+    nonzero integer multiple of a value, as scaled tensors on integer
+    vectors produce.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, modulus: int = 0):
         self.width = width
+        self.modulus = modulus
         self.delta = 1
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
@@ -369,23 +388,27 @@ class _RationalSpan:
             if k not in taken
         ]
 
-    def grow(self, u: Sequence[int]) -> bool:
-        """Insert u unless it lies in the span; True iff the span grew."""
-        delta = self.delta
+    def insert(self, u: Sequence[int]):
+        """Add u unless it lies in the span; returns u if the span grew,
+        else None."""
+        delta, p = self.delta, self.modulus
         for k, column in self.columns:
-            if delta * u[k] != sum([u[c] * s for c, s in column]):
-                self._insert(u)
-                return True
-        return False
+            d = delta * u[k] - sum([u[c] * s for c, s in column])
+            if d % p if p else d:
+                self._add(u)
+                return u
+        return None
 
-    def _insert(self, u: Sequence[int]):
-        delta = self.delta
+    def _add(self, u: Sequence[int]):
+        delta, p = self.delta, self.modulus
         # w = delta * (u - sum_i u[c_i] R_i): zero on the pivot columns
         w = [delta * x for x in u]
         for c, row in zip(self.pivots, self.rows):
             a = u[c]
             if a:
                 w = [x - a * y for x, y in zip(w, row)]
+        if p:
+            w = [x % p for x in w]
         q = next(k for k, x in enumerate(w) if x)
         lead = w[q]
         # the new row is w / lead; clearing column q from R_i and moving to
@@ -395,21 +418,19 @@ class _RationalSpan:
         at = next((i for i, c in enumerate(self.pivots) if c > q), len(self.pivots))
         rows.insert(at, [delta * x for x in w])
         delta *= lead
-        g = gcd(delta, *(x for row in rows for x in row))
-        if delta < 0:
-            g = -g
-        self.delta = delta // g
-        self.rows = [[x // g for x in row] for row in rows]
+        if p:
+            # back to delta = 1 over F_P
+            g = pow(delta, -1, p)
+            self.delta = 1
+            self.rows = [[x * g % p for x in row] for row in rows]
+        else:
+            g = gcd(delta, *(x for row in rows for x in row))
+            if delta < 0:
+                g = -g
+            self.delta = delta // g
+            self.rows = [[x // g for x in row] for row in rows]
         self.pivots.insert(at, q)
         self._equations()
-
-    def basis(self) -> list[list[int]]:
-        """The RREF rows, each scaled to primitive integers."""
-        out = []
-        for row in self.rows:
-            g = gcd(*row)
-            out.append([x // g for x in row])
-        return out
 
     def fill(self):
         """Become the whole space."""
@@ -426,45 +447,6 @@ class _RationalSpan:
             rows=tuple(tuple(Fraction(x, self.delta) for x in row) for row in self.rows),
             pivots=tuple(self.pivots),
         )
-
-
-def _modular_witness(reduced: Multialgebra, seed: Sequence[Element]):
-    """Close the seed in the algebra over F_P as a straight-line program.
-
-    Operations are evaluated on the growing list of generators: the seed
-    vectors that enlarged the span (their indices are returned as kept),
-    then every value that enlarged it, recorded as an (op index, argument
-    indices) step.  Generator j is combined with all earlier generators, so
-    the list spans the closure when the loop ends.  Returns None when a seed
-    entry is not P-integral, (kept, None) when the closure is the whole
-    algebra, and (kept, steps) otherwise.
-    """
-    field = reduced.field
-    p = field.p
-    r = reduced.dim
-    try:
-        gens = [validate_vector(field, v, r) for v in seed]
-    except ValueError:
-        return None
-    reducer = RowReducer(field, r)
-    kept = [i for i, v in enumerate(gens) if reducer.insert(v)]
-    gens = [gens[i] for i in kept]
-    steps = []
-    ops = [(k, op) for k, op in enumerate(reduced.ops) if op.arity and op.entries]
-    j = 0
-    while j < len(gens):
-        for op_index, op in ops:
-            for args in itertools.product(range(j + 1), repeat=op.arity):
-                if j not in args:
-                    continue
-                value = eval_tensor(op, r, [gens[a] for a in args])
-                if reducer.insert(value):
-                    if reducer.dim == r:
-                        return kept, None
-                    gens.append([x % p for x in value])
-                    steps.append((op_index, args))
-        j += 1
-    return kept, steps
 
 
 @dataclass(frozen=True)
@@ -539,46 +521,3 @@ def replay_certificate(alg: Multialgebra, cert: GenerationCertificate) -> bool:
         return False
     span, monomials = _closure_reducer(alg, rows, cert.unital)
     return span.dim == cert.closure_dim and monomials == cert.monomial_count
-
-
-# ---------------------------------------------------------------------------
-# Reduction mod p of a rational algebra
-# ---------------------------------------------------------------------------
-
-
-def reduce_mod_p(alg: Multialgebra, p: int) -> Multialgebra:
-    """The same structure constants over F_p; all entries must be p-integral."""
-    if alg.field != QQ:
-        raise ValueError("reduce_mod_p expects an algebra over Q")
-    target = GF(p)
-    ops = []
-    for op in alg.ops:
-        triples = []
-        for idx, outs in op.entries:
-            for l, c in outs:
-                if c.denominator % p == 0:
-                    raise ValueError(f"coefficient {c} is not {p}-integral")
-                triples.append((idx, l, target.coerce(c)))
-        ops.append(make_tensor(target, alg.dim, op.arity, triples))
-    return Multialgebra(
-        field=target,
-        dim=alg.dim,
-        ops=tuple(ops),
-        product_index=alg.product_index,
-        unit_index=alg.unit_index,
-        involution_index=alg.involution_index,
-    )
-
-
-def base_change_check(
-    alg: Multialgebra, p: int, elements: Iterable[Sequence[Scalar]], unital: bool = False
-) -> bool:
-    """is_generating after reducing a rational algebra and tuple mod p."""
-    reduced = reduce_mod_p(alg, p)
-    target = reduced.field
-    projected = []
-    for v in elements:
-        vec = validate_vector(QQ, v, alg.dim)
-        projected.append(tuple(target.coerce(x) for x in vec))
-    ok, _ = is_generating(reduced, projected, unital=unital)
-    return ok

@@ -14,23 +14,43 @@ from typing import Union
 Scalar = Union[int, Fraction]
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division up to sqrt(n)."""
+# Deterministic Miller-Rabin witness set: the first 13 primes, valid below
+# the smallest composite that passes all of them, about 3.3 * 10^24.  (The
+# first 12 stop at 318665857834031151167461, about 3.2 * 10^23.)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def proved_prime(n: int) -> bool | None:
+    """True/False when primality is decided; None when out of proven range.
+
+    The bases themselves are tried as factors first; beyond them the
+    Miller-Rabin test with those bases is deterministic below _MR_LIMIT.
+    """
     if n < 2:
         return False
-    for small in (2, 3, 5):
-        if n == small:
-            return True
-        if n % small == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        return True
+    if n >= _MR_LIMIT:
+        return None
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    f = 7
-    # wheel mod 6 starting at 7
-    step = 4
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += step
-        step = 6 - step
     return True
 
 
@@ -43,7 +63,10 @@ class PrimeField:
     one = 1
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
+        verdict = proved_prime(p) if isinstance(p, int) else False
+        if verdict is None:
+            raise ValueError(f"unsupported field: characteristic {p} is beyond the proven primality range")
+        if not verdict:
             raise ValueError(f"characteristic must be prime, got {p!r}")
         object.__setattr__(self, "p", p)
 

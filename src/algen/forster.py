@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import is_generating
+from .fields import proved_prime
 from .integral import (
     BadPrimesReport,
     Fiber,
@@ -33,7 +34,7 @@ from .integral import (
     reduce_element,
     verify_global_generation,
 )
-from .intmat import FactorizationIncomplete, crt, proved_prime
+from .intmat import FactorizationIncomplete, crt
 from .search import (
     DEFAULT_BUDGET,
     BudgetExhausted,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -27,7 +28,7 @@ from .algebra import (
     is_generating,
     make_tensor,
 )
-from .fields import GF, QQ, is_prime
+from .fields import GF, QQ, proved_prime
 from .intmat import (
     FactorizationIncomplete,
     IntegerLattice,
@@ -155,6 +156,11 @@ class IntegralAlgebra:
     @property
     def rank(self) -> int:
         return len(self.factors)
+
+    @cached_property
+    def _fibers(self) -> dict[Optional[int], "Fiber"]:
+        """The fibers built so far, by prime; None keys the generic fiber."""
+        return {}
 
     def relation_rows(self) -> list[tuple[int, ...]]:
         """Generators of the subgroup of Z^m that presents the torsion."""
@@ -344,17 +350,25 @@ def _restricted_fiber(A: IntegralAlgebra, coords: tuple[int, ...], field, modulu
 
 
 def fiber_mod_p(A: IntegralAlgebra, p: int) -> Fiber:
-    """Base change to F_p: keeps coordinates with d_i = 0 or p | d_i."""
-    if not is_prime(p):
-        raise ValueError(f"fiber modulus {p} is not prime")
-    coords = tuple(i for i, d in enumerate(A.factors) if d == 0 or d % p == 0)
-    return _restricted_fiber(A, coords, GF(p), p)
+    """Base change to F_p: keeps coordinates with d_i = 0 or p | d_i.
+    Built once per (A, p); a Fiber is immutable, so callers share it."""
+    fib = A._fibers.get(p)
+    if fib is None:
+        if proved_prime(p) is not True:
+            raise ValueError(f"fiber modulus {p} is not prime")
+        coords = tuple(i for i, d in enumerate(A.factors) if d == 0 or d % p == 0)
+        fib = A._fibers[p] = _restricted_fiber(A, coords, GF(p), p)
+    return fib
 
 
 def generic_fiber(A: IntegralAlgebra) -> Fiber:
-    """Base change to Q: the free coordinates with the same structure constants."""
-    coords = tuple(i for i, d in enumerate(A.factors) if d == 0)
-    return _restricted_fiber(A, coords, QQ, None)
+    """Base change to Q: the free coordinates with the same structure
+    constants.  Built once per A."""
+    fib = A._fibers.get(None)
+    if fib is None:
+        coords = tuple(i for i, d in enumerate(A.factors) if d == 0)
+        fib = A._fibers[None] = _restricted_fiber(A, coords, QQ, None)
+    return fib
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .fields import QQ, is_prime
+from .fields import QQ, proved_prime
 from .linalg import RowReducer
 
 
@@ -297,7 +297,7 @@ def crt(residues: Iterable[tuple[int, int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Factoring: trial division, deterministic Miller-Rabin, Brent's rho
+# Factoring: trial division, Brent's rho, primes proved by Miller-Rabin
 # ---------------------------------------------------------------------------
 
 
@@ -325,39 +325,6 @@ class Factorization:
 
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.primes)))
-
-
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def proved_prime(n: int) -> bool | None:
-    """True/False when primality is decided; None when out of proven range."""
-    if n < 2:
-        return False
-    if n < 1 << 20:
-        return is_prime(n)
-    if n >= _MR_LIMIT:
-        return None
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _brent_rho(n: int) -> int | None:

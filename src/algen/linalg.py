@@ -81,13 +81,15 @@ class RowReducer:
             raise ValueError(f"vector length {len(v)} != ambient {self.width}")
         return _reduce_row(self.p, list(v), self.rows, self.pivots)
 
-    def insert(self, v: Sequence[Scalar]) -> bool:
-        """Add v to the span.  Returns True iff the dimension grew."""
+    def insert(self, v: Sequence[Scalar]) -> list[Scalar] | None:
+        """Add v to the span.  Returns the new RREF row when the dimension
+        grew, else None.  Later inserts replace rows rather than edit them,
+        so the returned list keeps its value."""
         p = self.p
         work = self.residual(v)
         pivot = next((i for i, x in enumerate(work) if x), None)
         if pivot is None:
-            return False
+            return None
         lead = work[pivot]
         if lead != 1:
             inv = self.field.inv(lead)
@@ -96,17 +98,18 @@ class RowReducer:
             else:
                 work = [inv * x for x in work]
         # eliminate the new pivot column from the existing rows
-        for row in self.rows:
+        rows = self.rows
+        for k, row in enumerate(rows):
             coeff = row[pivot]
             if coeff:
                 if p:
-                    row[:] = [(x - coeff * y) % p for x, y in zip(row, work)]
+                    rows[k] = [(x - coeff * y) % p for x, y in zip(row, work)]
                 else:
-                    row[:] = [x - coeff * y for x, y in zip(row, work)]
+                    rows[k] = [x - coeff * y for x, y in zip(row, work)]
         at = next((k for k, c in enumerate(self.pivots) if c > pivot), len(self.pivots))
-        self.rows.insert(at, work)
+        rows.insert(at, work)
         self.pivots.insert(at, pivot)
-        return True
+        return work
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return not any(self.residual(v))

@@ -1,18 +1,15 @@
 """Constructors for the standard algebra families, with generator tuples.
 
 Families: zero-product modules, full matrix algebras Mat_n, split etale
-algebras F^n and their non-split forms F_p[x]/(f), Cayley-Dickson doublings
-(quaternions, split octonions), the 27-dimensional Albert algebra of
-octonion-Hermitian 3x3 matrices under the Jordan product, and finite
-products.  Each constructor fixes a basis and emits exact structure
+algebras F^n, Cayley-Dickson doublings (quaternions, split octonions), and
+the 27-dimensional Albert algebra of octonion-Hermitian 3x3 matrices under
+the Jordan product.  Each constructor fixes a basis and emits exact structure
 constants; generator tuples come with the construction where a closed form
 exists, and by seeded search for the Albert algebra.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Element, Multialgebra, OperationTensor, make_tensor
@@ -149,78 +146,6 @@ def etale_logq_generators(p: int, n: int, unital: bool = False) -> list[Element]
             coords.append((label // p**m) % p)
         elements.append(tuple(field.coerce(c) for c in coords))
     return elements
-
-
-# ---------------------------------------------------------------------------
-# Field extensions as non-split etale forms
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_rem(p: int, num: list[int], den: list[int]) -> list[int]:
-    """Remainder of num modulo den over F_p; coefficients ascending, den monic."""
-    num = [c % p for c in num]
-    d = len(den) - 1
-    while len(num) - 1 >= d and any(num):
-        lead = num[-1]
-        if lead:
-            shift = len(num) - 1 - d
-            for i, c in enumerate(den):
-                num[shift + i] = (num[shift + i] - lead * c) % p
-        _poly_trim(num)
-        if not num:
-            break
-    return num
-
-
-def _is_irreducible(p: int, coeffs: list[int]) -> bool:
-    d = len(coeffs) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=e):
-            g = list(tail) + [1]  # monic of degree e
-            if not _poly_rem(p, coeffs, g):
-                return False
-    return True
-
-
-def field_extension_etale(p: int, poly: Sequence[int]) -> Multialgebra:
-    """F_p[x]/(poly) with basis 1, x, ..., x^{deg-1}; poly monic irreducible.
-
-    Coefficients ascend: poly = [c_0, c_1, ..., 1].  Irreducibility is
-    checked by exhaustive trial division over all lower-degree monic factors.
-    """
-    field = GF(p)
-    coeffs = [c % p for c in poly]
-    if len(coeffs) < 2 or coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic of degree >= 1")
-    if not _is_irreducible(p, coeffs):
-        raise ValueError("polynomial is reducible")
-    d = len(coeffs) - 1
-    # x^e mod poly for e up to 2d - 2
-    powers: list[list[int]] = []
-    for e in range(2 * d - 1):
-        vec = [0] * (e + 1)
-        vec[e] = 1
-        rem = _poly_rem(p, vec, coeffs)
-        powers.append(rem + [0] * (d - len(rem)))
-    triples = []
-    for i in range(d):
-        for j in range(d):
-            for l, c in enumerate(powers[i + j]):
-                if c:
-                    triples.append(((i, j), l, c))
-    product = make_tensor(field, d, 2, triples)
-    unit = make_tensor(field, d, 0, [((), 0, 1)])
-    return Multialgebra(field=field, dim=d, ops=(product, unit), product_index=0, unit_index=1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,58 +370,3 @@ def albert_generators(field: Field, budget=None) -> tuple[Element, ...]:
     if cert is None:
         raise RuntimeError("no generating triple found within budget")
     return cert.elements
-
-
-# ---------------------------------------------------------------------------
-# Products
-# ---------------------------------------------------------------------------
-
-
-def product_algebra(a: Multialgebra, b: Multialgebra) -> Multialgebra:
-    """Componentwise structure on A + B.
-
-    The designated products always combine; the unit/involution combine when
-    both inputs carry them.  Operations beyond the designated ones have no
-    canonical pairing and are rejected.
-    """
-    if a.field != b.field:
-        raise ValueError("product of algebras over different fields")
-    field = a.field
-    for alg in (a, b):
-        designated = {alg.product_index, alg.unit_index, alg.involution_index}
-        if set(range(len(alg.ops))) - designated:
-            raise ValueError("cannot combine algebras with undesignated operations")
-    ra = a.dim
-    dim = a.dim + b.dim
-
-    def shifted(op: OperationTensor, offset: int):
-        for idx, outs in op.entries:
-            for l, c in outs:
-                yield tuple(i + offset for i in idx), l + offset, c
-
-    ops = []
-    product_triples = list(shifted(a.ops[a.product_index], 0))
-    product_triples += list(shifted(b.ops[b.product_index], ra))
-    ops.append(make_tensor(field, dim, 2, product_triples))
-    unit_index = None
-    if a.unit_index is not None and b.unit_index is not None:
-        unit_triples = list(shifted(a.ops[a.unit_index], 0)) + list(
-            shifted(b.ops[b.unit_index], ra)
-        )
-        ops.append(make_tensor(field, dim, 0, unit_triples))
-        unit_index = len(ops) - 1
-    involution_index = None
-    if a.involution_index is not None and b.involution_index is not None:
-        inv_triples = list(shifted(a.ops[a.involution_index], 0)) + list(
-            shifted(b.ops[b.involution_index], ra)
-        )
-        ops.append(make_tensor(field, dim, 1, inv_triples))
-        involution_index = len(ops) - 1
-    return Multialgebra(
-        field=field,
-        dim=dim,
-        ops=tuple(ops),
-        product_index=0,
-        unit_index=unit_index,
-        involution_index=involution_index,
-    )

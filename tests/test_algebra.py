@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from algen.algebra import (
     GenerationCertificate,
     Multialgebra,
-    _modular_witness,
     _WITNESS_PRIME,
-    base_change_check,
     closure,
     is_generating,
     make_tensor,
-    reduce_mod_p,
     replay_certificate,
 )
 from algen.fields import GF, QQ, validate_vector
@@ -28,7 +25,6 @@ from algen.zoo import (
     albert,
     albert_generators,
     canonical_matrix_generators,
-    field_extension_etale,
     matrix_algebra,
     octonion_generators,
     quaternion_algebra,
@@ -36,6 +32,7 @@ from algen.zoo import (
     split_octonion,
     zero_algebra,
 )
+from support import field_extension_etale
 
 P = _WITNESS_PRIME
 
@@ -164,6 +161,42 @@ def test_certificate_replay_and_tamper():
     assert not replay_certificate(A, bad)
     bad = dataclasses.replace(cert, elements=((1, 0, 0, 0), (0, 0, 1, 0)))
     assert not replay_certificate(A, bad)
+
+
+def reduce_mod_p(alg, p):
+    """The same structure constants over F_p; all entries must be p-integral."""
+    if alg.field != QQ:
+        raise ValueError("reduce_mod_p expects an algebra over Q")
+    target = GF(p)
+    ops = []
+    for op in alg.ops:
+        triples = []
+        for idx, outs in op.entries:
+            for l, c in outs:
+                if c.denominator % p == 0:
+                    raise ValueError(f"coefficient {c} is not {p}-integral")
+                triples.append((idx, l, target.coerce(c)))
+        ops.append(make_tensor(target, alg.dim, op.arity, triples))
+    return Multialgebra(
+        field=target,
+        dim=alg.dim,
+        ops=tuple(ops),
+        product_index=alg.product_index,
+        unit_index=alg.unit_index,
+        involution_index=alg.involution_index,
+    )
+
+
+def base_change_check(alg, p, elements, unital=False):
+    """is_generating after reducing a rational algebra and tuple mod p."""
+    reduced = reduce_mod_p(alg, p)
+    target = reduced.field
+    projected = []
+    for v in elements:
+        vec = validate_vector(QQ, v, alg.dim)
+        projected.append(tuple(target.coerce(x) for x in vec))
+    ok, _ = is_generating(reduced, projected, unital=unital)
+    return ok
 
 
 def test_base_change_check():
@@ -297,8 +330,8 @@ class _FieldReducer:
 
 
 def _plain_closure(alg, rows, unital):
-    """The closure kernel without the mod-P witness or integer rounds, in
-    field-method arithmetic: rounds over the RREF basis from the start,
+    """The closure without the mod-P filter or integer arithmetic, in
+    field-method arithmetic: rounds over the RREF basis until a fixpoint,
     counting the inserts that grew the span."""
     field = alg.field
     r = alg.dim
@@ -349,7 +382,7 @@ def _assert_matches_plain_loop(alg, elements, unital):
     assert replay_certificate(alg, oracle)
 
 
-# small rationals, with the witness prime itself and its inverse now and then,
+# small rationals, with the filter prime P itself and its inverse now and then,
 # so that the reduction mod P loses rank or does not exist
 rationals = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -360,14 +393,14 @@ rationals = st.one_of(
 
 @st.composite
 def rational_algebras(draw):
-    """Random Q algebras of dimension <= 4 whose closures make the exact
-    rounds grow: besides random tables, a Jordan product (x y + y x) / 2
+    """Random Q algebras of dimension <= 4 whose closures need the exact
+    test: besides random tables, a Jordan product (x y + y x) / 2
     with its 1/2 constants, the bad prime b_i b_i = P b_(i+1) (full over Q,
-    not mod P), a 1/P constant (no reduction mod P, no witness), and extra
+    not mod P), a 1/P constant (no reduction mod P), and extra
     arity-0, arity-1 and arity-3 operations."""
     dim = draw(st.integers(1, 4))
     with_unit = draw(st.booleans())
-    shape = draw(st.sampled_from(("random", "jordan", "bad-prime", "no-witness")))
+    shape = draw(st.sampled_from(("random", "jordan", "bad-prime", "not-P-integral")))
     triples = []
     for i, j in itertools.product(range(dim), repeat=2):
         if with_unit and 0 in (i, j):
@@ -380,7 +413,7 @@ def rational_algebras(draw):
         triples = [(idx, l, Fraction(c) / 2) for idx, l, c in triples] + [
             ((j, i), l, Fraction(c) / 2) for (i, j), l, c in triples
         ]
-    elif shape == "no-witness" and not (with_unit and dim == 1):
+    elif shape == "not-P-integral" and not (with_unit and dim == 1):
         triples.append(((dim - 1, dim - 1), 0, Fraction(1, P)))
     ops = [make_tensor(QQ, dim, 2, triples)]
     unit_index = None
@@ -419,8 +452,8 @@ def test_closure_matches_plain_round_loop(alg, unital, data):
 @settings(max_examples=100, deadline=None)
 @given(alg=rational_algebras())
 def test_scaled_tensors_are_one_integer_multiple(alg):
-    # the integer rounds rely on each scaled tensor being lambda * T for one
-    # positive integer lambda per tensor
+    # the integer closure relies on each scaled tensor being lambda * T for
+    # one positive integer lambda per tensor
     for op, scaled in zip(alg.ops, alg._scaled_ops):
         assert [idx for idx, _ in op.entries] == [idx for idx, _ in scaled.entries]
         pairs = [
@@ -434,38 +467,77 @@ def test_scaled_tensors_are_one_integer_multiple(alg):
 
 
 def test_closure_exact_when_witness_prime_is_bad():
-    # b0 b0 = P b1: over Q {b0} generates, mod P its closure is span(b0)
+    # b0 b0 = P b1: over Q {b0} generates, mod P its closure is span(b0), so
+    # the value P b1 stays pending until the exact test makes it a generator
     prod = make_tensor(QQ, 2, 2, [((0, 0), 1, P)])
     A = Multialgebra(field=QQ, dim=2, ops=(prod,), product_index=0)
-    assert not is_generating(A._reduced, [(1, 0)])[0]
+    assert not is_generating(reduce_mod_p(A, P), [(1, 0)])[0]
     ok, cert = is_generating(A, [(1, 0)])
     assert ok and cert.closure_dim == 2 and cert.monomial_count == 1
     _assert_matches_plain_loop(A, [(1, 0)], False)
     # a seed vector that vanishes mod P still counts over Q
     ok, cert = is_generating(A, [(P, 0)])
     assert ok and cert.monomial_count == 1
+    # and so does one that lies in the span of the others only mod P: the
+    # seed rank is exact, so nothing is counted as a monomial
+    ok, cert = is_generating(A, [(1, 0), (1 + P, P)])
+    assert ok and cert.monomial_count == 0
+    _assert_matches_plain_loop(A, [(1, 0), (1 + P, P)], False)
 
 
 def test_closure_without_p_integral_data_takes_plain_loop():
+    # a 1/P structure constant or seed entry takes the same loop: the scaled
+    # tensors and seed rows are integers, and only their spans matter
     prod = make_tensor(QQ, 2, 2, [((0, 0), 1, Fraction(1, P)), ((1, 1), 0, 1)])
     A = Multialgebra(field=QQ, dim=2, ops=(prod,), product_index=0)
-    assert A._reduced is None
+    with pytest.raises(ValueError):
+        reduce_mod_p(A, P)
     ok, cert = is_generating(A, [(1, 0)])
     assert ok and cert.monomial_count == 1
     _assert_matches_plain_loop(A, [(1, 0)], True)
 
     B = matrix_algebra(QQ, 2)
     seed = [(Fraction(1, P), 1, 0, 0), (0, 0, 1, 0)]
-    assert B._reduced is not None
-    assert _modular_witness(B._reduced, [validate_vector(QQ, v, 4) for v in seed]) is None
     assert is_generating(B, seed)[0]
     _assert_matches_plain_loop(B, seed, False)
     _assert_matches_plain_loop(B, seed[:1], True)
 
 
+# a coefficient, or a multiple of P, which vanishes mod P
+planted = st.builds(operator.mul, st.integers(-2, 2), st.sampled_from((1, 1, P, -P, P * P)))
+
+
+@st.composite
+def planted_cases(draw):
+    """A random Q algebra of dimension <= 4 and a seed, with multiples of P
+    planted in the structure constants and in the seed: values vanish or
+    fall into the span mod P while they are new over Q, so the pending
+    values and the exact continuation of the closure loop both run."""
+    dim = draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+    ops = []
+    for arity in (2, *draw(st.lists(st.sampled_from((0, 1, 3)), max_size=2))):
+        entries = [
+            (idx, draw(index), draw(planted))
+            for idx in itertools.product(range(dim), repeat=arity)
+            if draw(st.integers(0, 2))
+        ]
+        ops.append(make_tensor(QQ, dim, arity, entries))
+    alg = Multialgebra(field=QQ, dim=dim, ops=tuple(ops), product_index=0)
+    seed = draw(st.lists(st.tuples(*[planted] * dim), max_size=3))
+    return alg, seed
+
+
+@DIFFERENTIAL
+@given(case=planted_cases(), unital=st.booleans())
+def test_closure_with_planted_multiples_of_p_matches_plain_loop(case, unital):
+    alg, seed = case
+    _assert_matches_plain_loop(alg, seed, unital)
+
+
 def test_closure_of_proper_subalgebras_matches_plain_loop():
-    # upper-triangular pairs: the mod-P run ends below full dimension (for
-    # Mat_2 one short of it), so the steps are replayed and the rounds decide
+    # upper-triangular pairs: the mod-P generators run out below full
+    # dimension, so the exact test decides every pending value
     for n in (2, 3):
         A = matrix_algebra(QQ, n)
         e11 = tuple(Fraction(int(k == 0)) for k in range(n * n))

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from algen.fields import GF, QQ, field_from_name, field_name, is_prime, validate_vector
+from algen.fields import GF, QQ, field_from_name, field_name, proved_prime, validate_vector
+from support import is_prime
 
 
 def test_is_prime_small():
@@ -11,10 +14,37 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+def test_proved_prime_matches_trial_division():
+    for n in range(-3, 10**5):
+        assert proved_prime(n) is is_prime(n), n
+
+
+def test_proved_prime_matches_sympy():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, Carmichael
+    # numbers, Mersenne primes and random numbers of every size in range
+    special = [3215031751, 3825123056546413051, 318665857834031151167461, 561, 41041, 2**61 - 1, 2**31 - 1]
+    rng = random.Random(17)
+    drawn = [rng.randrange(2, 10 ** rng.randint(2, 24)) for _ in range(3000)]
+    for n in special + drawn:
+        assert proved_prime(n) is sympy.isprime(n), n
+    # past the proven range the answer is None, prime or not, unless a base
+    # divides n
+    for n in (3317044064679887385961981, 2**89 - 1, 10**30 + 1):
+        assert proved_prime(n) is None
+    assert proved_prime(10**30) is False
+
+
 def test_prime_field_requires_prime():
     for bad in (0, 1, 4, 6, 9, 15, -3):
         with pytest.raises(ValueError):
             GF(bad)
+
+
+def test_prime_field_refuses_unproven_characteristics():
+    with pytest.raises(ValueError, match="unsupported field"):
+        GF(2**89 - 1)  # prime, but past the proven Miller-Rabin range
+    with pytest.raises(ValueError, match="must be prime"):
+        GF(318665857834031151167461)  # passes Miller-Rabin to bases 2..37
 
 
 def test_gf_cached():

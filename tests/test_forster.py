@@ -5,7 +5,6 @@ import time
 import pytest
 
 from algen.algebra import is_generating
-from algen.fields import is_prime
 from algen.forster import (
     ALL_PRIMES,
     ConstructibleSet,
@@ -27,6 +26,7 @@ from algen.integral import (
     normalize_presentation,
 )
 from algen.search import BudgetExhausted, SearchBudget, completable
+from support import is_prime
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
 

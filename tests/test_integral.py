@@ -151,6 +151,10 @@ def test_fiber_dimensions_torsion():
     assert fiber_mod_p(B, 3).algebra.dim == 1
     with pytest.raises(ValueError):
         fiber_mod_p(A, 6)
+    # each fiber is built once per algebra and prime, and then shared
+    assert fiber_mod_p(A, 2) is fiber_mod_p(A, 2)
+    assert fiber_mod_p(B, 3) is not fiber_mod_p(B, 2)
+    assert generic_fiber(B) is generic_fiber(B)
 
 
 def test_fiber_of_free_algebras_matches_field_zoo():

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from algen.intmat import (
     Factorization,
@@ -268,3 +270,51 @@ def test_factor_matches_oracle():
         if m > 1:
             naive.append(m)
         assert list(f.primes) == naive
+
+
+# -- sympy as an independent oracle -------------------------------------------
+
+
+def _random_matrix(rng, rows, cols, height=9):
+    return [[rng.randint(-height, height) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_snf_matches_sympy():
+    rng = random.Random(5)
+    for _ in range(150):
+        matrix = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        ours = [d for d in snf(matrix).diag if d]
+        theirs = smith_normal_form(sympy.Matrix(matrix), domain=sympy.ZZ)
+        assert ours == [abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i]]
+
+
+def test_lattice_from_vectors_matches_sympy_hnf():
+    # sympy's HNF is column-style, so the two bases are compared as lattices:
+    # sympy's basis lies in ours, and both have the same rank and volume
+    rng = random.Random(6)
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        vectors = _random_matrix(rng, rng.randint(1, 5), m)
+        ours = lattice_from_vectors(vectors, m)
+        if not any(map(any, vectors)):
+            assert ours.rank == 0
+            continue
+        theirs = hermite_normal_form(sympy.Matrix(vectors).T)
+        assert ours.rank == theirs.cols
+        assert all(ours.contains(list(theirs.col(j))) for j in range(theirs.cols))
+        basis = sympy.Matrix(ours.rows)
+        assert (basis * basis.T).det() == (theirs.T * theirs).det()
+
+
+def test_factor_matches_sympy():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            n *= sympy.prime(rng.randint(1, 3000)) ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            n *= sympy.nextprime(rng.randrange(10**6, 10**9))
+        f = factor(n)
+        assert f.complete
+        assert f.primes == tuple(sorted(sympy.factorint(n, multiple=True)))
+

@@ -331,6 +331,25 @@ def test_verify_proves_region_primes_without_trial_division():
     assert not ok and "partition" in detail
 
 
+def test_field_names_are_proved_prime_without_trial_division():
+    # trial division up to sqrt(p) takes about a minute for p near 10^18
+    doc = serialize_algebra(matrix_algebra(GF(2), 2))
+    for p, refusal in (
+        (1000000000000000003, None),
+        (1000000007 * 1000000009, "must be prime"),
+        (10**25 + 13, "unsupported field"),
+    ):
+        doc["base"] = f"F{p}"
+        start = time.perf_counter()
+        try:
+            parsed = parse_algebra(_reload(doc))
+        except FormatError as refused:
+            assert refusal is not None and refusal in str(refused)
+        else:
+            assert refusal is None and parsed.algebra.field == GF(p)
+        assert time.perf_counter() - start < 0.1
+
+
 def test_bad_primes_verify():
     A = integral_split_etale(3)
     parsed = ParsedAlgebra(A)

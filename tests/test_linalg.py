@@ -102,3 +102,9 @@ def test_row_reducer_incremental():
     snap = r.snapshot()
     assert snap.dim == 2
     assert snap.pivots == (0, 1)
+    # insert returns the new RREF row, which later inserts leave as it was
+    r = RowReducer(GF(3), 3)
+    first = r.insert((1, 1, 0))
+    assert first == [1, 1, 0]
+    assert r.insert((0, 2, 2)) == [0, 1, 1]
+    assert first == [1, 1, 0] and r.rows[0] == [1, 0, 2]

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from algen.algebra import closure, is_generating
+from algen.algebra import Multialgebra, OperationTensor, closure, is_generating, make_tensor
 from algen.fields import GF, QQ
 from algen import zoo
+from support import field_extension_etale
 
 
 def basis(alg):
@@ -116,20 +117,20 @@ def test_split_etale_closure_dimension_counts_columns():
 
 
 def test_field_extension_etale():
-    F4 = zoo.field_extension_etale(2, [1, 1, 1])
+    F4 = field_extension_etale(2, [1, 1, 1])
     assert F4.dim == 2
     assert is_generating(F4, [(0, 1)])[0]
-    F9 = zoo.field_extension_etale(3, [1, 0, 1])
+    F9 = field_extension_etale(3, [1, 0, 1])
     assert F9.dim == 2
     assert is_generating(F9, [(0, 1)])[0]
-    F8 = zoo.field_extension_etale(2, [1, 1, 0, 1])
+    F8 = field_extension_etale(2, [1, 1, 0, 1])
     assert F8.dim == 3 and is_generating(F8, [(0, 1, 0)])[0]
     with pytest.raises(ValueError):
-        zoo.field_extension_etale(2, [1, 0, 1])  # (x+1)^2
+        field_extension_etale(2, [1, 0, 1])  # (x+1)^2
     with pytest.raises(ValueError):
-        zoo.field_extension_etale(2, [0, 1, 1])  # x(x+1)
+        field_extension_etale(2, [0, 1, 1])  # x(x+1)
     with pytest.raises(ValueError):
-        zoo.field_extension_etale(2, [1, 1, 2])  # not monic after reduction
+        field_extension_etale(2, [1, 1, 2])  # not monic after reduction
     # in F_4, x generates because x^2 = x + 1 spans the rest
     assert closure(F4, [(0, 1)]).rows == ((1, 0), (0, 1))
 
@@ -260,16 +261,66 @@ def test_albert_generators_triple():
 # -- products -----------------------------------------------------------------
 
 
+def product_algebra(a: Multialgebra, b: Multialgebra) -> Multialgebra:
+    """Componentwise structure on A + B.
+
+    The designated products always combine; the unit/involution combine when
+    both inputs carry them.  Operations beyond the designated ones have no
+    canonical pairing and are rejected.
+    """
+    if a.field != b.field:
+        raise ValueError("product of algebras over different fields")
+    field = a.field
+    for alg in (a, b):
+        designated = {alg.product_index, alg.unit_index, alg.involution_index}
+        if set(range(len(alg.ops))) - designated:
+            raise ValueError("cannot combine algebras with undesignated operations")
+    ra = a.dim
+    dim = a.dim + b.dim
+
+    def shifted(op: OperationTensor, offset: int):
+        for idx, outs in op.entries:
+            for l, c in outs:
+                yield tuple(i + offset for i in idx), l + offset, c
+
+    ops = []
+    product_triples = list(shifted(a.ops[a.product_index], 0))
+    product_triples += list(shifted(b.ops[b.product_index], ra))
+    ops.append(make_tensor(field, dim, 2, product_triples))
+    unit_index = None
+    if a.unit_index is not None and b.unit_index is not None:
+        unit_triples = list(shifted(a.ops[a.unit_index], 0)) + list(
+            shifted(b.ops[b.unit_index], ra)
+        )
+        ops.append(make_tensor(field, dim, 0, unit_triples))
+        unit_index = len(ops) - 1
+    involution_index = None
+    if a.involution_index is not None and b.involution_index is not None:
+        inv_triples = list(shifted(a.ops[a.involution_index], 0)) + list(
+            shifted(b.ops[b.involution_index], ra)
+        )
+        ops.append(make_tensor(field, dim, 1, inv_triples))
+        involution_index = len(ops) - 1
+    return Multialgebra(
+        field=field,
+        dim=dim,
+        ops=tuple(ops),
+        product_index=0,
+        unit_index=unit_index,
+        involution_index=involution_index,
+    )
+
+
 def test_product_algebra():
-    assert zoo.product_algebra(
+    assert product_algebra(
         zoo.zero_algebra(GF(2), 2), zoo.zero_algebra(GF(2), 3)
     ) == zoo.zero_algebra(GF(2), 5)
-    assert zoo.product_algebra(
+    assert product_algebra(
         zoo.matrix_algebra(GF(2), 1), zoo.matrix_algebra(GF(2), 1)
     ) == zoo.split_etale(GF(2), 2)
     with pytest.raises(ValueError):
-        zoo.product_algebra(zoo.zero_algebra(GF(2), 1), zoo.zero_algebra(GF(3), 1))
-    P = zoo.product_algebra(zoo.matrix_algebra(GF(3), 2), zoo.matrix_algebra(GF(3), 1))
+        product_algebra(zoo.zero_algebra(GF(2), 1), zoo.zero_algebra(GF(3), 1))
+    P = product_algebra(zoo.matrix_algebra(GF(3), 2), zoo.matrix_algebra(GF(3), 1))
     assert P.dim == 5
     assert P.unit_index is not None
     assert P.unit_vector() == (1, 0, 0, 1, 1)
