@@ -169,8 +169,35 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
                     raise ValueError("designated involution is not an anti-automorphism")
 
 
+class ElementAPI:
+    """evaluate, product, unit_vector and involution, written once.  The
+    subclass vets each argument (_vet) and evaluates an operation to its
+    canonical value (_value), the way check_roles takes its reduce."""
+
+    def evaluate(self, op_index: int, args: Sequence[Sequence]) -> tuple:
+        if not 0 <= op_index < len(self.ops):
+            raise ValueError(f"no operation {op_index}")
+        op = self.ops[op_index]
+        if len(args) != op.arity:
+            raise ValueError(f"operation {op_index} has arity {op.arity}, got {len(args)} arguments")
+        return self._value(op, [self._vet(a) for a in args])
+
+    def product(self, x: Sequence, y: Sequence) -> tuple:
+        return self.evaluate(self.product_index, (x, y))
+
+    def unit_vector(self) -> tuple:
+        if self.unit_index is None:
+            raise ValueError("algebra has no designated unit")
+        return self._value(self.ops[self.unit_index], ())
+
+    def involution(self, x: Sequence) -> tuple:
+        if self.involution_index is None:
+            raise ValueError("algebra has no designated involution")
+        return self.evaluate(self.involution_index, (x,))
+
+
 @dataclass(frozen=True)
-class Multialgebra:
+class Multialgebra(ElementAPI):
     """Finite-dimensional algebra given by structure constants.
 
     Immutable; construction validates index ranges, the designated-product
@@ -198,31 +225,13 @@ class Multialgebra:
             (lambda v: [x % p for x in v]) if p else list,
         )
 
-    # -- evaluation --------------------------------------------------------
+    # -- evaluation: arguments and values are coerced into the field ---------
+
+    def _vet(self, v: Sequence[Scalar]) -> Element:
+        return validate_vector(self.field, v, self.dim)
 
     def _value(self, op: OperationTensor, args) -> Element:
-        return validate_vector(self.field, eval_tensor(op, self.dim, args), self.dim)
-
-    def evaluate(self, op_index: int, args: Sequence[Sequence[Scalar]]) -> Element:
-        if not 0 <= op_index < len(self.ops):
-            raise ValueError(f"no operation {op_index}")
-        op = self.ops[op_index]
-        if len(args) != op.arity:
-            raise ValueError(f"operation {op_index} has arity {op.arity}, got {len(args)} arguments")
-        return self._value(op, [validate_vector(self.field, a, self.dim) for a in args])
-
-    def product(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Element:
-        return self.evaluate(self.product_index, (x, y))
-
-    def unit_vector(self) -> Element:
-        if self.unit_index is None:
-            raise ValueError("algebra has no designated unit")
-        return self._value(self.ops[self.unit_index], ())
-
-    def involution(self, x: Sequence[Scalar]) -> Element:
-        if self.involution_index is None:
-            raise ValueError("algebra has no designated involution")
-        return self.evaluate(self.involution_index, (x,))
+        return self._vet(eval_tensor(op, self.dim, args))
 
     def constants(self) -> list[Element]:
         """Values of all arity-0 operations."""
@@ -285,7 +294,7 @@ def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool):
     seed = [*rows, *alg.constants()] if unital else rows
     if alg.field == QQ:
         ops = alg._scaled_ops
-        seed = [_integral_row(v) for v in seed]
+        seed = [integral_row(v) for v in seed]
         span = _RationalSpan(r, _WITNESS_PRIME)
         pending = []
     else:
@@ -347,7 +356,7 @@ def _new_tuples(ops, gens: list, start: int):
         j += 1
 
 
-def _integral_row(v: Sequence[Scalar]) -> list[int]:
+def integral_row(v: Sequence[Scalar]) -> list[int]:
     """A rational vector times the lcm of its denominators."""
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v]

@@ -16,12 +16,10 @@ every assertion without searching.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .algebra import is_generating
+from .algebra import integral_row, is_generating
 from .fields import proved_prime
 from .integral import (
     BadPrimesReport,
@@ -242,15 +240,6 @@ class LocalReport:
     completions: tuple[tuple[int, CompletionResult], ...]
 
 
-def _integer_witness(gfib, elements) -> tuple[tuple[int, ...], ...]:
-    """Clear denominators per element and lift to module coordinates."""
-    lifted = []
-    for v in elements:
-        den = math.lcm(*(Fraction(x).denominator for x in v)) if v else 1
-        lifted.append(gfib.lift(tuple(Fraction(x) * den for x in v)))
-    return tuple(lifted)
-
-
 def local_requirement(
     A: IntegralAlgebra,
     n: int,
@@ -266,16 +255,12 @@ def local_requirement(
     if n < 0:
         raise ValueError("n must be nonnegative")
     gfib = generic_fiber(A)
-    if gfib.algebra.dim == 0:
-        witness = tuple(tuple(0 for _ in range(A.rank)) for _ in range(n))
-    else:
-        cert = random_probe(gfib.algebra, n, budget, unital=True)
-        if cert is None:
-            return LocalReport("inconclusive", n, None, None, None, ())
-        witness = _integer_witness(gfib, cert.elements)
-        ok, _ = is_generating(gfib.algebra, [gfib.project(v) for v in witness], unital=True)
-        if not ok:
-            raise RuntimeError("internal: integer witness lost rational generation")
+    cert = random_probe(gfib.algebra, n, budget, unital=True)
+    if cert is None:
+        return LocalReport("inconclusive", n, None, None, None, ())
+    # scaled to integers the elements keep their span, so the witness still
+    # generates the rational fiber; the generic_fail check below guards that
+    witness = tuple(gfib.lift(integral_row(v)) for v in cert.elements)
     support = bad_primes(A, witness, factor_bound)
     if support.generic_fail:
         raise RuntimeError("internal: rational witness has a generic failure")

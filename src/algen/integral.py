@@ -21,11 +21,13 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
+    ElementAPI,
     Multialgebra,
     OperationTensor,
     check_roles,
     eval_tensor,
-    is_generating,
+    # unused here, but perfbench/tracing.py wraps this binding by name
+    is_generating,  # noqa: F401
     make_tensor,
 )
 from .fields import GF, QQ, proved_prime
@@ -95,7 +97,7 @@ def make_z_tensor(
 
 
 @dataclass(frozen=True)
-class IntegralAlgebra:
+class IntegralAlgebra(ElementAPI):
     """Multialgebra on M = Z/d_1 + ... + Z/d_m given by integer tensors.
 
     Construction validates the invariant-factor shape, that every tensor is
@@ -171,29 +173,13 @@ class IntegralAlgebra:
             if d
         ]
 
-    # -- evaluation ------------------------------------------------------------
+    # -- evaluation: integer arguments, values reduced mod the factors -------
 
-    def evaluate(self, op_index: int, args: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        if not 0 <= op_index < len(self.ops):
-            raise ValueError(f"no operation {op_index}")
-        op = self.ops[op_index]
-        if len(args) != op.arity:
-            raise ValueError(f"operation {op_index} has arity {op.arity}, got {len(args)} arguments")
-        vetted = [_int_vector(a, self.rank) for a in args]
-        return reduce_element(self.factors, eval_tensor(op, self.rank, vetted))
+    def _vet(self, v: Sequence[int]) -> tuple[int, ...]:
+        return _int_vector(v, self.rank)
 
-    def product(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-        return self.evaluate(self.product_index, (x, y))
-
-    def unit_vector(self) -> tuple[int, ...]:
-        if self.unit_index is None:
-            raise ValueError("algebra has no designated unit")
-        return reduce_element(self.factors, eval_tensor(self.ops[self.unit_index], self.rank, ()))
-
-    def involution(self, x: Sequence[int]) -> tuple[int, ...]:
-        if self.involution_index is None:
-            raise ValueError("algebra has no designated involution")
-        return self.evaluate(self.involution_index, (x,))
+    def _value(self, op: OperationTensor, args) -> tuple[int, ...]:
+        return reduce_element(self.factors, eval_tensor(op, self.rank, args))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +277,11 @@ class Fiber:
 
     `coordinates` lists the module coordinates that survive: those with
     p | d_i or d_i = 0 for the fiber mod p, and the free ones for the
-    rational fiber (modulus None).
+    rational fiber.
     """
 
     algebra: Multialgebra
     coordinates: tuple[int, ...]
-    modulus: Optional[int]
     ambient: int
 
     def project(self, v: Sequence[int]) -> tuple:
@@ -324,7 +309,7 @@ class Fiber:
         return tuple(out)
 
 
-def _restricted_fiber(A: IntegralAlgebra, coords: tuple[int, ...], field, modulus) -> Fiber:
+def _restricted_fiber(A: IntegralAlgebra, coords: tuple[int, ...], field) -> Fiber:
     pos = {c: j for j, c in enumerate(coords)}
     dim = len(coords)
     ops = []
@@ -346,7 +331,7 @@ def _restricted_fiber(A: IntegralAlgebra, coords: tuple[int, ...], field, modulu
         unit_index=A.unit_index,
         involution_index=A.involution_index,
     )
-    return Fiber(algebra=algebra, coordinates=coords, modulus=modulus, ambient=A.rank)
+    return Fiber(algebra=algebra, coordinates=coords, ambient=A.rank)
 
 
 def fiber_mod_p(A: IntegralAlgebra, p: int) -> Fiber:
@@ -357,7 +342,7 @@ def fiber_mod_p(A: IntegralAlgebra, p: int) -> Fiber:
         if proved_prime(p) is not True:
             raise ValueError(f"fiber modulus {p} is not prime")
         coords = tuple(i for i, d in enumerate(A.factors) if d == 0 or d % p == 0)
-        fib = A._fibers[p] = _restricted_fiber(A, coords, GF(p), p)
+        fib = A._fibers[p] = _restricted_fiber(A, coords, GF(p))
     return fib
 
 
@@ -367,7 +352,7 @@ def generic_fiber(A: IntegralAlgebra) -> Fiber:
     fib = A._fibers.get(None)
     if fib is None:
         coords = tuple(i for i, d in enumerate(A.factors) if d == 0)
-        fib = A._fibers[None] = _restricted_fiber(A, coords, QQ, None)
+        fib = A._fibers[None] = _restricted_fiber(A, coords, QQ)
     return fib
 
 
@@ -442,42 +427,39 @@ def bad_primes(
 
 @dataclass(frozen=True)
 class GlobalGenerationReport:
-    """Subgroup-equality verdict cross-checked against every residue fiber."""
+    """Global generation read off the monomial subgroup B of M; every flag
+    derives from the lattice, so the report cannot disagree with it.
 
-    generates: bool
+    Over Q the generated subalgebra is the Q-span of B, so the rational
+    fiber is generated iff rank B = rank M, that is iff not generic_fail.
+    Mod p it is the image of B in M/pM, which is all of M/pM iff p does not
+    divide |M/B|, so every bad prime's fiber check is False.
+    """
+
     subgroup: IntegerLattice
     support: BadPrimesReport
-    generic_generates: bool
-    fiber_checks: tuple[tuple[int, bool], ...]
+
+    @property
+    def generates(self) -> bool:
+        return self.subgroup.is_full()
+
+    @property
+    def generic_generates(self) -> bool:
+        return not self.support.generic_fail
+
+    @property
+    def fiber_checks(self) -> tuple[tuple[int, bool], ...]:
+        return tuple((p, False) for p in self.support.primes)
 
 
 def verify_global_generation(
     A: IntegralAlgebra, elements: Iterable[Sequence[int]], factor_bound: int = 1_000_000
 ) -> GlobalGenerationReport:
-    """Do the elements generate the whole module algebra?
-
-    True exactly when the monomial subgroup is all of M.  The report also
-    evaluates the projected tuple on the rational fiber and on every bad
-    prime's fiber, which independently locates any failure.  Fiber closures
-    adjoin arity-0 constants (unital mode) to match the subgroup notion.
-    """
-    vetted = [reduce_element(A.factors, v) for v in elements]
-    B = monomial_subgroup(A, vetted)
-    support = _support_of_lattice(A, B, factor_bound)
-    gf = generic_fiber(A)
-    generic_ok, _ = is_generating(gf.algebra, [gf.project(v) for v in vetted], unital=True)
-    checks = []
-    for p in support.primes:
-        fib = fiber_mod_p(A, p)
-        ok, _ = is_generating(fib.algebra, [fib.project(v) for v in vetted], unital=True)
-        checks.append((p, ok))
-    return GlobalGenerationReport(
-        generates=B.is_full(),
-        subgroup=B,
-        support=support,
-        generic_generates=generic_ok,
-        fiber_checks=tuple(checks),
-    )
+    """Do the elements generate the whole module algebra?  True exactly when
+    the monomial subgroup is all of M; the report's support locates any
+    failure, fiber by fiber."""
+    B = monomial_subgroup(A, elements)
+    return GlobalGenerationReport(subgroup=B, support=_support_of_lattice(A, B, factor_bound))
 
 
 # ---------------------------------------------------------------------------

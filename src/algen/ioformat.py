@@ -465,18 +465,22 @@ def _parse_support_payload(doc) -> BadPrimesReport:
     )
 
 
-def bad_primes_doc(
-    A: IntegralAlgebra, elements, report: BadPrimesReport, factor_bound: int
-) -> dict:
-    doc = _envelope("bad-primes", A)
+def _integral_report_doc(kind: str, A: IntegralAlgebra, elements, payload, factor_bound) -> dict:
+    doc = _envelope(kind, A)
     doc.update(
         {
             "elements": elements_doc(A, elements),
             "factor_bound": int_str(factor_bound),
-            "report": _support_payload(report),
+            "report": payload,
         }
     )
     return doc
+
+
+def bad_primes_doc(
+    A: IntegralAlgebra, elements, report: BadPrimesReport, factor_bound: int
+) -> dict:
+    return _integral_report_doc("bad-primes", A, elements, _support_payload(report), factor_bound)
 
 
 def _global_payload(report: GlobalGenerationReport) -> dict:
@@ -490,41 +494,24 @@ def _global_payload(report: GlobalGenerationReport) -> dict:
 
 
 def _parse_global_payload(doc, ambient: int) -> GlobalGenerationReport:
+    """The subgroup and support; the generation flags derive from them, and
+    the canonical re-emission in verify_certificate rejects edited flags."""
     doc = _expect_dict(doc, "verification report")
     rows = [
         _parse_int_vector(row, "subgroup row", ambient)
         for row in _expect_list(doc.get("subgroup"), "subgroup")
     ]
-    for flag in ("generates", "generic_generates"):
-        if not isinstance(doc.get(flag), bool):
-            raise FormatError(f"{flag} must be a boolean")
-    checks = []
-    for pair in _expect_list(doc.get("fiber_checks"), "fiber_checks"):
-        pair = _expect_list(pair, "fiber check")
-        if len(pair) != 2 or not isinstance(pair[1], bool):
-            raise FormatError("fiber check must be [prime, boolean]")
-        checks.append((parse_int(pair[0]), pair[1]))
     return GlobalGenerationReport(
-        generates=doc.get("generates"),
         subgroup=lattice_from_vectors(rows, ambient),
         support=_parse_support_payload(doc.get("support")),
-        generic_generates=doc.get("generic_generates"),
-        fiber_checks=tuple(checks),
     )
 
 
 def global_generation_doc(
     A: IntegralAlgebra, elements, report: GlobalGenerationReport, factor_bound: int
 ) -> dict:
-    doc = _envelope("global-generation", A)
-    doc.update(
-        {
-            "elements": elements_doc(A, elements),
-            "factor_bound": int_str(factor_bound),
-            "report": _global_payload(report),
-        }
-    )
-    return doc
+    payload = _global_payload(report)
+    return _integral_report_doc("global-generation", A, elements, payload, factor_bound)
 
 
 def local_report_doc(report) -> dict:

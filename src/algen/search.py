@@ -219,11 +219,12 @@ def _exhaustive_completion(
 
     Extensions are tested in lexicographic order by a depth-first walk that
     keeps the RREF of span(fixed + prefix), with the constants when unital.
-    The closure starts from exactly that RREF, so it decides the verdict,
-    the closure dimension and the monomial count.  A prefix whose RREF
-    already appeared at the same length had all of its extensions refuted
-    then (else the walk would have returned), so its subtree is skipped;
-    the index still counts the tuples in it.
+    The RREF only serves to skip subtrees: at a leaf, is_generating inserts
+    the whole seed, fixed + chosen, into a fresh span again, and the
+    verdict, closure dimension and monomial count depend only on that span.
+    A prefix whose RREF already appeared at the same length had all of its
+    extensions refuted then (else the walk would have returned), so its
+    subtree is skipped; the index still counts the tuples in it.
     """
     base = RowReducer(alg.field, alg.dim)
     for v in fixed:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import algen.forster
 from algen.algebra import is_generating
 from algen.forster import (
     ALL_PRIMES,
@@ -128,6 +129,22 @@ def test_local_requirement_matrix_algebra():
 def test_local_requirement_split_etale():
     rep = local_requirement(integral_split_etale(3), 2)
     assert rep.status == "verified"
+
+
+def test_local_requirement_does_not_reclose_its_witness(monkeypatch):
+    # the witness's generic_fail check decides rational generation; the
+    # searches run their closures through algen.search, not this binding
+    def refuse(*args, **kwargs):
+        raise AssertionError("local_requirement ran a closure of its own")
+
+    monkeypatch.setattr(algen.forster, "is_generating", refuse)
+    for A, n in (
+        (integral_matrix_algebra(2), 2),
+        (integral_split_etale(3), 2),
+        (integral_zero_module((6, 0)), 2),
+        (integral_zero_module((2,)), 1),
+    ):
+        assert local_requirement(A, n).status == "verified"
 
 
 def test_local_requirement_counterexample():
@@ -417,7 +434,12 @@ def test_replay_rejects_tampering():
     cells[0] = PartitionCell(cofinite_set((5,)), cells[0].level, cells[0].witness)
     assert "partition" in refused(_replace_step(cert, 0, partition=tuple(cells)))
 
-    tampered_report = dataclasses.replace(cert.verification, generic_generates=False)
+    # the generation flags derive from the lattice, so tamper with the support
+    support = cert.verification.support
+    tampered_report = dataclasses.replace(
+        cert.verification,
+        support=dataclasses.replace(support, primes=support.primes + (5,)),
+    )
     assert "verification" in refused(
         dataclasses.replace(cert, verification=tampered_report)
     )

@@ -4,6 +4,8 @@ from math import gcd
 
 import pytest
 
+import algen.algebra
+import algen.integral
 from algen.algebra import OperationTensor, is_generating
 from algen.fields import GF, QQ
 from algen.intmat import FactorizationIncomplete
@@ -95,6 +97,22 @@ def test_evaluate_and_reduce():
         reduce_element((4,), (True,))
     with pytest.raises(ValueError):
         A.product((1,), (1, 2))
+
+
+def test_element_api_reduces_values_mod_the_factors():
+    # Z/4 with its ring product, unit and the identity involution
+    ops = (
+        make_z_tensor((4,), 2, [((0, 0), 0, 1)]),
+        make_z_tensor((4,), 0, [((), 0, 1)]),
+        make_z_tensor((4,), 1, [((0,), 0, 1)]),
+    )
+    A = IntegralAlgebra(factors=(4,), ops=ops, product_index=0, unit_index=1, involution_index=2)
+    assert A.product((3,), (3,)) == (1,)
+    assert A.evaluate(0, ((-1,), (7,))) == (1,)
+    assert A.unit_vector() == (1,)
+    assert A.involution((-2,)) == (2,)
+    with pytest.raises(ValueError, match="integer coordinate"):
+        A.involution((True,))
 
 
 def test_normalize_z2_plus_z3():
@@ -293,14 +311,13 @@ def test_verify_zero_rank_module():
     assert rep.generates and rep.support.exponent == 1
 
 
-def random_integral_algebra(rng):
-    """Random mixed free/torsion module with well-defined sparse tensors."""
-    shapes = [(2,), (4,), (6,), (0,), (2, 4), (2, 0), (6, 0), (2, 2, 0), (3, 0, 0), (2, 4, 0, 0)]
-    factors = shapes[rng.randrange(len(shapes))]
+def _descent_safe_tensor(rng, factors, arity, count):
+    """Sparse arity-k tensor that descends to the module: torsion d_in in an
+    argument slot must annihilate the coefficient mod the target factor."""
     m = len(factors)
     triples = []
-    for _ in range(rng.randrange(1, 2 * m + 2)):
-        idx = (rng.randrange(m), rng.randrange(m))
+    for _ in range(count):
+        idx = tuple(rng.randrange(m) for _ in range(arity))
         out = rng.randrange(m)
         d_out = factors[out]
         torsion_in = [factors[i] for i in idx if factors[i]]
@@ -316,8 +333,21 @@ def random_integral_algebra(rng):
             coeff = step * rng.randint(-2, 2)
         if coeff:
             triples.append((idx, out, coeff))
-    product = make_z_tensor(factors, 2, triples)
-    return IntegralAlgebra(factors=factors, ops=(product,), product_index=0)
+    return make_z_tensor(factors, arity, triples)
+
+
+def random_integral_algebra(rng):
+    """Random mixed free/torsion module with well-defined sparse tensors: a
+    product and, each half the time, an arity-0 constant (which closures
+    adjoin, as unital ones do) and a unary operation."""
+    shapes = [(2,), (4,), (6,), (0,), (2, 4), (2, 0), (6, 0), (2, 2, 0), (3, 0, 0), (2, 4, 0, 0)]
+    factors = shapes[rng.randrange(len(shapes))]
+    m = len(factors)
+    ops = [_descent_safe_tensor(rng, factors, 2, rng.randrange(1, 2 * m + 2))]
+    for arity in (0, 1):
+        if rng.randrange(2):
+            ops.append(_descent_safe_tensor(rng, factors, arity, rng.randrange(1, m + 1)))
+    return IntegralAlgebra(factors=factors, ops=tuple(ops), product_index=0)
 
 
 def test_fiber_coherence_randomized():
@@ -346,11 +376,30 @@ def test_fiber_coherence_randomized():
         assert gok == (not rep.generic_fail)
 
 
+def _closure_flags(A, S):
+    """generic_generates and fiber_checks by fibre closures, as
+    verify_global_generation computed them before the lattice decided them:
+    the rational fibre, then the fibre at each bad prime, constants adjoined."""
+    vetted = [reduce_element(A.factors, v) for v in S]
+    support = bad_primes(A, vetted)
+    gf = generic_fiber(A)
+    generic_ok, _ = is_generating(gf.algebra, [gf.project(v) for v in vetted], unital=True)
+    checks = []
+    for p in support.primes:
+        fib = fiber_mod_p(A, p)
+        ok, _ = is_generating(fib.algebra, [fib.project(v) for v in vetted], unital=True)
+        checks.append((p, ok))
+    return generic_ok, tuple(checks)
+
+
 def test_verify_report_consistency_randomized():
+    # the flags derived from the lattice against the fibre closures they replaced
     rng = random.Random(11)
-    for _ in range(30):
+    compared = fibres = constants = unary = 0
+    generic = {True: 0, False: 0}
+    for _ in range(240):
         A = random_integral_algebra(rng)
-        S = [tuple(rng.randint(-4, 4) for _ in range(A.rank)) for _ in range(2)]
+        S = [tuple(rng.randint(-4, 4) for _ in range(A.rank)) for _ in range(rng.randrange(4))]
         try:
             rep = verify_global_generation(A, S)
         except FactorizationIncomplete:
@@ -358,5 +407,32 @@ def test_verify_report_consistency_randomized():
         assert rep.generates == (
             not rep.support.generic_fail and rep.support.primes == ()
         )
-        assert rep.generic_generates == (not rep.support.generic_fail)
-        assert all(not ok for _, ok in rep.fiber_checks)
+        assert (rep.generic_generates, rep.fiber_checks) == _closure_flags(A, S), (A, S)
+        compared += 1
+        fibres += len(rep.fiber_checks)
+        generic[rep.generic_generates] += 1
+        constants += any(op.arity == 0 and op.entries for op in A.ops)
+        unary += any(op.arity == 1 and op.entries for op in A.ops)
+    assert compared >= 200
+    assert fibres >= 100 and constants >= 50 and unary >= 50, (fibres, constants, unary)
+    assert min(generic.values()) >= 20, generic
+
+
+def test_global_generation_runs_no_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure ran")
+
+    monkeypatch.setattr(algen.integral, "is_generating", refuse)
+    monkeypatch.setattr(algen.algebra, "_closure_reducer", refuse)
+    cases = (
+        (integral_matrix_algebra(2), [(0, 0, 0, 1), (0, 1, 1, 0)]),
+        (integral_matrix_algebra(3), [(1, 0, 0, 0, 2, 0, 0, 0, 3), (0, 1, 0, 0, 0, 1, 1, 0, 0)]),
+        (integral_split_etale(3), [(1, 2, 3)]),
+        (integral_split_etale(4), []),
+        (integral_zero_module((2, 0)), [(1, 1)]),
+        (integral_zero_module((6, 0)), [(1, 0), (0, 1)]),
+    )
+    for A, S in cases:
+        rep = verify_global_generation(A, S)
+        assert rep.support == bad_primes(A, S)
+        assert rep.generates == (not rep.support.generic_fail and not rep.support.primes)

@@ -381,6 +381,30 @@ def test_global_generation_verify():
     assert verify_certificate(parsed, bad)[0] is False
 
 
+def test_verify_refuses_edited_derived_flags():
+    # generic_generates and fiber_checks derive from the subgroup and the
+    # support; parsing skips them, and the canonical re-emission refuses edits
+    A = integral_zero_module((2, 0))
+    parsed = ParsedAlgebra(A)
+    elements = ((1, 1),)
+    doc = global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000)
+    assert _reload(doc)["report"]["fiber_checks"] == [["2", False]]
+    assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
+    lift = lift_certificate_doc(A, forster_lift(A, 2), 1_000_000)
+    assert verify_certificate(parsed, _reload(lift)) == (True, "ok")
+    edits = (
+        lambda report: report.update(generic_generates=not report["generic_generates"]),
+        lambda report: report.update(fiber_checks=[["2", True]]),
+        lambda report: report.update(fiber_checks=[["3", False]]),
+    )
+    for edit in edits:
+        for source, key in ((doc, "report"), (lift, "verification")):
+            bad = _reload(source)
+            edit(bad[key])
+            ok, detail = verify_certificate(parsed, bad)
+            assert not ok and ("match" in detail or "canonical" in detail), (key, detail)
+
+
 def test_lift_round_trip_and_verify():
     A = integral_zero_module((3, 0))
     parsed = ParsedAlgebra(A)
