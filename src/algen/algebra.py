@@ -336,10 +336,7 @@ def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool):
             grow(g)
         gens += [v for v in pending if grow(v)]
         pending = None
-    if pending is not None:
-        # the generators reached full dimension mod P, so over Q as well
-        span = _RationalSpan(r)
-        span.fill()
+    # a full span mod P is the identity RREF with delta 1, also its RREF over Q
     return span, len(gens) - seed_rank
 
 
@@ -439,14 +436,6 @@ class _RationalSpan:
             self.delta = delta // g
             self.rows = [[x // g for x in row] for row in rows]
         self.pivots.insert(at, q)
-        self._equations()
-
-    def fill(self):
-        """Become the whole space."""
-        r = self.width
-        self.delta = 1
-        self.rows = [[int(j == i) for j in range(r)] for i in range(r)]
-        self.pivots = list(range(r))
         self._equations()
 
     def snapshot(self) -> EchelonBasis:

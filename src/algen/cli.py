@@ -181,8 +181,8 @@ def _cmd_check(args) -> int:
                 "the unital flag applies to field algebras; over Z every "
                 "designated constant is already included"
             )
-        report = verify_global_generation(parsed.algebra, elements, args.factor_bound)
-        doc = global_generation_doc(parsed.algebra, elements, report, args.factor_bound)
+        report = verify_global_generation(parsed.algebra, elements)
+        doc = global_generation_doc(parsed.algebra, elements, report)
         verdict = "generate" if report.generates else "do not generate"
         _emit(doc, f"the {len(elements)} elements {verdict} the algebra over Z")
         return 0 if report.generates else 1
@@ -218,8 +218,8 @@ def _cmd_bad_primes(args) -> int:
     if not parsed.is_integral:
         raise FormatError("bad-primes expects a Z algebra")
     elements = parsed.parse_elements(_read_json_text(args.tuple))
-    report = bad_primes(parsed.algebra, elements, args.factor_bound)
-    doc = bad_primes_doc(parsed.algebra, elements, report, args.factor_bound)
+    report = bad_primes(parsed.algebra, elements)
+    doc = bad_primes_doc(parsed.algebra, elements, report)
     if report.generic_fail:
         _emit(doc, "generic failure: the tuple misses a free direction")
         return 1
@@ -236,7 +236,7 @@ def _cmd_forster_lift(args) -> int:
         raise FormatError("--n must be nonnegative")
     budget = _budget_from_args(args)
     try:
-        cert = forster_lift(parsed.algebra, args.n, budget, args.factor_bound)
+        cert = forster_lift(parsed.algebra, args.n, budget)
     except HypothesisFailure as failure:
         doc = {"error": "hypothesis-failure", "report": local_report_doc(failure.report)}
         _emit(doc, str(failure))
@@ -244,7 +244,7 @@ def _cmd_forster_lift(args) -> int:
     except BudgetExhausted as failure:
         _emit({"error": "budget-exhausted", "detail": str(failure)}, str(failure))
         return 2
-    doc = lift_certificate_doc(parsed.algebra, cert, args.factor_bound)
+    doc = lift_certificate_doc(parsed.algebra, cert)
     _emit(doc, f"lifted to {len(cert.generators)} global generators; verified")
     return 0
 
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("algebra")
     check.add_argument("--tuple", required=True, help="JSON list of vectors, or @file")
     check.add_argument("--unital", action="store_true")
-    check.add_argument("--factor-bound", type=int, default=1_000_000)
     check.set_defaults(handler=_cmd_check)
 
     mingen = sub.add_parser("mingen", help="minimal generator count by certified search")
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     bad = sub.add_parser("bad-primes", help="primes where a tuple fails to generate")
     bad.add_argument("algebra")
     bad.add_argument("--tuple", required=True, help="JSON list of vectors, or @file")
-    bad.add_argument("--factor-bound", type=int, default=1_000_000)
     bad.set_defaults(handler=_cmd_bad_primes)
 
     lift = sub.add_parser(
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lift.add_argument("algebra")
     lift.add_argument("--n", type=int, required=True)
-    lift.add_argument("--factor-bound", type=int, default=1_000_000)
     _add_budget_flags(lift)
     lift.set_defaults(handler=_cmd_forster_lift)
 

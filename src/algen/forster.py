@@ -244,7 +244,6 @@ def local_requirement(
     A: IntegralAlgebra,
     n: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    factor_bound: int = 1_000_000,
 ) -> LocalReport:
     """Is every residue fiber of A generated by n elements?
 
@@ -261,7 +260,7 @@ def local_requirement(
     # scaled to integers the elements keep their span, so the witness still
     # generates the rational fiber; the generic_fail check below guards that
     witness = tuple(gfib.lift(integral_row(v)) for v in cert.elements)
-    support = bad_primes(A, witness, factor_bound)
+    support = bad_primes(A, witness)
     if support.generic_fail:
         raise RuntimeError("internal: rational witness has a generic failure")
     completions = []
@@ -325,7 +324,6 @@ def _advance(
     cells: Sequence[PartitionCell],
     generators: Sequence[tuple[int, ...]],
     extend: Callable[[PartitionCell, int, Fiber], Sequence[tuple]],
-    factor_bound: int,
 ) -> LiftStep:
     """One lift step, shared by forster_lift and replay_lift.
 
@@ -366,7 +364,7 @@ def _advance(
                 + (element,)
                 + tuple(fib.lift(v) for v in extension[1:])
             )
-            support = bad_primes(A, completed, factor_bound)
+            support = bad_primes(A, completed)
             if support.generic_fail:
                 raise _Breach(f"completed tuple misses a free direction at {p}")
             if p in support.primes:
@@ -388,10 +386,7 @@ def _advance(
 
 
 def forster_lift(
-    A: IntegralAlgebra,
-    n: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    factor_bound: int = 1_000_000,
+    A: IntegralAlgebra, n: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> LiftCertificate:
     """Produce n + 1 generators of A from n-generated fibers, with a trace.
 
@@ -399,7 +394,7 @@ def forster_lift(
     BudgetExhausted if a local search cannot be completed within the budget,
     and RuntimeError on any internal invariant breach.
     """
-    local = local_requirement(A, n, budget, factor_bound)
+    local = local_requirement(A, n, budget)
     if local.status == "counterexample":
         raise HypothesisFailure(local)
     if local.status == "inconclusive":
@@ -420,14 +415,14 @@ def forster_lift(
     steps: list[LiftStep] = []
     try:
         for _ in range(n + 1):
-            step = _advance(A, n, cells, generators, extend, factor_bound)
+            step = _advance(A, n, cells, generators, extend)
             generators.append(step.element)
             cells = step.partition
             steps.append(step)
     except _Breach as bad:
         raise RuntimeError(f"internal: {bad}") from bad
 
-    verification = verify_global_generation(A, generators, factor_bound)
+    verification = verify_global_generation(A, generators)
     if not verification.generates:
         raise RuntimeError("internal: lifted generators fail global verification")
     return LiftCertificate(
@@ -449,19 +444,16 @@ def _expect(condition: bool, message: str):
         raise _Breach(message)
 
 
-def replay_lift(
-    A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int = 1_000_000
-) -> tuple[bool, str]:
+def replay_lift(A: IntegralAlgebra, cert: LiftCertificate) -> tuple[bool, str]:
     """Re-derive every assertion of a lift certificate without searching.
 
     The recorded local extensions are the only search-derived data; each is
     checked to generate its fiber, and prime selection, CRT gluing, bad-prime
     sets, partitions, and the final verification are recomputed by the
-    prover's own step and compared, factoring with the certificate's
-    factor_bound.  Returns (ok, detail).
+    prover's own step and compared.  Returns (ok, detail).
     """
     try:
-        _replay(A, cert, factor_bound)
+        _replay(A, cert)
     except _Breach as bad:
         return False, str(bad)
     except (ValueError, IndexError, TypeError) as bad:
@@ -471,7 +463,7 @@ def replay_lift(
     return True, "ok"
 
 
-def _replay(A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int):
+def _replay(A: IntegralAlgebra, cert: LiftCertificate):
     _expect(tuple(cert.factors) == A.factors, "module invariant factors differ")
     n = cert.n
     _expect(n >= 0, "negative n")
@@ -495,7 +487,7 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int):
     for step_no, step in enumerate(cert.steps):
         recorded = iter(step.completions)
         try:
-            fresh = _advance(A, n, cells, generators, extend, factor_bound)
+            fresh = _advance(A, n, cells, generators, extend)
             _expect(next(recorded, None) is None, "selected primes differ")
             _expect(fresh.element == tuple(step.element), "glued element differs")
             _expect(
@@ -514,6 +506,6 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int):
         generators.append(fresh.element)
         cells = fresh.partition
 
-    verification = verify_global_generation(A, cert.generators, factor_bound)
+    verification = verify_global_generation(A, cert.generators)
     _expect(verification.generates, "generators do not generate globally")
     _expect(verification == cert.verification, "verification record differs")

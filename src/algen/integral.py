@@ -35,7 +35,6 @@ from .intmat import (
     FactorizationIncomplete,
     IntegerLattice,
     factor,
-    invert_unimodular,
     lattice_from_vectors,
     snf,
 )
@@ -229,12 +228,10 @@ def normalize_presentation(
 
     if rel_rows:
         dec = snf(rel_rows)
-        V = dec.right
-        diag = dec.diag
+        V, W, diag = dec.right, dec.right_inverse, dec.diag
     else:
-        V = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
+        V = W = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
         diag = ()
-    W = invert_unimodular(V)
     full = tuple(abs(diag[i]) if i < len(diag) else 0 for i in range(m))
     kept = tuple(i for i in range(m) if full[i] != 1)
     factors = tuple(full[c] for c in kept)
@@ -405,35 +402,33 @@ class BadPrimesReport:
     exponent: Optional[int]
 
 
-def _support_of_lattice(A: IntegralAlgebra, B: IntegerLattice, factor_bound: int) -> BadPrimesReport:
+def _support_of_lattice(A: IntegralAlgebra, B: IntegerLattice) -> BadPrimesReport:
     if B.rank < A.rank:
         return BadPrimesReport(generic_fail=True, primes=(), exponent=None)
     diag = snf(B.rows).diag if B.rows else ()
     exponent = diag[-1] if diag else 1
     if exponent == 1:
         return BadPrimesReport(generic_fail=False, primes=(), exponent=1)
-    fac = factor(exponent, factor_bound)
+    fac = factor(exponent)
     if not fac.complete:
         raise FactorizationIncomplete(exponent, fac.primes, fac.cofactor)
     return BadPrimesReport(generic_fail=False, primes=fac.distinct_primes(), exponent=exponent)
 
 
-def bad_primes(
-    A: IntegralAlgebra, elements: Iterable[Sequence[int]], factor_bound: int = 1_000_000
-) -> BadPrimesReport:
+def bad_primes(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> BadPrimesReport:
     """Primes where the elements fail to generate the fiber, or generic failure."""
-    return _support_of_lattice(A, monomial_subgroup(A, elements), factor_bound)
+    return _support_of_lattice(A, monomial_subgroup(A, elements))
 
 
 @dataclass(frozen=True)
 class GlobalGenerationReport:
-    """Global generation read off the monomial subgroup B of M; every flag
-    derives from the lattice, so the report cannot disagree with it.
+    """Global generation read off the monomial subgroup B of M.
 
     Over Q the generated subalgebra is the Q-span of B, so the rational
     fiber is generated iff rank B = rank M, that is iff not generic_fail.
     Mod p it is the image of B in M/pM, which is all of M/pM iff p does not
-    divide |M/B|, so every bad prime's fiber check is False.
+    divide |M/B|, so the fibers that fail are exactly those at the support's
+    primes.
     """
 
     subgroup: IntegerLattice
@@ -443,23 +438,15 @@ class GlobalGenerationReport:
     def generates(self) -> bool:
         return self.subgroup.is_full()
 
-    @property
-    def generic_generates(self) -> bool:
-        return not self.support.generic_fail
-
-    @property
-    def fiber_checks(self) -> tuple[tuple[int, bool], ...]:
-        return tuple((p, False) for p in self.support.primes)
-
 
 def verify_global_generation(
-    A: IntegralAlgebra, elements: Iterable[Sequence[int]], factor_bound: int = 1_000_000
+    A: IntegralAlgebra, elements: Iterable[Sequence[int]]
 ) -> GlobalGenerationReport:
     """Do the elements generate the whole module algebra?  True exactly when
     the monomial subgroup is all of M; the report's support locates any
     failure, fiber by fiber."""
     B = monomial_subgroup(A, elements)
-    return GlobalGenerationReport(subgroup=B, support=_support_of_lattice(A, B, factor_bound))
+    return GlobalGenerationReport(subgroup=B, support=_support_of_lattice(A, B))
 
 
 # ---------------------------------------------------------------------------

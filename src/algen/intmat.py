@@ -9,12 +9,10 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .fields import QQ, proved_prime
-from .linalg import RowReducer
+from .fields import proved_prime
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -141,13 +139,14 @@ class SmithDecomposition:
     """U A V = diag(d_1..d_k) embedded in the m x n shape.
 
     d_1 | d_2 | ... | d_k, all nonnegative, zeros last; U (m x m) and
-    V (n x n) are unimodular.
+    V (n x n) are unimodular, and right_inverse is V^-1.
     """
 
     shape: tuple[int, int]
     diag: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
+    right_inverse: tuple[tuple[int, ...], ...]
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -163,6 +162,7 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         raise ValueError("ragged matrix")
     U = _identity(m)
     V = _identity(n)
+    W = _identity(n)  # V^-1: a column operation on V is a row operation on W
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -173,6 +173,7 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
+        W[i], W[j] = W[j], W[i]
 
     def row_sub(i, j, q):
         # row i -= q * row j
@@ -185,6 +186,7 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
             row[i] -= q * row[j]
         for row in V:
             row[i] -= q * row[j]
+        W[j] = [a + q * b for a, b in zip(W[j], W[i])]
 
     def negate_row(i):
         A[i] = [-a for a in A[i]]
@@ -245,29 +247,8 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         diag=diag,
         left=tuple(tuple(r) for r in U),
         right=tuple(tuple(r) for r in V),
+        right_inverse=tuple(tuple(r) for r in W),
     )
-
-
-def invert_unimodular(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(matrix)
-    reducer = RowReducer(QQ, 2 * n)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-        aug = [Fraction(x) for x in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-        reducer.insert(aug)
-    if reducer.dim != n or reducer.pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for row in reducer.rows:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            ints.append(x.numerator)
-        inv.append(tuple(ints))
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------

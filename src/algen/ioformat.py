@@ -7,6 +7,8 @@ strings, booleans are JSON booleans, and tensors are sparse lists of rows
 keys, no whitespace) and parse(serialize(x)) returns x for canonical-form
 values.  Certificates embed a SHA-256 hash of the canonically serialized
 algebra so a verifier detects algebra/certificate mismatches up front.
+Algebra documents and certificates carry separate versions, so a change
+of certificate format leaves algebra documents and their hashes alone.
 """
 
 from __future__ import annotations
@@ -48,16 +50,14 @@ from .search import DEFAULT_BUDGET, MinGenReport, SearchBudget, SizeAttempt, min
 
 ALGEBRA_FORMAT = "algen-algebra"
 CERTIFICATE_FORMAT = "algen-certificate"
-FORMAT_VERSION = "1"
+ALGEBRA_VERSION = "1"
+CERTIFICATE_VERSION = "2"
 
 # A mingen document carries the budget its search ran under, and verifying
 # it reruns that search; budgets above these caps are refused as too costly
 # to verify, so the verifier's cost does not depend on the document.
 MAX_VERIFY_EXHAUSTIVE = 10 * DEFAULT_BUDGET.max_exhaustive
 MAX_VERIFY_TRIALS = 10 * DEFAULT_BUDGET.random_trials
-# Likewise bad-prime, global-generation and lift documents carry the trial
-# division bound they were factored with (the CLI default is 1,000,000).
-MAX_VERIFY_FACTOR_BOUND = 10 * 1_000_000
 
 
 class FormatError(ValueError):
@@ -207,7 +207,7 @@ def serialize_algebra(alg: Union[Multialgebra, IntegralAlgebra]) -> dict:
         if i in roles:
             op_doc["role"] = roles[i]
         ops.append(op_doc)
-    doc.update({"format": ALGEBRA_FORMAT, "version": FORMAT_VERSION, "base": base, "ops": ops})
+    doc.update({"format": ALGEBRA_FORMAT, "version": ALGEBRA_VERSION, "base": base, "ops": ops})
     return doc
 
 
@@ -256,7 +256,7 @@ def parse_algebra(doc) -> ParsedAlgebra:
     doc = _expect_dict(doc, "algebra document")
     if doc.get("format") != ALGEBRA_FORMAT:
         raise FormatError(f"not an algebra document (format {doc.get('format')!r})")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != ALGEBRA_VERSION:
         raise FormatError(f"unsupported version {doc.get('version')!r}")
     base = doc.get("base")
     if not isinstance(base, str):
@@ -361,7 +361,7 @@ def elements_doc(alg, elements) -> list:
 def _envelope(kind: str, alg) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
-        "version": FORMAT_VERSION,
+        "version": CERTIFICATE_VERSION,
         "kind": kind,
         "algebra_sha256": algebra_hash(alg),
     }
@@ -465,22 +465,14 @@ def _parse_support_payload(doc) -> BadPrimesReport:
     )
 
 
-def _integral_report_doc(kind: str, A: IntegralAlgebra, elements, payload, factor_bound) -> dict:
+def _integral_report_doc(kind: str, A: IntegralAlgebra, elements, payload) -> dict:
     doc = _envelope(kind, A)
-    doc.update(
-        {
-            "elements": elements_doc(A, elements),
-            "factor_bound": int_str(factor_bound),
-            "report": payload,
-        }
-    )
+    doc.update({"elements": elements_doc(A, elements), "report": payload})
     return doc
 
 
-def bad_primes_doc(
-    A: IntegralAlgebra, elements, report: BadPrimesReport, factor_bound: int
-) -> dict:
-    return _integral_report_doc("bad-primes", A, elements, _support_payload(report), factor_bound)
+def bad_primes_doc(A: IntegralAlgebra, elements, report: BadPrimesReport) -> dict:
+    return _integral_report_doc("bad-primes", A, elements, _support_payload(report))
 
 
 def _global_payload(report: GlobalGenerationReport) -> dict:
@@ -488,14 +480,12 @@ def _global_payload(report: GlobalGenerationReport) -> dict:
         "generates": report.generates,
         "subgroup": [_int_vector_doc(row) for row in report.subgroup.rows],
         "support": _support_payload(report.support),
-        "generic_generates": report.generic_generates,
-        "fiber_checks": [[int_str(p), bool(ok)] for p, ok in report.fiber_checks],
     }
 
 
 def _parse_global_payload(doc, ambient: int) -> GlobalGenerationReport:
-    """The subgroup and support; the generation flags derive from them, and
-    the canonical re-emission in verify_certificate rejects edited flags."""
+    """The subgroup and support; `generates` derives from the subgroup, and
+    the canonical re-emission in verify_certificate rejects an edited flag."""
     doc = _expect_dict(doc, "verification report")
     rows = [
         _parse_int_vector(row, "subgroup row", ambient)
@@ -507,11 +497,8 @@ def _parse_global_payload(doc, ambient: int) -> GlobalGenerationReport:
     )
 
 
-def global_generation_doc(
-    A: IntegralAlgebra, elements, report: GlobalGenerationReport, factor_bound: int
-) -> dict:
-    payload = _global_payload(report)
-    return _integral_report_doc("global-generation", A, elements, payload, factor_bound)
+def global_generation_doc(A: IntegralAlgebra, elements, report: GlobalGenerationReport) -> dict:
+    return _integral_report_doc("global-generation", A, elements, _global_payload(report))
 
 
 def local_report_doc(report) -> dict:
@@ -547,9 +534,7 @@ def _parse_region(doc) -> ConstructibleSet:
         raise FormatError(str(bad)) from bad
 
 
-def lift_certificate_doc(
-    A: IntegralAlgebra, cert: LiftCertificate, factor_bound: int
-) -> dict:
+def lift_certificate_doc(A: IntegralAlgebra, cert: LiftCertificate) -> dict:
     doc = _envelope("lift", A)
     steps = []
     for step in cert.steps:
@@ -586,13 +571,12 @@ def lift_certificate_doc(
             "generators": [_int_vector_doc(v) for v in cert.generators],
             "steps": steps,
             "verification": _global_payload(cert.verification),
-            "factor_bound": int_str(factor_bound),
         }
     )
     return doc
 
 
-def parse_lift_certificate(doc) -> tuple[LiftCertificate, int]:
+def parse_lift_certificate(doc) -> LiftCertificate:
     doc = _expect_dict(doc, "lift certificate")
     factors = _parse_int_vector(doc.get("factors"), "factors")
     steps = []
@@ -636,7 +620,7 @@ def parse_lift_certificate(doc) -> tuple[LiftCertificate, int]:
                 partition=tuple(cells),
             )
         )
-    cert = LiftCertificate(
+    return LiftCertificate(
         factors=factors,
         n=parse_int(doc.get("n")),
         generators=tuple(
@@ -646,7 +630,6 @@ def parse_lift_certificate(doc) -> tuple[LiftCertificate, int]:
         steps=tuple(steps),
         verification=_parse_global_payload(doc.get("verification"), len(factors)),
     )
-    return cert, parse_int(doc.get("factor_bound"))
 
 
 # ---------------------------------------------------------------------------
@@ -674,25 +657,19 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
     closure, mingen reports rerun the whole (deterministic, seeded) search
     under the recorded budget, bad-prime and global-generation reports are
     recomputed and compared field by field, and lift certificates go through
-    the full step-by-step replay.  Budgets and factor bounds above the
-    MAX_VERIFY_* caps are refused as inconclusive.  Returns (ok, detail).
+    the full step-by-step replay.  Factoring always uses the verifier's own
+    trial-division bound.  Budgets above the MAX_VERIFY_* caps are refused
+    as inconclusive.  Returns (ok, detail).
     """
     try:
         doc = _expect_dict(doc, "certificate document")
         if doc.get("format") != CERTIFICATE_FORMAT:
             raise FormatError(f"not a certificate document (format {doc.get('format')!r})")
-        if doc.get("version") != FORMAT_VERSION:
+        if doc.get("version") != CERTIFICATE_VERSION:
             raise FormatError(f"unsupported version {doc.get('version')!r}")
         kind = doc.get("kind")
         if doc.get("algebra_sha256") != algebra_hash(parsed.algebra):
             return False, "algebra hash mismatch"
-        if kind in ("bad-primes", "global-generation", "lift"):
-            bound = parse_int(doc.get("factor_bound"))
-            if bound > MAX_VERIFY_FACTOR_BOUND:
-                return False, (
-                    "inconclusive: too costly to verify (factor_bound above "
-                    f"{MAX_VERIFY_FACTOR_BOUND})"
-                )
 
         if kind == "generation":
             _require_kind(parsed, False, kind)
@@ -723,8 +700,8 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         if kind == "bad-primes":
             _require_kind(parsed, True, kind)
             elements = _parse_int_elements(doc, parsed.algebra.rank)
-            fresh = bad_primes(parsed.algebra, elements, bound)
-            expected = bad_primes_doc(parsed.algebra, elements, fresh, bound)
+            fresh = bad_primes(parsed.algebra, elements)
+            expected = bad_primes_doc(parsed.algebra, elements, fresh)
             if canonical_json(expected) != canonical_json(doc):
                 return False, "recomputed bad primes do not match the report"
             return True, "ok"
@@ -732,19 +709,19 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         if kind == "global-generation":
             _require_kind(parsed, True, kind)
             elements = _parse_int_elements(doc, parsed.algebra.rank)
-            fresh = verify_global_generation(parsed.algebra, elements, bound)
-            expected = global_generation_doc(parsed.algebra, elements, fresh, bound)
+            fresh = verify_global_generation(parsed.algebra, elements)
+            expected = global_generation_doc(parsed.algebra, elements, fresh)
             if canonical_json(expected) != canonical_json(doc):
                 return False, "recomputed verification does not match the report"
             return True, "ok"
 
         if kind == "lift":
             _require_kind(parsed, True, kind)
-            cert, _ = parse_lift_certificate(doc)
-            ok, detail = replay_lift(parsed.algebra, cert, bound)
+            cert = parse_lift_certificate(doc)
+            ok, detail = replay_lift(parsed.algebra, cert)
             if not ok:
                 return False, detail
-            if canonical_json(lift_certificate_doc(parsed.algebra, cert, bound)) != canonical_json(doc):
+            if canonical_json(lift_certificate_doc(parsed.algebra, cert)) != canonical_json(doc):
                 return False, "certificate document is not in canonical form"
             return True, "ok"
 

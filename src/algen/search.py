@@ -140,15 +140,24 @@ def random_probe(
     """
     if n < 0:
         raise ValueError("tuple size must be nonnegative")
+    return _random_completion(alg, [], n, budget, unital).certificate
+
+
+def _random_completion(
+    alg: Multialgebra, fixed: list[Element], slots: int, budget: SearchBudget, unital: bool
+) -> CompletionResult:
+    """First generating extension of fixed by slots seeded random elements."""
     for trial in range(budget.random_trials):
         rng = _trial_rng(budget.seed, trial)
-        elements = [_random_element(rng, alg.field, alg.dim, budget.coeff_height) for _ in range(n)]
+        extension = tuple(
+            _random_element(rng, alg.field, alg.dim, budget.coeff_height) for _ in range(slots)
+        )
         ok, cert = is_generating(
-            alg, elements, unital=unital, method="random", seed=budget.seed, trial=trial
+            alg, fixed + list(extension), unital=unital, method="random", seed=budget.seed, trial=trial
         )
         if ok:
-            return cert
-    return None
+            return CompletionResult("found", extension, cert, trial + 1)
+    return CompletionResult("inconclusive", None, None, budget.random_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +208,7 @@ def completable(
     if total <= budget.max_exhaustive:
         found = _exhaustive_completion(alg, fixed, slots, unital)
         return found or CompletionResult("certified_none", None, None, total)
-    for trial in range(budget.random_trials):
-        rng = _trial_rng(budget.seed, trial)
-        extension = tuple(
-            _random_element(rng, field, r, budget.coeff_height) for _ in range(slots)
-        )
-        ok, cert = is_generating(
-            alg, fixed + list(extension), unital=unital, method="random", seed=budget.seed, trial=trial
-        )
-        if ok:
-            return CompletionResult("found", extension, cert, trial + 1)
-    return CompletionResult("inconclusive", None, None, budget.random_trials)
+    return _random_completion(alg, fixed, slots, budget, unital)
 
 
 def _exhaustive_completion(

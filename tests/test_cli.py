@@ -211,10 +211,20 @@ def test_lift_and_verify(capsys, e3z, tmp_path):
     tampered = write(tmp_path, "tampered.json", doc)
     code, verdict = run(capsys, "verify-cert", e3z, tampered)
     assert code == 1 and verdict["ok"] is False
-    # a factor bound far above the default is not used: inconclusive, exit 2
+    # certificates carry no factor bound: naming one makes the document
+    # non-canonical, whatever its size
+    doc["generators"][0] = ["0", "0", "1"]
     doc["factor_bound"] = "1" + "0" * 30
     code, verdict = run(capsys, "verify-cert", e3z, write(tmp_path, "costly.json", doc))
-    assert code == 2 and verdict["detail"].startswith("inconclusive: too costly to verify")
+    assert code == 1 and "canonical" in verdict["detail"]
+    # and no command takes the option any more
+    for argv in (
+        ["check", e3z, "--tuple", '[["1","2","3"]]'],
+        ["bad-primes", e3z, "--tuple", '[["1","2","3"]]'],
+        ["forster-lift", e3z, "--n", "2"],
+    ):
+        assert run(capsys, *argv)[0] in (0, 1)
+        assert run(capsys, *argv, "--factor-bound", "1000000") == (3, None)
 
 
 def test_lift_on_presentation(capsys, tmp_path):

@@ -2,8 +2,10 @@
 
 The hashes were taken from the CLI before the arithmetic kernels were
 rewritten; any change to the closure kernel, the evaluator or the row
-reducer must leave every document byte-identical (a deliberate format
-change bumps FORMAT_VERSION and re-pins them).
+reducer must leave every document byte-identical.  A deliberate format
+change bumps CERTIFICATE_VERSION and re-pins them: the pins are of
+certificate version "2", and each document with its version set back to
+"1" hashes to the version 1 pin it replaced.
 """
 
 import hashlib
@@ -94,28 +96,28 @@ CASES = {
 
 # sha256 of the stdout line of each case
 DIGESTS = {
-    "albert-gen": "bac1aaffb765dc10f47ed9c9630bc202b3dc8827cadd93fc4ff6db90bdef403f",
-    "albert-gen-unital": "17b7f1d9a032ad2ba513eb8e90be20d127921f14ffe204b6e0431206c234a58e",
-    "albert-ref": "50dc968b5e1cceb92cd1e7358ef983a3150589d4bbb8a33288843869cb0eb9b7",
-    "albert-ref-unital": "bbcdb00449bd8d228e6f7de757ea528dba9708638f1cd89274455b22c2464b8a",
-    "etale4-f3-gen-unital": "f2921f3e848ffe37b6157386ca20f6e9a7d2fadf658131dc17989fe46fdbc963",
-    "etale4-f3-ref": "71fdab0f30cf9c7166898d98596791807f12c6acbf6f8fb0a3daafa233fbf042",
-    "etale5-f2-gen": "0ebb8c2f41363acf692888f36eeaafd4ee77d9c5d8c5cabfdf6e9b920e77f0fa",
-    "etale5-f2-ref": "436f26ecde0e9def4eafec38fa42805eefe282eb7aa0d8c5b4cef4b39f5321b5",
-    "etale5-f2-ref-unital": "843999a5d5658c64df6a3e49ecddd7521bf23e660f6f708dbb2dbba504844128",
-    "mat2-f2-gen": "d62abad76a13265e885cf9fb2a10217999d322c424ca2a8e865ffc10a2aa1a58",
-    "mat2-f2-ref-unital": "65820d110c119b0d358a6a9c1c88cabeb526df4ec8a3fa18a58ab36eaefa9c3a",
-    "mat2-f3-gen-unital": "df5014d45b9eb551840d6d6c986f90097443ddedfe97165e6794078297edfb2f",
-    "mat2-f3-ref": "8c35b30fa1c645fe731dc689c553be0ba03f08a64268f08eb2cbabb0e79915d9",
-    "mat4-gen": "e20e7e79ebe5f888501364b6fe8d6b54f0337a768c579f9ee4f68e294398e474",
-    "mat4-gen-unital": "011cc7afbbdb0f4181f3e1f2ceaadfff38c45c9f153ac837ac0fc8fd8f40938f",
-    "mat4-ref": "498bd2531908006eff6259624c5d3528935d483e615f699295b9021a1f29e314",
-    "mat4-ref-one": "939a6d9d92e96b2e69ffffdb412dbbc7f3a29f5d47bde1f4eb16ce3b2d8e276d",
-    "mat4-ref-unital": "76cdd15c739bd84a54261c66156a52e95bdd0371321f56efa066d32dc3558140",
-    "octonion-gen": "a46a45d416088e5e31a6263fbc11333a2ce2d80716602c68f85ae809c77659e0",
-    "octonion-gen-unital": "bd9a71f0d6426bb6d86ee3ba55df10144a8f2e3838ec52bfe2dbd712c8ab60a2",
-    "octonion-ref": "e60d5b450b844dc2889a7d5565cbed113b80071c921e4af17844a14272172d51",
-    "octonion-ref-unital": "13fbfd8b899f499da5e1cfa33236b77b2bb0fd7321781b8500ec294657efc942",
+    "albert-gen": "04e22cbef89143bf466b2246f57fc9cb49e3062dbe2eab51a47ec2ba940de33d",
+    "albert-gen-unital": "0fdc48d51e45e70d479c59898d4371934ec0a7f4f1c75c28ed0a359dad7b680f",
+    "albert-ref": "89a2265d883394a76bed47410355c39f28aa9a0672539cfe8d3372b5394d5573",
+    "albert-ref-unital": "316c84644214801551248a4e610dd694f777d46a52fa9e337090df796f995377",
+    "etale4-f3-gen-unital": "f35a04773c512d9af99d0ded13051cc0cf5026123a12c77341afaf9c92c9e62e",
+    "etale4-f3-ref": "ed59083ecfa32fe1b450d37e589c55088d54242dadc7fe7d2313bf54ebd687dd",
+    "etale5-f2-gen": "52b4b0e73df9d846384aaca603bf6331881a93d178b5eca6ebfefae6c4cd9807",
+    "etale5-f2-ref": "3ad1973be683f8d3124e746a0eb94c3298c5884972e675c4c7573abc6bbcd465",
+    "etale5-f2-ref-unital": "d17c14956fdb9fa8e4912323625d34b2bb1f1f465da796c7b6d846a20ccd2e06",
+    "mat2-f2-gen": "600a44cb2a014157421653d1a54d2ec37407831cc0204112136578d293690d14",
+    "mat2-f2-ref-unital": "2580e2c6d6d43074c564f17507be7e6a802f08d25683912bfe5ace675e771eda",
+    "mat2-f3-gen-unital": "2f1dd77ebe5689951b9e4b38e033c3ed161ad787f7962d7efa9daaaacd7910b7",
+    "mat2-f3-ref": "3ef1a2d91daf1a3f1c20c44029ea3adb08d72daf424231313941fde643bb169d",
+    "mat4-gen": "0e9f6bdf0aa3f02dc3b0af246e08ce85a65b06e540907f6d2eda64ee169dbf6a",
+    "mat4-gen-unital": "4eb3bee15d0055280705742b3bfc911084d8c5123c0f92a809b7e3285dff8dd8",
+    "mat4-ref": "733bb7edc1f81d846976db5affef589f0f7dc64c326e0c8520829aafa677f65c",
+    "mat4-ref-one": "e9e4c14170717246cdf3b8a281aac11282cf56e06a060dc77c3cb0363bbc71f5",
+    "mat4-ref-unital": "902d568c332ce54c1ff453428a0eb2e0fe7321dcf444e7afb60877f95dd20d9e",
+    "octonion-gen": "d500fa66e3c2677f0c3c57d105e94e545f76f50ea462ca79d70ef25cac898d7b",
+    "octonion-gen-unital": "123e44a12afcf85426decd9c6d207b8aaa7b9a928c0d111855842fb517bf3c54",
+    "octonion-ref": "f9d64c0e5dffba9e1ed021aae09bfe60f2b587533a0b60e8786bbb6effa4529a",
+    "octonion-ref-unital": "00a6a074f1e1ef1568bab411eb176dd6cf55f96fb79eec00bdaa8356653f72c8",
 }
 
 

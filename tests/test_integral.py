@@ -291,14 +291,13 @@ def test_bad_primes_factorization_incomplete():
 def test_verify_global_generation_examples():
     pres = normalize_presentation(2, [[2, 0], [0, 3]], [(2, [])], 0)
     rep = verify_global_generation(pres.algebra, [pres.map_element((1, 1))])
-    assert rep.generates and rep.support.primes == () and rep.fiber_checks == ()
+    assert rep.generates and rep.support.primes == ()
 
     A = integral_zero_module((2, 0))
     rep = verify_global_generation(A, [(1, 1)])
     assert not rep.generates
     assert rep.support.primes == (2,)
-    assert rep.fiber_checks == ((2, False),)
-    assert rep.generic_generates
+    assert _lattice_flags(rep) == (True, ((2, False),))
 
     M2 = integral_matrix_algebra(2)
     rep = verify_global_generation(M2, [(0, 0, 0, 1), (0, 1, 1, 0)])
@@ -376,8 +375,14 @@ def test_fiber_coherence_randomized():
         assert gok == (not rep.generic_fail)
 
 
+def _lattice_flags(rep):
+    """(rational fibre generated, (p, fibre at p generated) per bad prime),
+    read off the monomial subgroup: every bad prime's fibre fails."""
+    return not rep.support.generic_fail, tuple((p, False) for p in rep.support.primes)
+
+
 def _closure_flags(A, S):
-    """generic_generates and fiber_checks by fibre closures, as
+    """_lattice_flags by fibre closures, as
     verify_global_generation computed them before the lattice decided them:
     the rational fibre, then the fibre at each bad prime, constants adjoined."""
     vetted = [reduce_element(A.factors, v) for v in S]
@@ -407,10 +412,11 @@ def test_verify_report_consistency_randomized():
         assert rep.generates == (
             not rep.support.generic_fail and rep.support.primes == ()
         )
-        assert (rep.generic_generates, rep.fiber_checks) == _closure_flags(A, S), (A, S)
+        flags = _lattice_flags(rep)
+        assert flags == _closure_flags(A, S), (A, S)
         compared += 1
-        fibres += len(rep.fiber_checks)
-        generic[rep.generic_generates] += 1
+        fibres += len(flags[1])
+        generic[flags[0]] += 1
         constants += any(op.arity == 0 and op.entries for op in A.ops)
         unary += any(op.arity == 1 and op.entries for op in A.ops)
     assert compared >= 200

@@ -35,7 +35,6 @@ from algen.ioformat import (
     lift_certificate_doc,
     local_report_doc,
     MAX_VERIFY_EXHAUSTIVE,
-    MAX_VERIFY_FACTOR_BOUND,
     MAX_VERIFY_TRIALS,
     mingen_report_doc,
     parse_algebra,
@@ -296,34 +295,70 @@ def test_mingen_verify_refuses_costly_budgets(monkeypatch):
 
 
 def test_verify_refuses_costly_factor_bounds(monkeypatch):
+    # Z documents carry no factor bound, so the verifier factors with its own
+    # default; a document that names a bound, however small or large, is
+    # refused as not canonical, and no bound in it reaches factor
     A = integral_zero_module((3, 0))
     parsed = ParsedAlgebra(A)
     elements = ((1, 1),)
     docs = (
-        bad_primes_doc(A, elements, bad_primes(A, elements), 1_000_000),
-        global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000),
-        lift_certificate_doc(A, forster_lift(A, 2), 1_000_000),
+        bad_primes_doc(A, elements, bad_primes(A, elements)),
+        global_generation_doc(A, elements, verify_global_generation(A, elements)),
+        lift_certificate_doc(A, forster_lift(A, 2)),
     )
-    assert MAX_VERIFY_FACTOR_BOUND >= 1_000_000
+    calls = []
+    real = algen.integral.factor
+
+    def spy(n, *args, **kwargs):
+        calls.append((args, kwargs))
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(algen.integral, "factor", spy)
     for doc in docs:
+        assert "factor_bound" not in doc
         assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
-
-    def never(*args, **kwargs):
-        raise AssertionError("factoring must not run")
-
-    monkeypatch.setattr(algen.integral, "factor", never)
-    for doc in docs:
-        for value in (str(MAX_VERIFY_FACTOR_BOUND + 1), "1" + "0" * 40):
+        for value in ("4321", "1000000", "10000001", "1" + "0" * 40):
             hostile = _reload(doc)
             hostile["factor_bound"] = value
             ok, detail = verify_certificate(parsed, hostile)
-            assert not ok and detail.startswith("inconclusive: too costly to verify")
+            assert not ok and not detail.startswith("inconclusive"), (doc["kind"], detail)
+    assert calls and all(call == ((), {}) for call in calls)
+
+
+def test_certificates_are_version_2_and_algebras_stay_version_1():
+    A = integral_zero_module((3, 0))
+    elements = ((1, 1),)
+    alg = split_etale(GF(2), 3)
+    _, cert = is_generating(alg, [(0, 1, 1)])
+    cases = [
+        (ParsedAlgebra(alg), generation_certificate_doc(alg, cert)),
+        (ParsedAlgebra(alg), mingen_report_doc(alg, min_generators(alg), DEFAULT_BUDGET)),
+        (ParsedAlgebra(A), bad_primes_doc(A, elements, bad_primes(A, elements))),
+        (
+            ParsedAlgebra(A),
+            global_generation_doc(A, elements, verify_global_generation(A, elements)),
+        ),
+        (ParsedAlgebra(A), lift_certificate_doc(A, forster_lift(A, 2))),
+    ]
+    for parsed, doc in cases:
+        assert doc["version"] == "2"
+        assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
+        old = _reload(doc)
+        old["version"] = "1"
+        assert verify_certificate(parsed, old) == (
+            False,
+            "malformed certificate: unsupported version '1'",
+        )
+    for algebra in (A, alg):
+        doc = _reload(serialize_algebra(algebra))
+        assert doc["version"] == "1"
+        assert parse_algebra(doc).algebra == algebra
 
 
 def test_verify_proves_region_primes_without_trial_division():
     # trial division up to sqrt(p) takes about a minute for p near 10^18
     A = integral_zero_module((3, 0))
-    doc = _reload(lift_certificate_doc(A, forster_lift(A, 2), 1_000_000))
+    doc = _reload(lift_certificate_doc(A, forster_lift(A, 2)))
     doc["steps"][0]["partition"][0]["region"]["primes"].append("1000000000000000003")
     start = time.perf_counter()
     ok, detail = verify_certificate(ParsedAlgebra(A), doc)
@@ -355,7 +390,7 @@ def test_bad_primes_verify():
     parsed = ParsedAlgebra(A)
     elements = ((1, 2, 3),)
     report = bad_primes(A, elements)
-    doc = bad_primes_doc(A, elements, report, 1_000_000)
+    doc = bad_primes_doc(A, elements, report)
     assert _reload(doc)["report"]["primes"] == ["2"]
     assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
     bad = _reload(doc)
@@ -371,7 +406,7 @@ def test_global_generation_verify():
     parsed = ParsedAlgebra(A)
     elements = ((1, 0), (0, 1))
     report = verify_global_generation(A, elements)
-    doc = global_generation_doc(A, elements, report, 1_000_000)
+    doc = global_generation_doc(A, elements, report)
     assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
     bad = _reload(doc)
     bad["report"]["generates"] = False
@@ -382,20 +417,22 @@ def test_global_generation_verify():
 
 
 def test_verify_refuses_edited_derived_flags():
-    # generic_generates and fiber_checks derive from the subgroup and the
-    # support; parsing skips them, and the canonical re-emission refuses edits
+    # generates derives from the subgroup, and the canonical re-emission
+    # refuses an edit; the flags the support already decides are not part
+    # of the document, and adding them is refused the same way
     A = integral_zero_module((2, 0))
     parsed = ParsedAlgebra(A)
     elements = ((1, 1),)
-    doc = global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000)
-    assert _reload(doc)["report"]["fiber_checks"] == [["2", False]]
+    doc = global_generation_doc(A, elements, verify_global_generation(A, elements))
+    assert sorted(_reload(doc)["report"]) == ["generates", "subgroup", "support"]
     assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
-    lift = lift_certificate_doc(A, forster_lift(A, 2), 1_000_000)
+    lift = lift_certificate_doc(A, forster_lift(A, 2))
     assert verify_certificate(parsed, _reload(lift)) == (True, "ok")
     edits = (
-        lambda report: report.update(generic_generates=not report["generic_generates"]),
-        lambda report: report.update(fiber_checks=[["2", True]]),
-        lambda report: report.update(fiber_checks=[["3", False]]),
+        lambda report: report.update(generates=not report["generates"]),
+        lambda report: report.update(generic_generates=True),
+        lambda report: report.update(fiber_checks=[["2", False]]),
+        lambda report: report.update(fiber_checks=[]),
     )
     for edit in edits:
         for source, key in ((doc, "report"), (lift, "verification")):
@@ -409,10 +446,10 @@ def test_lift_round_trip_and_verify():
     A = integral_zero_module((3, 0))
     parsed = ParsedAlgebra(A)
     cert = forster_lift(A, 2)
-    doc = lift_certificate_doc(A, cert, 1_000_000)
-    back, bound = parse_lift_certificate(_reload(doc))
-    assert back == cert and bound == 1_000_000
-    assert canonical_json(lift_certificate_doc(A, back, bound)) == canonical_json(doc)
+    doc = lift_certificate_doc(A, cert)
+    back = parse_lift_certificate(_reload(doc))
+    assert back == cert
+    assert canonical_json(lift_certificate_doc(A, back)) == canonical_json(doc)
     assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
     # rewriting a subgroup row to another basis of the same lattice is
     # caught by the canonical-form comparison
@@ -438,8 +475,8 @@ def test_verify_reports_short_elements_as_malformed():
     parsed = ParsedAlgebra(A)
     elements = ((1, 2, 3),)
     docs = (
-        bad_primes_doc(A, elements, bad_primes(A, elements), 1_000_000),
-        global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000),
+        bad_primes_doc(A, elements, bad_primes(A, elements)),
+        global_generation_doc(A, elements, verify_global_generation(A, elements)),
     )
     for doc in docs:
         bad = _reload(doc)
@@ -451,7 +488,7 @@ def test_verify_reports_short_elements_as_malformed():
 def test_verify_reports_short_subgroup_rows_as_malformed():
     A = integral_zero_module((3, 0, 0, 0))
     parsed = ParsedAlgebra(A)
-    bad = _reload(lift_certificate_doc(A, forster_lift(A, 4), 1_000_000))
+    bad = _reload(lift_certificate_doc(A, forster_lift(A, 4)))
     bad["verification"]["subgroup"] = [row[:2] for row in bad["verification"]["subgroup"]]
     ok, detail = verify_certificate(parsed, bad)
     assert not ok and detail.startswith("malformed")
@@ -490,8 +527,8 @@ def test_verify_reports_unfactorable_exponent_as_inconclusive(monkeypatch):
     parsed = ParsedAlgebra(A)
     elements = ((1, 2, 3),)
     docs = (
-        bad_primes_doc(A, elements, bad_primes(A, elements), 1_000_000),
-        global_generation_doc(A, elements, verify_global_generation(A, elements), 1_000_000),
+        bad_primes_doc(A, elements, bad_primes(A, elements)),
+        global_generation_doc(A, elements, verify_global_generation(A, elements)),
     )
     for doc in docs:
         bad = _reload(doc)
@@ -501,7 +538,7 @@ def test_verify_reports_unfactorable_exponent_as_inconclusive(monkeypatch):
         assert not ok and detail.startswith("inconclusive: could not factor")
 
     Z = integral_zero_module((3, 0))
-    doc = lift_certificate_doc(Z, forster_lift(Z, 2), 1_000_000)
+    doc = lift_certificate_doc(Z, forster_lift(Z, 2))
 
     def unfactorable(*args):
         raise FactorizationIncomplete(10**25 + 7, (), 10**25 + 7)
@@ -512,22 +549,29 @@ def test_verify_reports_unfactorable_exponent_as_inconclusive(monkeypatch):
 
 
 def test_lift_replay_uses_the_certificate_factor_bound(monkeypatch):
+    # a lift certificate names no factor bound: the replay's bad-prime and
+    # global checks get the algebra and the elements only, and a document
+    # that adds a bound is refused after an otherwise successful replay
     A = integral_zero_module((3, 0))
-    doc = lift_certificate_doc(A, forster_lift(A, 2, factor_bound=4_321), 4_321)
+    doc = _reload(lift_certificate_doc(A, forster_lift(A, 2)))
+    assert "factor_bound" not in doc
     seen = []
 
     def recording(real):
-        def call(A, elements, factor_bound=1_000_000):
-            seen.append((real.__name__, factor_bound))
-            return real(A, elements, factor_bound)
+        def call(*args, **kwargs):
+            seen.append((real.__name__, len(args), kwargs))
+            return real(*args, **kwargs)
 
         return call
 
     for name in ("bad_primes", "verify_global_generation"):
         monkeypatch.setattr(algen.forster, name, recording(getattr(algen.forster, name)))
-    assert verify_certificate(ParsedAlgebra(A), _reload(doc)) == (True, "ok")
-    assert {name for name, _ in seen} == {"bad_primes", "verify_global_generation"}
-    assert {bound for _, bound in seen} == {4_321}
+    assert verify_certificate(ParsedAlgebra(A), copy.deepcopy(doc)) == (True, "ok")
+    assert {name for name, _, _ in seen} == {"bad_primes", "verify_global_generation"}
+    assert all(count == 2 and not kwargs for _, count, kwargs in seen)
+    doc["factor_bound"] = "4321"
+    ok, detail = verify_certificate(ParsedAlgebra(A), doc)
+    assert not ok and "canonical" in detail
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +582,7 @@ def test_lift_replay_uses_the_certificate_factor_bound(monkeypatch):
 @functools.cache
 def _lift_fuzz_case():
     A = integral_zero_module((3, 0))
-    return ParsedAlgebra(A), _reload(lift_certificate_doc(A, forster_lift(A, 2), 1_000_000))
+    return ParsedAlgebra(A), _reload(lift_certificate_doc(A, forster_lift(A, 2)))
 
 
 def _nodes(node, path=()):
@@ -579,7 +623,6 @@ def test_verify_survives_mutated_lift_documents(data):
     parsed, original = _lift_fuzz_case()
     assert verify_certificate(parsed, copy.deepcopy(original)) == (True, "ok")
     doc = copy.deepcopy(original)
-    touched_bound = False
     for _ in range(data.draw(st.integers(1, 2), label="mutations")):
         kind = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="kind")
         paths = [path for path, value in _nodes(doc) if _MUTATIONS[kind](path, value)]
@@ -599,11 +642,9 @@ def test_verify_survives_mutated_lift_documents(data):
             parent[key] = value + [copy.deepcopy(extra)]
         else:
             parent[key] = data.draw(st.sampled_from(_HOSTILE_INTS))
-        touched_bound = touched_bound or path[0] == "factor_bound"
     result = verify_certificate(parsed, doc)
     assert isinstance(result, tuple) and len(result) == 2
     ok, detail = result
     assert isinstance(ok, bool) and isinstance(detail, str)
-    # the factor bound is a claim parameter: another bound is another claim
-    if doc != original and not touched_bound:
+    if doc != original:
         assert not ok, f"accepted a mutated document: {detail}"
