@@ -33,14 +33,47 @@ _WITNESS_PRIME = 2**31 - 1
 class OperationTensor:
     """Sparse k-multilinear map on basis indices.
 
-    entries maps are stored canonically: index tuples ascending, and for each
-    index tuple the (output index, coefficient) pairs ascending with zero
-    coefficients dropped.  Arity 0 encodes a constant vector under the empty
-    index tuple.
+    entries are stored in the form canonical_tensor builds: index tuples
+    ascending, and for each index tuple the (output index, coefficient)
+    pairs ascending with zero coefficients dropped.  Arity 0 encodes a
+    constant vector under the empty index tuple.
     """
 
     arity: int
     entries: tuple[tuple[tuple[int, ...], tuple[tuple[int, Scalar], ...]], ...]
+
+
+def canonical_tensor(
+    dim: int,
+    arity: int,
+    triples: Iterable[tuple[Sequence[int], int, object]],
+    vet,
+    moduli: Sequence[int],
+) -> OperationTensor:
+    """The one canonical form of a tensor, from (index tuple, output index,
+    coefficient) triples: arity and index ranges checked, each coefficient
+    vetted by vet, coefficients of the same entry summed and the sum into
+    coordinate l reduced mod moduli[l] (0 for none), index tuples and
+    outputs ascending, zero coefficients dropped."""
+    if arity < 0:
+        raise ValueError("arity must be nonnegative")
+    acc: dict[tuple[int, ...], dict[int, object]] = {}
+    for idx, out, coeff in triples:
+        idx = tuple(int(i) for i in idx)
+        if len(idx) != arity:
+            raise ValueError(f"index tuple {idx} does not match arity {arity}")
+        out = int(out)
+        if any(not 0 <= i < dim for i in idx) or not 0 <= out < dim:
+            raise ValueError(f"tensor index out of range for dimension {dim}")
+        row = acc.setdefault(idx, {})
+        row[out] = row.get(out, 0) + vet(coeff)
+    entries = []
+    for idx in sorted(acc):
+        reduced = ((l, c % moduli[l] if moduli[l] else c) for l, c in sorted(acc[idx].items()))
+        outs = tuple((l, c) for l, c in reduced if c)
+        if outs:
+            entries.append((idx, outs))
+    return OperationTensor(arity=arity, entries=tuple(entries))
 
 
 def make_tensor(
@@ -49,25 +82,9 @@ def make_tensor(
     arity: int,
     triples: Iterable[tuple[Sequence[int], int, object]],
 ) -> OperationTensor:
-    """Build a canonical tensor from (index tuple, output index, coefficient) triples."""
-    if arity < 0:
-        raise ValueError("arity must be nonnegative")
-    acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for idx, out, coeff in triples:
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != arity:
-            raise ValueError(f"index tuple {idx} does not match arity {arity}")
-        if any(not 0 <= i < dim for i in idx) or not 0 <= int(out) < dim:
-            raise ValueError(f"tensor index out of range for dimension {dim}")
-        row = acc.setdefault(idx, {})
-        out = int(out)
-        row[out] = field.add(row.get(out, field.zero), field.coerce(coeff))
-    entries = []
-    for idx in sorted(acc):
-        outs = tuple((l, c) for l, c in sorted(acc[idx].items()) if c != field.zero)
-        if outs:
-            entries.append((idx, outs))
-    return OperationTensor(arity=arity, entries=tuple(entries))
+    """Canonical tensor over a field: coefficients coerced into the field,
+    sums reduced % p over F_p."""
+    return canonical_tensor(dim, arity, triples, field.coerce, (field.char,) * dim)
 
 
 def eval_tensor(op: OperationTensor, dim: int, args) -> list:
@@ -200,9 +217,11 @@ class ElementAPI:
 class Multialgebra(ElementAPI):
     """Finite-dimensional algebra given by structure constants.
 
-    Immutable; construction validates index ranges, the designated-product
-    arity, and (when flagged) the unit and involution laws on basis tuples,
-    which suffices by multilinearity.
+    Immutable; construction validates the designated-product arity and
+    (when flagged) the unit and involution laws on basis tuples, which
+    suffices by multilinearity.  Index ranges are checked where tensors are
+    made, by make_tensor and so by the document parser: a hand-built
+    OperationTensor with an index >= dim is not caught here.
     """
 
     field: Field

@@ -88,14 +88,8 @@ class ConstructibleSet:
 
     # -- set algebra ---------------------------------------------------------
 
-    def union(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        if self.cofinite and other.cofinite:
-            return ConstructibleSet(True, self.primes & other.primes)
-        if self.cofinite:
-            return ConstructibleSet(True, self.primes - other.primes)
-        if other.cofinite:
-            return ConstructibleSet(True, other.primes - self.primes)
-        return ConstructibleSet(False, self.primes | other.primes)
+    def complement(self) -> "ConstructibleSet":
+        return ConstructibleSet(not self.cofinite, self.primes)
 
     def intersection(self, other: "ConstructibleSet") -> "ConstructibleSet":
         if self.cofinite and other.cofinite:
@@ -106,14 +100,11 @@ class ConstructibleSet:
             return ConstructibleSet(False, self.primes - other.primes)
         return ConstructibleSet(False, self.primes & other.primes)
 
+    def union(self, other: "ConstructibleSet") -> "ConstructibleSet":
+        return self.complement().intersection(other.complement()).complement()
+
     def difference(self, other: "ConstructibleSet") -> "ConstructibleSet":
-        if self.cofinite and other.cofinite:
-            return ConstructibleSet(False, other.primes - self.primes)
-        if self.cofinite:
-            return ConstructibleSet(True, self.primes | other.primes)
-        if other.cofinite:
-            return ConstructibleSet(False, self.primes & other.primes)
-        return ConstructibleSet(False, self.primes - other.primes)
+        return self.intersection(other.complement())
 
     # -- enumeration ---------------------------------------------------------
 

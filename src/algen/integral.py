@@ -24,6 +24,7 @@ from .algebra import (
     ElementAPI,
     Multialgebra,
     OperationTensor,
+    canonical_tensor,
     check_roles,
     eval_tensor,
     # unused here, but perfbench/tracing.py wraps this binding by name
@@ -40,15 +41,16 @@ from .intmat import (
 )
 
 
+def _int_scalar(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"integer coordinate required, got {x!r}")
+    return x
+
+
 def _int_vector(v: Sequence[int], m: int) -> tuple[int, ...]:
     if len(v) != m:
         raise ValueError(f"vector length {len(v)} != module rank {m}")
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"integer coordinate required, got {x!r}")
-        out.append(x)
-    return tuple(out)
+    return tuple(_int_scalar(x) for x in v)
 
 
 def reduce_element(factors: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
@@ -67,32 +69,7 @@ def make_z_tensor(
     triples: Iterable[tuple[Sequence[int], int, int]],
 ) -> OperationTensor:
     """Canonical integer tensor: coefficients into coordinate l reduced mod d_l."""
-    if arity < 0:
-        raise ValueError("arity must be nonnegative")
-    m = len(factors)
-    acc: dict[tuple[int, ...], dict[int, int]] = {}
-    for idx, out, coeff in triples:
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != arity:
-            raise ValueError(f"index tuple {idx} does not match arity {arity}")
-        if any(not 0 <= i < m for i in idx) or not 0 <= int(out) < m:
-            raise ValueError(f"tensor index out of range for rank {m}")
-        if isinstance(coeff, bool) or not isinstance(coeff, int):
-            raise ValueError(f"integer coefficient required, got {coeff!r}")
-        row = acc.setdefault(idx, {})
-        out = int(out)
-        row[out] = row.get(out, 0) + coeff
-    entries = []
-    for idx in sorted(acc):
-        outs = []
-        for l, c in sorted(acc[idx].items()):
-            d = factors[l]
-            c = c % d if d else c
-            if c:
-                outs.append((l, c))
-        if outs:
-            entries.append((idx, tuple(outs)))
-    return OperationTensor(arity=arity, entries=tuple(entries))
+    return canonical_tensor(len(factors), arity, triples, _int_scalar, factors)
 
 
 @dataclass(frozen=True)

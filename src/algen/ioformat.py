@@ -682,6 +682,8 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
 
         if kind == "mingen":
             _require_kind(parsed, False, kind)
+            if parsed.algebra.field.order is None:
+                raise FormatError("a mingen certificate needs an algebra over a finite field")
             budget = parse_budget(doc.get("budget"))
             unital = doc.get("unital")
             if not isinstance(unital, bool):

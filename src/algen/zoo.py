@@ -10,18 +10,10 @@ exists, and by seeded search for the Albert algebra.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from fractions import Fraction
 
-from .algebra import Element, Multialgebra, OperationTensor, make_tensor
-from .fields import Field, GF, QQ, Scalar
-
-
-def _scale(field: Field, c: Scalar, v: Sequence[Scalar]) -> tuple:
-    return tuple(field.mul(c, x) for x in v)
-
-
-def _add_vec(field: Field, u, v) -> tuple:
-    return tuple(field.add(x, y) for x, y in zip(u, v))
+from .algebra import Element, Multialgebra, OperationTensor, eval_tensor, make_tensor
+from .fields import Field, GF, QQ
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +185,8 @@ def cayley_dickson(alg: Multialgebra, mu) -> Multialgebra:
             v = alg.product(basis[i], conj[k])
             triples.extend(((r + i, k), r + l, c) for l, c in enumerate(v) if c != field.zero)
             # (0, e_i)(0, e_k) = (mu conj(e_k) e_i, 0)
-            v = _scale(field, mu, alg.product(conj[k], basis[i]))
-            triples.extend(((r + i, r + k), l, c) for l, c in enumerate(v) if c != field.zero)
+            v = alg.product(conj[k], basis[i])
+            triples.extend(((r + i, r + k), l, mu * c) for l, c in enumerate(v) if c != field.zero)
     product = make_tensor(field, 2 * r, 2, triples)
 
     e = alg.unit_vector()
@@ -239,123 +231,65 @@ def octonion_generators(field: Field) -> tuple[Element, Element, Element]:
 # ---------------------------------------------------------------------------
 
 
-class _ProductTable:
-    """Bilinear product on small vectors via a precomputed basis table."""
-
-    def __init__(self, alg: Multialgebra, op_index: int):
-        self.field = alg.field
-        self.dim = alg.dim
-        basis = [
-            tuple(alg.field.one if k == i else alg.field.zero for k in range(alg.dim))
-            for i in range(alg.dim)
-        ]
-        self.table = [[alg.evaluate(op_index, (basis[i], basis[j])) for j in range(alg.dim)] for i in range(alg.dim)]
-
-    def mul(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-        field = self.field
-        zero = field.zero
-        out = [zero] * self.dim
-        for i, x in enumerate(u):
-            if x == zero:
-                continue
-            row = self.table[i]
-            for j, y in enumerate(v):
-                if y == zero:
-                    continue
-                c = field.mul(x, y)
-                for l, t in enumerate(row[j]):
-                    if t != zero:
-                        out[l] = field.add(out[l], field.mul(c, t))
-        return tuple(out)
-
-
 def albert(field: Field) -> Multialgebra:
     """Hermitian 3x3 matrices over the split octonions with Jordan product.
 
     Coordinates: 3 diagonal scalars, then the octonion entries at positions
     (1,2), (1,3), (2,3), giving 3 + 3*8 = 27.  The product is
-    x o y = (xy + yx)/2, with the structure tensor synthesized from the
-    octonion tensor by expanding the Hermitian matrix product on basis
-    pairs.  Requires characteristic != 2.
+    x o y = (xy + yx)/2.  The split octonions have integer structure
+    constants, so 2(x o y) = xy + yx is computed once per pair of basis
+    matrices in integers with eval_tensor, checked to be Hermitian with a
+    scalar diagonal, and halved by make_tensor in the target field.  The
+    same integers serve Q and every F_p; requires characteristic != 2.
     """
     if field.char == 2:
         raise ValueError("Albert algebra needs characteristic != 2")
-    oct_alg = split_octonion(field)
-    mul = _ProductTable(oct_alg, oct_alg.product_index)
-    conj_table = [
-        oct_alg.involution(tuple(field.one if k == i else field.zero for k in range(8)))
-        for i in range(8)
-    ]
-    unit_o = oct_alg.unit_vector()
-    zero_o = (field.zero,) * 8
-    half = field.inv(field.coerce(2))
+    # the octonion structure constants are integers: read them as ints
+    mul, unit, sigma = (
+        OperationTensor(op.arity, tuple((idx, tuple((l, int(c)) for l, c in outs)) for idx, outs in op.entries))
+        for op in split_octonion(QQ).ops
+    )
+    one = eval_tensor(unit, 8, ())
+    zero = [0] * 8
 
-    def conj(v):
-        out = [field.zero] * 8
-        for i, x in enumerate(v):
-            if x != field.zero:
-                for l, c in enumerate(conj_table[i]):
-                    if c != field.zero:
-                        out[l] = field.add(out[l], field.mul(x, c))
-        return tuple(out)
+    def conj(x):
+        return eval_tensor(sigma, 8, (x,))
 
     offs = ((0, 1), (0, 2), (1, 2))
-
-    def to_matrix(v27):
-        m = [[zero_o] * 3 for _ in range(3)]
-        for i in range(3):
-            m[i][i] = _scale(field, v27[i], unit_o)
-        for slot, (i, j) in enumerate(offs):
-            entry = tuple(v27[3 + 8 * slot + t] for t in range(8))
-            m[i][j] = entry
-            m[j][i] = conj(entry)
-        return m
-
-    def from_matrix(m):
-        coords = []
-        for i in range(3):
-            alpha = m[i][i][0]
-            if m[i][i] != _scale(field, alpha, unit_o):
-                raise AssertionError("diagonal entry is not scalar")
-            coords.append(alpha)
-        for slot, (i, j) in enumerate(offs):
-            if m[j][i] != conj(m[i][j]):
-                raise AssertionError("matrix is not Hermitian")
-            coords.extend(m[i][j])
-        return coords
-
-    def matmul(x, y):
-        out = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = zero_o
-                for k in range(3):
-                    if any(c != field.zero for c in x[i][k]) and any(c != field.zero for c in y[k][j]):
-                        acc = _add_vec(field, acc, mul.mul(x[i][k], y[k][j]))
-                out[i][j] = acc
-        return out
-
-    def basis27(a):
-        v = [field.zero] * 27
-        v[a] = field.one
-        return v
+    # each basis matrix as its nonzero entries (row, column, octonion)
+    basis = [[(i, i, one)] for i in range(3)]
+    for i, j in offs:
+        for t in range(8):
+            e = [int(k == t) for k in range(8)]
+            basis.append([(i, j, e), (j, i, conj(e))])
 
     triples = []
-    mats = [to_matrix(basis27(a)) for a in range(27)]
     for a in range(27):
         for b in range(a, 27):
-            xy = matmul(mats[a], mats[b])
-            yx = matmul(mats[b], mats[a])
-            sym = [
-                [_scale(field, half, _add_vec(field, xy[i][j], yx[i][j])) for j in range(3)]
-                for i in range(3)
-            ]
-            w = from_matrix(sym)
+            m = {}  # xy + yx by matrix position
+            for x, y in ((basis[a], basis[b]), (basis[b], basis[a])):
+                for i, k, u in x:
+                    for k2, j, v in y:
+                        if k == k2:
+                            acc = m.setdefault((i, j), [0] * 8)
+                            for l, c in enumerate(eval_tensor(mul, 8, (u, v))):
+                                acc[l] += c
+            w = []
+            for i in range(3):
+                d = m.get((i, i), zero)
+                # the unit's coordinate 0 is 1, so d[0] is the scalar
+                if d != [d[0] * c for c in one]:
+                    raise AssertionError("diagonal entry is not scalar")
+                w.append(d[0])
+            for i, j in offs:
+                if m.get((j, i), zero) != conj(m.get((i, j), zero)):
+                    raise AssertionError("matrix is not Hermitian")
+                w.extend(m.get((i, j), zero))
             for l, c in enumerate(w):
-                if c != field.zero:
-                    triples.append(((a, b), l, c))
+                if c:
+                    triples.append(((a, b), l, Fraction(c, 2)))
                     if a != b:
-                        triples.append(((b, a), l, c))
+                        triples.append(((b, a), l, Fraction(c, 2)))
     product = make_tensor(field, 27, 2, triples)
     unit = make_tensor(field, 27, 0, [((), i, 1) for i in range(3)])
     return Multialgebra(field=field, dim=27, ops=(product, unit), product_index=0, unit_index=1)

@@ -1,11 +1,13 @@
-"""Golden outputs: the canonical stdout documents of `check` are pinned by sha256.
+"""Golden outputs: the canonical stdout documents of `check` and `zoo` are pinned by sha256.
 
 The hashes were taken from the CLI before the arithmetic kernels were
 rewritten; any change to the closure kernel, the evaluator or the row
 reducer must leave every document byte-identical.  A deliberate format
 change bumps CERTIFICATE_VERSION and re-pins them: the pins are of
 certificate version "2", and each document with its version set back to
-"1" hashes to the version 1 pin it replaced.
+"1" hashes to the version 1 pin it replaced.  The `zoo` pins were taken
+before the Albert and Cayley-Dickson builders were rewritten in integers;
+algebra documents carry ALGEBRA_VERSION "1".
 """
 
 import hashlib
@@ -120,6 +122,17 @@ DIGESTS = {
     "octonion-ref-unital": "00a6a074f1e1ef1568bab411eb176dd6cf55f96fb79eec00bdaa8356653f72c8",
 }
 
+# sha256 of the stdout of `algen zoo <family> --field <field>`
+ZOO_DIGESTS = {
+    ("albert", "F3"): "349ed816d410431aa8d96398e731e02b992f3793b2332b585b6d5c3ea7c1fcd7",
+    ("albert", "F5"): "5de85c0841f5cae89ff41c3d1d961bc6b17b03cceb339fcaa7506efced30fb4c",
+    ("albert", "F7"): "699742ffd9db56f33a84d92b4650f433fad846830047720078c40f1f6b95e1e7",
+    ("albert", "Q"): "bc658d1c46bb8cd31eccd6442131b5a7ae1caba01832af6fabd48b960368f004",
+    ("octonion", "F3"): "5f214a96fbc356bf01b53706edbf33fbc1fbcd8a86c6c44b883eb11fbe9b17f9",
+    ("octonion", "Q"): "173c6cdf9ec80be09edb8288a258509aedf8d4e44715ad0e1c2070f09cc53bb2",
+    ("quaternion", "Q"): "f61ba80074612a5e7d8af6715db968b0aa565109788ac114e67c737611e184fa",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -150,3 +163,10 @@ def test_check_output_is_byte_identical(case, algebra_paths, capsys):
     doc = json.loads(out)
     assert code == (0 if doc["closure_dim"] == doc["ambient_dim"] else 1)
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[case]
+
+
+@pytest.mark.parametrize("family, field", sorted(ZOO_DIGESTS))
+def test_zoo_output_is_byte_identical(family, field, capsys):
+    code, out = run(capsys, "zoo", family, "--field", field)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZOO_DIGESTS[family, field]

@@ -271,6 +271,17 @@ def test_mingen_verify():
     assert verify_certificate(parsed, bad)[0] is False
 
 
+def test_mingen_verify_over_q_is_malformed_not_raised():
+    # an F_2 report re-addressed to a Q algebra: the exhaustive search cannot
+    # run over Q, and the verifier refuses the document instead of raising
+    alg = split_etale(GF(2), 3)
+    doc = mingen_report_doc(alg, min_generators(alg, DEFAULT_BUDGET), DEFAULT_BUDGET)
+    q_alg = split_etale(QQ, 3)
+    doc["algebra_sha256"] = algebra_hash(q_alg)
+    ok, detail = verify_certificate(ParsedAlgebra(q_alg), _reload(doc))
+    assert not ok and detail.startswith("malformed certificate:")
+
+
 def test_mingen_verify_refuses_costly_budgets(monkeypatch):
     alg = split_etale(GF(2), 3)
     parsed = ParsedAlgebra(alg)
