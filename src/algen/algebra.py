@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .fields import QQ, Field, Scalar, validate_vector
-from .linalg import EchelonBasis, RowReducer
+from .linalg import RowReducer
 
 Element = tuple[Scalar, ...]
 
@@ -217,11 +216,10 @@ class ElementAPI:
 class Multialgebra(ElementAPI):
     """Finite-dimensional algebra given by structure constants.
 
-    Immutable; construction validates the designated-product arity and
-    (when flagged) the unit and involution laws on basis tuples, which
-    suffices by multilinearity.  Index ranges are checked where tensors are
-    made, by make_tensor and so by the document parser: a hand-built
-    OperationTensor with an index >= dim is not caught here.
+    Immutable; construction checks that each index tuple matches its
+    tensor's arity and every index lies in range(dim), the designated-product
+    arity, and (when flagged) the unit and involution laws on basis tuples,
+    which suffices by multilinearity.
     """
 
     field: Field
@@ -234,6 +232,14 @@ class Multialgebra(ElementAPI):
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
+        for op in self.ops:
+            # a scan, not canonical_tensor again: parsed tensors passed it already
+            if any(len(idx) != op.arity for idx, _ in op.entries):
+                raise ValueError(f"index tuple does not match arity {op.arity}")
+            used = {i for idx, _ in op.entries for i in idx}
+            used.update(l for _, outs in op.entries for l, _ in outs)
+            if used and not (0 <= min(used) and max(used) < self.dim):
+                raise ValueError(f"tensor index out of range for dimension {self.dim}")
         p = self.field.char
         check_roles(
             self.ops,
@@ -281,7 +287,7 @@ def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool):
     """Close the span of rows under all operations; returns (span, monomial count).
 
     The span is a RowReducer over F_p and a _RationalSpan over Q; both have
-    dim and snapshot().  The seed is the rows, plus the arity-0 constants
+    dim and rows.  The seed is the rows, plus the arity-0 constants
     when unital.  One straight-line loop keeps a list of generators: first
     the seed vectors that enlarged the span, then every operation value that
     enlarged it.  Generator j is combined with the index tuples that contain
@@ -383,8 +389,7 @@ class _RationalSpan:
     P the span of integer vectors reduced mod P as its RREF over F_P.
 
     rows[i] is delta * R_i for the RREF rows R_i (pivot pivots[i]); delta is
-    the lcm of their denominators over Q, so the snapshot is exactly the RREF
-    a RowReducer over Q would hold, and 1 mod P.  A vector u lies in the
+    the lcm of their denominators over Q, and 1 mod P.  A vector u lies in the
     span iff delta * u[k] = sum_i u[pivots[i]] * rows[i][k] (mod P) for
     every non-pivot column k, the only candidate combination being sum_i
     u[pivots[i]] R_i.  Test and insert are scale-invariant, so u may be any
@@ -457,14 +462,6 @@ class _RationalSpan:
         self.pivots.insert(at, q)
         self._equations()
 
-    def snapshot(self) -> EchelonBasis:
-        return EchelonBasis(
-            field=QQ,
-            width=self.width,
-            rows=tuple(tuple(Fraction(x, self.delta) for x in row) for row in self.rows),
-            pivots=tuple(self.pivots),
-        )
-
 
 @dataclass(frozen=True)
 class GenerationCertificate:
@@ -489,17 +486,6 @@ class GenerationCertificate:
     @property
     def generates(self) -> bool:
         return self.closure_dim == self.ambient_dim
-
-
-def closure(alg: Multialgebra, seed: Iterable[Sequence[Scalar]], unital: bool = False) -> EchelonBasis:
-    """Canonical basis of the smallest subalgebra containing the seed.
-
-    With unital set, all arity-0 constants are adjoined; without it they are
-    excluded and the non-unital subalgebra is computed.
-    """
-    rows = [validate_vector(alg.field, v, alg.dim) for v in seed]
-    span, _ = _closure_reducer(alg, rows, unital)
-    return span.snapshot()
 
 
 def is_generating(

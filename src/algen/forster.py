@@ -110,22 +110,14 @@ class ConstructibleSet:
 
     def smallest(self) -> int:
         """Least member; the canonical representative of a cofinite region."""
-        members = self.smallest_members(1)
-        if not members:
+        if self.is_empty:
             raise ValueError("empty set has no smallest member")
-        return members[0]
-
-    def smallest_members(self, k: int) -> tuple[int, ...]:
-        """The k least members (fewer if a finite set runs out)."""
         if not self.cofinite:
-            return tuple(sorted(self.primes)[:k])
-        found = []
+            return min(self.primes)
         candidate = 2
-        while len(found) < k:
-            if proved_prime(candidate) and candidate not in self.primes:
-                found.append(candidate)
+        while not proved_prime(candidate) or candidate in self.primes:
             candidate += 1
-        return tuple(found)
+        return candidate
 
 
 def finite_set(primes) -> ConstructibleSet:

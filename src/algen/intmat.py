@@ -52,24 +52,6 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Euclidean residual of v against the basis (floor division)."""
-        if len(v) != self.ambient:
-            raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
-        work = [int(x) for x in v]
-        for row, c in zip(self.rows, self.pivots):
-            q = work[c] // row[c]
-            if q:
-                for k in range(c, self.ambient):
-                    work[k] -= q * row[k]
-        return tuple(work)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-    def __contains__(self, v) -> bool:
-        return self.contains(v)
-
     def is_full(self) -> bool:
         """True iff the subgroup is all of Z^ambient."""
         return self.rank == self.ambient and all(
@@ -136,15 +118,14 @@ def lattice_from_vectors(vectors: Iterable[Sequence[int]], ambient: int) -> Inte
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U A V = diag(d_1..d_k) embedded in the m x n shape.
+    """U A V = diag(d_1..d_k) embedded in the shape of A, for a unimodular U
+    that is not kept.
 
-    d_1 | d_2 | ... | d_k, all nonnegative, zeros last; U (m x m) and
-    V (n x n) are unimodular, and right_inverse is V^-1.
+    d_1 | d_2 | ... | d_k, all nonnegative, zeros last; V (n x n) is
+    unimodular, and right_inverse is V^-1.
     """
 
-    shape: tuple[int, int]
     diag: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
     right_inverse: tuple[tuple[int, ...], ...]
 
@@ -160,13 +141,9 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     n = len(A[0]) if m else 0
     if m and any(len(r) != n for r in A):
         raise ValueError("ragged matrix")
-    U = _identity(m)
     V = _identity(n)
     W = _identity(n)  # V^-1: a column operation on V is a row operation on W
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+    # row operations act on A alone: no caller reads U
 
     def swap_cols(i, j):
         for row in A:
@@ -175,11 +152,6 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
         W[i], W[j] = W[j], W[i]
 
-    def row_sub(i, j, q):
-        # row i -= q * row j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
     def col_sub(i, j, q):
         # col i -= q * col j
         for row in A:
@@ -187,10 +159,6 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
         for row in V:
             row[i] -= q * row[j]
         W[j] = [a + q * b for a, b in zip(W[j], W[i])]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
 
     t = 0
     end = min(m, n)
@@ -205,17 +173,16 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
                     pos, best = (i, j), a
         if pos is None:
             break
-        if pos[0] != t:
-            swap_rows(t, pos[0])
+        A[t], A[pos[0]] = A[pos[0]], A[t]
         if pos[1] != t:
             swap_cols(t, pos[1])
         if A[t][t] < 0:
-            negate_row(t)
+            A[t] = [-a for a in A[t]]
         clean = True
         for i in range(t + 1, m):
             if A[i][t]:
                 q = A[i][t] // A[t][t]
-                row_sub(i, t, q)
+                A[i] = [a - q * b for a, b in zip(A[i], A[t])]
                 if A[i][t]:
                     clean = False
         for j in range(t + 1, n):
@@ -237,15 +204,13 @@ def snf(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
             if bad is not None:
                 break
         if bad is not None:
-            row_sub(t, bad, -1)  # row t += row bad
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
             continue
         t += 1
 
     diag = tuple(A[i][i] for i in range(end))
     return SmithDecomposition(
-        shape=(m, n),
         diag=diag,
-        left=tuple(tuple(r) for r in U),
         right=tuple(tuple(r) for r in V),
         right_inverse=tuple(tuple(r) for r in W),
     )

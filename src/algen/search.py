@@ -179,10 +179,6 @@ class CompletionResult:
     certificate: Optional[GenerationCertificate]
     tested: int
 
-    @property
-    def first(self) -> Optional[Element]:
-        return self.extension[0] if self.extension else None
-
 
 def completable(
     alg: Multialgebra,

@@ -1,12 +1,17 @@
 """Oracles and algebras that several test modules share and no library
-code needs: trial-division primality, and the non-split etale forms
-F_p[x]/(f) of the split etale algebras."""
+code needs: trial-division primality, spans and lattices computed by sympy,
+and the non-split etale forms F_p[x]/(f) of the split etale algebras."""
 
 import itertools
+from fractions import Fraction
 from typing import Sequence
 
-from algen.algebra import Multialgebra, make_tensor
-from algen.fields import GF
+import sympy
+from sympy.matrices.normalforms import hermite_normal_form
+from sympy.polys.matrices import DomainMatrix
+
+from algen.algebra import Multialgebra, _closure_reducer, make_tensor
+from algen.fields import GF, validate_vector
 
 
 def is_prime(n: int) -> bool:
@@ -27,6 +32,45 @@ def is_prime(n: int) -> bool:
         f += step
         step = 6 - step
     return True
+
+
+def span_basis(field, rows) -> tuple:
+    """sympy's RREF basis of the row span: over F_p by DomainMatrix over
+    GF(p), entries in [0, p) (rows may hold any integers); over Q by
+    Matrix.rref, entries Fractions."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return ()
+    if field.char:
+        p = field.char
+        reduced, pivots = DomainMatrix.from_list(rows, sympy.GF(p)).rref()
+        out = [[int(x) % p for x in row] for row in reduced.to_list()]
+    else:
+        reduced, pivots = sympy.Matrix(rows).rref()
+        out = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(pivots))]
+    return tuple(tuple(row) for row in out[: len(pivots)])
+
+
+def span_contains(field, basis, vectors) -> bool:
+    """Every vector lies in the span of basis (a span_basis result)."""
+    return span_basis(field, [*basis, *vectors]) == tuple(basis)
+
+
+def closure_basis(alg, seed, unital=False) -> tuple:
+    """span_basis of the subalgebra generated by seed, as the closure kernel
+    algebra._closure_reducer leaves it."""
+    rows = [validate_vector(alg.field, v, alg.dim) for v in seed]
+    span, _ = _closure_reducer(alg, rows, unital)
+    return span_basis(alg.field, span.rows)
+
+
+def lattice_contains(lat, v) -> bool:
+    """v lies in the lattice iff adding it as a column leaves sympy's
+    (column-style) Hermite normal form of the basis unchanged."""
+    if not lat.rows:
+        return not any(v)
+    basis = sympy.Matrix(lat.rows).T
+    return hermite_normal_form(basis.row_join(sympy.Matrix(list(v)))) == hermite_normal_form(basis)
 
 
 def _poly_trim(coeffs: list[int]) -> list[int]:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from algen.algebra import (
     GenerationCertificate,
     Multialgebra,
+    OperationTensor,
     _WITNESS_PRIME,
-    closure,
     is_generating,
     make_tensor,
     replay_certificate,
@@ -20,7 +20,6 @@ from algen.algebra import (
 from algen.fields import GF, QQ, validate_vector
 from algen.integral import IntegralAlgebra, make_z_tensor
 from algen.ioformat import canonical_json, generation_certificate_doc
-from algen.linalg import rref
 from algen.zoo import (
     albert,
     albert_generators,
@@ -32,7 +31,7 @@ from algen.zoo import (
     split_octonion,
     zero_algebra,
 )
-from support import field_extension_etale
+from support import closure_basis, field_extension_etale, span_basis, span_contains
 
 P = _WITNESS_PRIME
 
@@ -88,6 +87,22 @@ def test_tensor_validation():
     assert t.entries == ()
 
 
+def test_hand_built_tensor_indices_are_checked():
+    # make_tensor checks ranges; a tensor built by hand is checked by the
+    # algebra, so closures never index past dim
+    prod = make_tensor(GF(2), 2, 2, [((0, 0), 0, 1)])
+    for bad in (
+        OperationTensor(2, (((0, 5), ((0, 1),)),)),
+        OperationTensor(2, (((0, 1), ((2, 1),)),)),
+        OperationTensor(2, (((-1, 0), ((0, 1),)),)),
+        OperationTensor(2, (((0,), ((0, 1),)),)),
+    ):
+        for ops in ((bad,), (prod, bad)):
+            with pytest.raises(ValueError):
+                Multialgebra(field=GF(2), dim=2, ops=ops, product_index=0)
+    Multialgebra(field=GF(2), dim=2, ops=(prod, OperationTensor(1, ())), product_index=0)
+
+
 def test_designation_validation():
     prod = make_tensor(GF(2), 1, 2, [((0, 0), 0, 1)])
     bad_unit = make_tensor(GF(2), 1, 0, [])  # zero constant is no unit
@@ -108,33 +123,27 @@ def test_closure_zero_product_is_span():
     A = zero_algebra(GF(3), 4)
     for _ in range(20):
         seed = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(rng.randint(0, 3))]
-        got = closure(A, seed)
-        if seed:
-            assert got.rows == rref(GF(3), seed).rows
-        else:
-            assert got.dim == 0
+        assert closure_basis(A, seed) == span_basis(GF(3), seed)
 
 
 def test_closure_matrix_pair_dimension_four():
     A = matrix_algebra(GF(2), 2)
-    got = closure(A, [(1, 0, 0, 0), (0, 1, 1, 0)])
-    assert got.dim == 4
+    got = closure_basis(A, [(1, 0, 0, 0), (0, 1, 1, 0)])
+    assert len(got) == 4
 
 
 def test_closure_idempotent_element():
     A = split_etale(GF(2), 2)
-    got = closure(A, [(1, 0)])
-    assert got.rows == ((1, 0),)
+    assert closure_basis(A, [(1, 0)]) == ((1, 0),)
 
 
 def test_closure_unital_flag():
     A = split_etale(GF(3), 2)
-    assert closure(A, []).dim == 0
-    unital = closure(A, [], unital=True)
-    assert unital.rows == ((1, 1),)
+    assert closure_basis(A, []) == ()
+    assert closure_basis(A, [], unital=True) == ((1, 1),)
     # (1, 2) is invertible-diagonal; with the unit it still closes to everything
-    assert closure(A, [(1, 2)], unital=True).dim == 2
-    assert closure(A, [(1, 2)]).dim == 2
+    assert len(closure_basis(A, [(1, 2)], unital=True)) == 2
+    assert len(closure_basis(A, [(1, 2)])) == 2
 
 
 def test_is_generating_basics():
@@ -243,21 +252,20 @@ def test_closure_properties_random():
         for _ in range(8):
             s = random_elements(rng, alg, rng.randint(1, 2))
             t = random_elements(rng, alg, 1)
-            small = closure(alg, s)
-            big = closure(alg, s + t)
+            f = alg.field
+            small = closure_basis(alg, s)
+            big = closure_basis(alg, s + t)
             # monotone and extensive
-            assert all(big.contains(row) for row in small.rows)
-            assert all(small.contains(v) for v in s)
+            assert span_contains(f, big, small)
+            assert span_contains(f, small, s)
             # idempotent
-            again = closure(alg, [list(r) for r in small.rows])
-            assert again.rows == small.rows
-            assert small.dim <= alg.dim
+            assert closure_basis(alg, small) == small
+            assert len(small) <= alg.dim
             # unital coherence
-            non_unital = closure(alg, s)
-            unital = closure(alg, s, unital=True)
-            assert all(unital.contains(row) for row in non_unital.rows)
-            if alg.unit_index is not None and non_unital.contains(alg.unit_vector()):
-                assert unital.rows == non_unital.rows
+            unital = closure_basis(alg, s, unital=True)
+            assert span_contains(f, unital, small)
+            if alg.unit_index is not None and span_contains(f, small, [alg.unit_vector()]):
+                assert unital == small
 
 
 def test_scaling_and_supertuple_invariance():
@@ -301,7 +309,7 @@ def _basis(field, dim, i):
 
 
 class _FieldReducer:
-    """RREF through the field's methods: the reference for RowReducer."""
+    """RREF through the field's methods: the plain loop's own span."""
 
     def __init__(self, field, width):
         self.field, self.width = field, width
@@ -365,7 +373,7 @@ def _plain_closure(alg, rows, unital):
 def _assert_matches_plain_loop(alg, elements, unital):
     rows = tuple(tuple(QQ.coerce(x) for x in v) for v in elements)
     reducer, monomials = _plain_closure(alg, rows, unital)
-    assert closure(alg, rows, unital).rows == tuple(map(tuple, reducer.rows))
+    assert closure_basis(alg, rows, unital) == tuple(map(tuple, reducer.rows))
     ok, cert = is_generating(alg, rows, unital)
     assert ok == (reducer.dim == alg.dim)
     assert (cert.closure_dim, cert.monomial_count) == (reducer.dim, monomials)
@@ -574,7 +582,7 @@ def test_monomial_count_is_closure_dim_minus_seed_rank():
         for unital in (False, True):
             _, cert = is_generating(alg, gens, unital)
             seed = [validate_vector(alg.field, v, alg.dim) for v in gens] + (alg.constants() if unital else [])
-            seed_rank = rref(alg.field, seed, alg.dim).dim
+            seed_rank = len(span_basis(alg.field, seed))
             assert cert.monomial_count == cert.closure_dim - seed_rank
             assert replay_certificate(alg, cert)
 

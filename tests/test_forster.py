@@ -40,6 +40,15 @@ RING_T = [
 ]
 
 
+def least_members(region, k):
+    """The k least members of a region (fewer if a finite one runs out):
+    a cofinite region by scanning the primes in order."""
+    if not region.cofinite:
+        return sorted(region.primes)[:k]
+    scan = (p for p in itertools.count(2) if is_prime(p) and p in region)
+    return list(itertools.islice(scan, k))
+
+
 # ---------------------------------------------------------------------------
 # Constructible prime sets
 # ---------------------------------------------------------------------------
@@ -55,8 +64,10 @@ def test_constructible_set_basics():
     assert 5 in finite_set((2, 5)) and 3 not in finite_set((2, 5))
     assert 5 not in cofinite_set((5,)) and 7 in cofinite_set((5,))
     assert cofinite_set((2, 3, 7)).smallest() == 5
-    assert cofinite_set((2, 3, 7)).smallest_members(3) == (5, 11, 13)
-    assert finite_set((7, 3)).smallest_members(5) == (3, 7)
+    assert least_members(cofinite_set((2, 3, 7)), 3) == [5, 11, 13]
+    assert cofinite_set((2, 3, 5, 7)).smallest() == 11
+    assert finite_set((7, 3)).smallest() == 3
+    assert least_members(finite_set((7, 3)), 5) == [3, 7]
     with pytest.raises(ValueError):
         finite_set((4,))
     with pytest.raises(ValueError):
@@ -312,7 +323,7 @@ def test_recorded_witnesses_are_completable():
         cert = forster_lift(A, n)
         for step in cert.steps:
             for cell in step.partition:
-                for p in cell.region.smallest_members(3):
+                for p in least_members(cell.region, 3):
                     fib = fiber_mod_p(A, p)
                     partial = [fib.project(cert.generators[t]) for t in cell.witness]
                     res = completable(fib.algebra, partial, n, unital=True)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from algen.algebra import _RationalSpan
 from algen.fields import GF, QQ
-from algen.linalg import RowReducer, rref
+from algen.linalg import RowReducer
+from support import span_basis
 
 
 def span_fp(field, rows):
@@ -20,26 +22,35 @@ def span_fp(field, rows):
     return vectors
 
 
+def reduced(field, rows, width):
+    """A RowReducer (over Q, an exact _RationalSpan) after inserting rows."""
+    span = RowReducer(field, width) if field.char else _RationalSpan(width)
+    for r in rows:
+        span.insert(r)
+    return span
+
+
 def test_rref_identity_f5():
-    basis = rref(GF(5), [[1, 0], [0, 1]])
-    assert basis.rows == ((1, 0), (0, 1))
-    assert basis.pivots == (0, 1)
-    assert basis.dim == 2
+    r = reduced(GF(5), [[1, 0], [0, 1]], 2)
+    assert r.rows == [[1, 0], [0, 1]]
+    assert r.pivots == [0, 1]
+    assert r.dim == 2
 
 
 def test_rref_proportional_rows_q():
-    basis = rref(QQ, [[2, 4], [1, 2]])
-    assert basis.rows == ((Fraction(1), Fraction(2)),)
-    assert basis.dim == 1
+    # the exact span over Q keeps delta * RREF in integers
+    span = reduced(QQ, [[2, 4], [1, 2]], 2)
+    assert span.dim == 1
+    assert span_basis(QQ, span.rows) == ((Fraction(1), Fraction(2)),)
 
 
 def test_rref_f2_three_rows():
     rows = [[1, 1], [1, 0], [0, 1]]
     # oracle: the row space is all of F_2^2, so the canonical basis is I_2
     assert span_fp(GF(2), rows) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    basis = rref(GF(2), rows)
-    assert basis.rows == ((1, 0), (0, 1))
-    assert basis.dim == 2
+    r = reduced(GF(2), rows, 2)
+    assert r.rows == [[1, 0], [0, 1]]
+    assert r.dim == 2
 
 
 def test_rref_span_matches_enumeration():
@@ -48,63 +59,73 @@ def test_rref_span_matches_enumeration():
         field = GF(p)
         for _ in range(20):
             rows = [[rng.randrange(p) for _ in range(3)] for _ in range(rng.randint(1, 4))]
-            basis = rref(field, rows)
+            r = reduced(field, rows, 3)
             expected = span_fp(field, rows)
-            if basis.rows:
-                assert span_fp(field, [list(r) for r in basis.rows]) == expected
-            for v in expected:
-                assert basis.contains(v)
+            assert span_fp(field, r.rows or [[0, 0, 0]]) == expected
 
 
 def test_rref_idempotent_and_order_independent():
+    # RowReducer rows are sympy's RREF whatever the insertion order, also
+    # from unreduced integers; over Q the exact span has sympy's span
     rng = random.Random(7)
     for field in (GF(2), GF(5), QQ):
         for _ in range(25):
             n = rng.randint(1, 4)
-            if field is QQ:
-                rows = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(n)]
-            else:
-                rows = [[rng.randrange(field.p) for _ in range(4)] for _ in range(n)]
-            basis = rref(field, rows)
-            again = rref(field, [list(r) for r in basis.rows], width=4) if basis.rows else basis
-            assert again.rows == basis.rows
-            shuffled = rows[:]
-            rng.shuffle(shuffled)
-            assert rref(field, shuffled).rows == basis.rows
+            rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(n)]
+            expected = span_basis(field, rows)
+            for _ in range(3):
+                rng.shuffle(rows)
+                r = reduced(field, rows, 4)
+                if field.char:
+                    assert tuple(map(tuple, r.rows)) == expected
+                else:
+                    assert span_basis(field, r.rows) == expected
+                assert r.dim == len(expected)
+                again = reduced(field, r.rows, 4)
+                assert (again.rows, again.pivots) == (r.rows, r.pivots)
 
 
 def test_rref_rejects_bad_entries():
     with pytest.raises(ValueError):
-        rref(GF(3), [[Fraction(1, 3), 0]])
+        RowReducer(GF(3), 2).insert((1, 2, 0))
     with pytest.raises(ValueError):
-        rref(QQ, [[0.5, 1]])
-    with pytest.raises(ValueError):
-        rref(QQ, [])
+        RowReducer(GF(3), 2).insert((1,))
 
 
-def test_reduce_vector():
-    basis = rref(QQ, [[1, 0]])
-    assert basis.reduce((Fraction(3), Fraction(7))) == (0, 7)
-    assert basis.reduce((Fraction(5), Fraction(0))) == (0, 0)
-    full = rref(GF(3), [[1, 2], [0, 1]])
-    for v in itertools.product(range(3), repeat=2):
-        assert full.reduce(v) == (0, 0)
-    with pytest.raises(ValueError):
-        basis.reduce((Fraction(1),))
+def test_row_reducer_needs_a_prime_field():
+    with pytest.raises(ValueError, match="prime field"):
+        RowReducer(QQ, 2)
 
 
 def test_row_reducer_incremental():
     r = RowReducer(GF(2), 3)
-    assert r.insert((1, 1, 0))
-    assert not r.insert((1, 1, 0))
-    assert r.insert((0, 1, 1))
-    assert r.contains((1, 0, 1))
-    snap = r.snapshot()
-    assert snap.dim == 2
-    assert snap.pivots == (0, 1)
+    assert r.insert((1, 1, 0)) == [1, 1, 0]
+    assert r.insert((1, 1, 0)) is None
+    assert r.insert((0, 1, 1)) == [0, 1, 1]
+    assert r.insert((1, 0, 1)) is None
+    assert r.rows == [list(row) for row in span_basis(GF(2), [(1, 1, 0), (0, 1, 1)])]
+    assert r.pivots == [0, 1]
     # insert returns the new RREF row, which later inserts leave as it was
     r = RowReducer(GF(3), 3)
     first = r.insert((1, 1, 0))
     assert first == [1, 1, 0]
     assert r.insert((0, 2, 2)) == [0, 1, 1]
     assert first == [1, 1, 0] and r.rows[0] == [1, 0, 2]
+
+
+def test_row_reducer_copy_is_independent():
+    rng = random.Random(3)
+    field = GF(5)
+    for _ in range(20):
+        rows = [[rng.randrange(5) for _ in range(4)] for _ in range(rng.randint(0, 3))]
+        more = [[rng.randrange(5) for _ in range(4)] for _ in range(2)]
+        r = reduced(field, rows, 4)
+        before = ([list(row) for row in r.rows], list(r.pivots))
+        twin = r.copy()
+        for v in more:
+            twin.insert(v)
+        assert (r.rows, r.pivots) == before
+        assert tuple(map(tuple, twin.rows)) == span_basis(field, rows + more)
+        for v in more:
+            r.insert(v)
+        assert (r.rows, r.pivots) == (twin.rows, twin.pivots)
