@@ -137,7 +137,12 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
     if ops[product_index].arity != 2:
         raise ValueError("designated product must have arity 2")
     prod = ops[product_index].entries
-    basis = [[int(k == i) for k in range(dim)] for i in range(dim)]
+
+    def is_basis_vector(v, i):
+        # v == b_i without a dim x dim identity, which a document without
+        # roles would pay for at any declared dim
+        return v[i] == 1 and v.count(0) == dim - 1
+
     if unit_index is not None:
         if not 0 <= unit_index < len(ops):
             raise ValueError("unit index out of range")
@@ -153,7 +158,7 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
                     for l, c in outs:
                         row[l] += x * c
         for i in range(dim):
-            if reduce(left[i]) != basis[i] or reduce(right[i]) != basis[i]:
+            if not (is_basis_vector(reduce(left[i]), i) and is_basis_vector(reduce(right[i]), i)):
                 raise ValueError("designated unit fails the unit law")
     if involution_index is not None:
         if not 0 <= involution_index < len(ops):
@@ -173,7 +178,7 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
 
         images = [sigma.get((i,), ()) for i in range(dim)]
         for i in range(dim):
-            if combine(sigma, (((l,), c) for l, c in images[i])) != basis[i]:
+            if not is_basis_vector(combine(sigma, (((l,), c) for l, c in images[i])), i):
                 raise ValueError("designated involution is not an involution")
         for i in range(dim):
             for j in range(dim):
@@ -283,21 +288,30 @@ class Multialgebra(ElementAPI):
 # ---------------------------------------------------------------------------
 
 
-def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool):
+def _closure_reducer(
+    alg: Multialgebra,
+    rows: Sequence[Element],
+    unital: bool,
+    span: Optional[RowReducer] = None,
+):
     """Close the span of rows under all operations; returns (span, monomial count).
 
     The span is a RowReducer over F_p and a _RationalSpan over Q; both have
-    dim and rows.  The seed is the rows, plus the arity-0 constants
-    when unital.  One straight-line loop keeps a list of generators: first
-    the seed vectors that enlarged the span, then every operation value that
-    enlarged it.  Generator j is combined with the index tuples that contain
-    j and earlier generators only.  The loop stops at full dimension or when
+    dim and rows.  The seed is the rows, plus the arity-0 constants when
+    unital.  Over F_p a caller that holds the seed's RREF already may pass
+    it as span: the closure then starts from its rows, inserts no seed
+    vector, and grows span in place.  One straight-line loop keeps a list of
+    generators: first the rows of the starting span and the seed vectors
+    that enlarged it, then every operation value that enlarged it.
+    Generator j is combined with the index tuples that contain j and
+    earlier generators only.  The loop stops at full dimension or when
     the list runs out; then every operation on every tuple of generators
     lies in their span, which is therefore closed (by multilinearity it is
     the closure), and its dimension is the number of generators.  The
     monomial count is the final dimension minus the rank of the seed.
 
-    Over F_p each generator is the reduced row that RowReducer.insert adds.
+    Over F_p each generator is an RREF row: one of the starting span, or
+    the row that RowReducer.insert returns when it adds one.
     Over Q only the span of a value matters, so the tensors scaled to
     integers (_scaled_ops) are evaluated on integer generators, and each
     value is first tested against the span of the generators mod P =
@@ -316,18 +330,22 @@ def _closure_reducer(alg: Multialgebra, rows: Sequence[Element], unital: bool):
     never correctness, and no structure constant needs to be P-integral.
     """
     r = alg.dim
-    seed = [*rows, *alg.constants()] if unital else rows
+    pending = None
     if alg.field == QQ:
         ops = alg._scaled_ops
-        seed = [integral_row(v) for v in seed]
+        seed = [integral_row(v) for v in ([*rows, *alg.constants()] if unital else rows)]
         span = _RationalSpan(r, _WITNESS_PRIME)
         pending = []
     else:
         ops = alg.ops
-        span = RowReducer(alg.field, r)
-        pending = None
+        if span is None:
+            seed = [*rows, *alg.constants()] if unital else rows
+            span = RowReducer(alg.field, r)
+        else:
+            seed = ()  # span holds the seed's RREF already
     grow = span.insert
-    gens = []
+    # a new list: gens grows, and over odd p rows is the reducer's own list
+    gens = list(span.rows)
     for v in seed:
         g = grow(v)
         if g:
@@ -496,10 +514,15 @@ def is_generating(
     seed: Optional[int] = None,
     trial: Optional[int] = None,
     index: Optional[int] = None,
+    span: Optional[RowReducer] = None,
 ) -> tuple[bool, GenerationCertificate]:
-    """Decide whether the tuple generates; always returns a certificate."""
+    """Decide whether the tuple generates; always returns a certificate.
+
+    span, over F_p only, is a RowReducer holding the RREF of the elements
+    (with the constants when unital); the closure starts from it and grows
+    it in place (see _closure_reducer)."""
     rows = tuple(validate_vector(alg.field, v, alg.dim) for v in elements)
-    span, monomials = _closure_reducer(alg, rows, unital)
+    span, monomials = _closure_reducer(alg, rows, unital, span)
     cert = GenerationCertificate(
         elements=rows,
         closure_dim=span.dim,

@@ -214,12 +214,12 @@ def _exhaustive_completion(
 
     Extensions are tested in lexicographic order by a depth-first walk that
     keeps the RREF of span(fixed + prefix), with the constants when unital.
-    The RREF only serves to skip subtrees: at a leaf, is_generating inserts
-    the whole seed, fixed + chosen, into a fresh span again, and the
-    verdict, closure dimension and monomial count depend only on that span.
-    A prefix whose RREF already appeared at the same length had all of its
-    extensions refuted then (else the walk would have returned), so its
-    subtree is skipped; the index still counts the tuples in it.
+    The verdict, closure dimension and monomial count of a tuple depend
+    only on that span, so at a leaf the closure starts from the walk's RREF
+    and inserts no seed vector.  A prefix whose RREF already appeared at
+    the same length had all of its extensions refuted then (else the walk
+    would have returned), so its subtree is skipped; the index still counts
+    the tuples in it.
     """
     base = RowReducer(alg.field, alg.dim)
     for v in fixed:
@@ -242,16 +242,19 @@ def _walk(
 ) -> Optional[CompletionResult]:
     """First generating extension of fixed + chosen, or None.
 
-    index is the position of the first tuple below this node.  seen[d]
-    holds the RREFs met at prefix length d + 1.  This is a module-level
-    function rather than a nested one because a recursive closure is a
-    reference cycle, which would keep seen alive until a full collection.
+    reducer holds the RREF of fixed + chosen, with the constants when
+    unital; a leaf hands it to is_generating as the closure's starting
+    span, which grows it.  index is the position of the first tuple below
+    this node.  seen[d] holds the keys of the RREFs met at prefix length
+    d + 1.  This is a module-level function rather than a nested one
+    because a recursive closure is a reference cycle, which would keep seen
+    alive until a full collection.
     """
     p, r = alg.field.p, alg.dim
     depth = len(chosen)
     if depth == len(seen):
         ok, cert = is_generating(
-            alg, fixed + chosen, unital=unital, method="exhaustive", index=index
+            alg, fixed + chosen, unital=unital, method="exhaustive", index=index, span=reducer
         )
         return CompletionResult("found", tuple(chosen), cert, index + 1) if ok else None
     below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
@@ -259,7 +262,7 @@ def _walk(
     for t, v in enumerate(itertools.product(range(p), repeat=r)):
         child = reducer.copy()
         child.insert(v)
-        key = tuple(map(tuple, child.rows))
+        key = child.key()
         if key in seen[depth]:
             continue
         seen[depth].add(key)

@@ -20,6 +20,7 @@ from algen.algebra import (
 from algen.fields import GF, QQ, validate_vector
 from algen.integral import IntegralAlgebra, make_z_tensor
 from algen.ioformat import canonical_json, generation_certificate_doc
+from algen.linalg import RowReducer
 from algen.zoo import (
     albert,
     albert_generators,
@@ -575,6 +576,34 @@ def _zoo_cases():
             height = alg.field.p if alg.field != QQ else 3
             cases.append((alg, [tuple(rng.randrange(height) for _ in range(alg.dim))]))
     return cases
+
+
+def test_closure_from_the_seed_span_matches_a_fresh_closure():
+    # the exhaustive search hands is_generating its RREF of the seed (with
+    # the constants when unital); the closure that starts from it decides as
+    # a fresh one, over F_2 (rows as bit masks) and F_3, and leaves the
+    # span holding the closure
+    rng = random.Random(13)
+    for p in (2, 3):
+        field = GF(p)
+        for alg, gens in (
+            (matrix_algebra(field, 2), list(canonical_matrix_generators(field, 2))),
+            (split_octonion(field), list(octonion_generators(field))),
+            (split_etale(field, 4), [(0, 1, 1, 0)]),
+            (zero_algebra(field, 3), [(1, 0, 0), (0, 1, 0)]),
+        ):
+            tuples = [gens, gens[:1], []] + [
+                [tuple(rng.randrange(p) for _ in range(alg.dim)) for _ in range(rng.randint(1, 3))]
+                for _ in range(4)
+            ]
+            for elements in tuples:
+                for unital in (False, True):
+                    span = RowReducer(field, alg.dim)
+                    for v in elements + (alg.constants() if unital else []):
+                        span.insert(v)
+                    seeded = is_generating(alg, elements, unital, span=span)
+                    assert seeded == is_generating(alg, elements, unital)
+                    assert tuple(map(tuple, span.rows)) == closure_basis(alg, elements, unital)
 
 
 def test_monomial_count_is_closure_dim_minus_seed_rank():

@@ -1,6 +1,9 @@
 import copy
 import functools
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -194,6 +197,40 @@ def test_parse_algebra_errors():
     del doc["presentation"]
     with pytest.raises(FormatError):
         parse_algebra(doc)
+
+
+# parses an F_2, a Q and a Z document of dimension 10^5 with an empty
+# product, no unit and no involution, and prints the slowest parse in seconds
+_PARSE_LARGE_DIM = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))  # a dim^2 table fails at once
+from algen.ioformat import parse_algebra
+dim, slowest = 10**5, 0.0
+for base in ("F2", "Q", "Z"):
+    doc = {"base": base, "format": "algen-algebra", "version": "1",
+           "ops": [{"arity": "2", "entries": [], "role": "product"}]}
+    if base == "Z":
+        doc["factors"] = ["0"] * dim
+    else:
+        doc["dim"] = str(dim)
+    start = time.perf_counter()
+    parse_algebra(doc)
+    slowest = max(slowest, time.perf_counter() - start)
+print(slowest)
+"""
+
+
+def test_parse_cost_is_not_quadratic_in_dim():
+    # a 150-byte document may declare any dimension; with no unit and no
+    # involution nothing in parsing may cost dim^2.  A subprocess with a
+    # 2 GiB address-space limit, so that a regression fails, not the host
+    src = os.path.dirname(os.path.dirname(algen.ioformat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _PARSE_LARGE_DIM], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert float(done.stdout) < 1.0
 
 
 def test_parse_elements():
@@ -591,9 +628,31 @@ def test_lift_replay_uses_the_certificate_factor_bound(monkeypatch):
 
 
 @functools.cache
-def _lift_fuzz_case():
-    A = integral_zero_module((3, 0))
-    return ParsedAlgebra(A), _reload(lift_certificate_doc(A, forster_lift(A, 2)))
+def _fuzz_case(kind):
+    """(parsed algebra, accepted document) of one certificate kind."""
+    if kind == "lift":
+        A = integral_zero_module((3, 0))
+        doc = lift_certificate_doc(A, forster_lift(A, 2))
+    elif kind in ("generation-f2", "generation-q"):
+        field = GF(2) if kind == "generation-f2" else QQ
+        A = matrix_algebra(field, 2)
+        gens = canonical_matrix_generators(field, 2)
+        if field == QQ:
+            gens = [[Fraction(x, 2) for x in g] for g in gens]
+        doc = generation_certificate_doc(A, is_generating(A, gens)[1])
+    elif kind == "mingen":
+        A = split_etale(GF(2), 3)
+        budget = SearchBudget(max_exhaustive=100, random_trials=20)
+        doc = mingen_report_doc(A, min_generators(A, budget, unital=True), budget)
+    elif kind == "bad-primes":
+        A = integral_split_etale(3)
+        elements = ((1, 2, 3),)
+        doc = bad_primes_doc(A, elements, bad_primes(A, elements))
+    else:
+        A = integral_zero_module((6, 0))
+        elements = ((1, 0), (0, 1))
+        doc = global_generation_doc(A, elements, verify_global_generation(A, elements))
+    return ParsedAlgebra(A), _reload(doc)
 
 
 def _nodes(node, path=()):
@@ -631,9 +690,33 @@ _MUTATIONS = {
 )
 @given(data=st.data())
 def test_verify_survives_mutated_lift_documents(data):
-    parsed, original = _lift_fuzz_case()
+    _verify_mutated(data, "lift")
+
+
+@pytest.mark.parametrize(
+    "kind", ["generation-f2", "generation-q", "mingen", "bad-primes", "global-generation"]
+)
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_verify_survives_mutated_documents(kind, data):
+    _verify_mutated(data, kind)
+
+
+def _verify_mutated(data, doc_kind):
+    """One to two random mutations of an accepted document of doc_kind:
+    verify_certificate returns a (bool, str) pair and never raises, and a
+    document whose claims were mutated is never accepted.  A mutated tuple
+    (the top-level elements) makes a claim about another tuple, which may be
+    true, so such a document is held to the first property only."""
+    parsed, original = _fuzz_case(doc_kind)
     assert verify_certificate(parsed, copy.deepcopy(original)) == (True, "ok")
     doc = copy.deepcopy(original)
+    tuple_changed = False
     for _ in range(data.draw(st.integers(1, 2), label="mutations")):
         kind = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="kind")
         paths = [path for path, value in _nodes(doc) if _MUTATIONS[kind](path, value)]
@@ -642,6 +725,7 @@ def test_verify_survives_mutated_lift_documents(data):
         path = data.draw(st.sampled_from(paths), label="path")
         parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
         key, value = path[-1], parent[path[-1]]
+        tuple_changed = tuple_changed or path[0] == "elements"
         if kind == "drop":
             del parent[key]
         elif kind == "retype":
@@ -657,5 +741,5 @@ def test_verify_survives_mutated_lift_documents(data):
     assert isinstance(result, tuple) and len(result) == 2
     ok, detail = result
     assert isinstance(ok, bool) and isinstance(detail, str)
-    if doc != original:
+    if doc != original and not tuple_changed:
         assert not ok, f"accepted a mutated document: {detail}"

@@ -129,3 +129,49 @@ def test_row_reducer_copy_is_independent():
         for v in more:
             r.insert(v)
         assert (r.rows, r.pivots) == (twin.rows, twin.pivots)
+
+
+def test_f2_masks_match_sympy():
+    # over F_2 rows are ints, one bit per coordinate; widths up to 70 cross
+    # the 64-bit boundary.  rows, pivots and key are sympy's GF(2) RREF from
+    # unreduced and negative integers (x & 1 reads x mod 2), in any order
+    rng = random.Random(2)
+    field = GF(2)
+    for width in range(1, 71):
+        rows = [
+            [rng.choice((0, 1, 1, -1, 2, -3, 7)) for _ in range(width)]
+            for _ in range(rng.randint(1, min(width, 8) + 2))
+        ]
+        expected = span_basis(field, rows)
+        pivots = [row.index(1) for row in expected]
+        for _ in range(2):
+            rng.shuffle(rows)
+            r = reduced(field, rows, width)
+            assert tuple(map(tuple, r.rows)) == expected
+            assert r.pivots == pivots and r.dim == len(expected)
+            assert r.key() == reduced(field, expected, width).key()
+
+
+def test_f2_insert_returns_fresh_rows_and_copy_is_independent():
+    rng = random.Random(5)
+    field = GF(2)
+    for width in (3, 64, 65, 70):
+        rows = [[rng.randrange(-3, 4) for _ in range(width)] for _ in range(6)]
+        r = RowReducer(field, width)
+        returned = []
+        for v in rows:
+            g = r.insert(v)
+            if g is not None:
+                # the new RREF row as coordinates, reduced mod 2
+                assert set(g) <= {0, 1} and g in r.rows
+                returned.append((g, list(g)))
+        # later inserts changed the stored rows, not the returned lists
+        assert all(g == kept for g, kept in returned)
+        assert span_basis(field, [g for g, _ in returned]) == span_basis(field, rows)
+        before = (r.rows, r.key())
+        twin = r.copy()
+        more = [[rng.randrange(2) for _ in range(width)] for _ in range(width)]
+        for v in more:
+            twin.insert(v)
+        assert (r.rows, r.key()) == before
+        assert tuple(map(tuple, twin.rows)) == span_basis(field, rows + more)

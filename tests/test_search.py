@@ -5,10 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import algen.algebra
 import algen.search
 from algen.algebra import Multialgebra, is_generating, make_tensor, replay_certificate
 from algen.fields import GF, QQ
 from algen.ioformat import canonical_json, mingen_report_doc
+from algen.linalg import RowReducer
 from algen.search import (
     DEFAULT_BUDGET,
     CompletionResult,
@@ -355,3 +357,38 @@ def test_unital_span_includes_constants(monkeypatch):
     res = completable(A, [], 1)
     assert res.status == "certified_none" and res.tested == 8
     assert len(calls) == 8
+
+
+def test_exhaustive_leaves_insert_no_seed_vectors(monkeypatch):
+    # a leaf closure starts from the walk's RREF of the seed, so each insert
+    # it makes is of an operation value: as many inserts as evaluations
+    counts = {"leaves": 0, "inserts": 0, "evaluations": 0}
+    inside = []
+
+    def leaf(alg, elements, **kwargs):
+        counts["leaves"] += 1
+        inside.append(True)
+        try:
+            return is_generating(alg, elements, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(name, fn):
+        def counted(*args):
+            if inside:
+                counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(algen.search, "is_generating", leaf)
+    monkeypatch.setattr(RowReducer, "insert", counting("inserts", RowReducer.insert))
+    monkeypatch.setattr(algen.algebra, "eval_tensor", counting("evaluations", algen.algebra.eval_tensor))
+    for alg, unital in (
+        (split_etale(GF(2), 4), True),
+        (matrix_algebra(GF(2), 2), False),
+        (split_etale(GF(3), 3), False),
+    ):
+        assert min_generators(alg, unital=unital).lower_bound_certified
+    assert counts["leaves"] > 0
+    assert counts["inserts"] == counts["evaluations"] > 0
