@@ -1,4 +1,5 @@
-"""Golden outputs: the canonical stdout documents of `check` and `zoo` are pinned by sha256.
+"""Golden outputs: the canonical stdout documents of `check`, `zoo` and of one
+command per certificate kind are pinned by sha256.
 
 The hashes were taken from the CLI before the arithmetic kernels were
 rewritten; any change to the closure kernel, the evaluator or the row
@@ -7,7 +8,9 @@ change bumps CERTIFICATE_VERSION and re-pins them: the pins are of
 certificate version "2", and each document with its version set back to
 "1" hashes to the version 1 pin it replaced.  The `zoo` pins were taken
 before the Albert and Cayley-Dickson builders were rewritten in integers;
-algebra documents carry ALGEBRA_VERSION "1".
+algebra documents carry ALGEBRA_VERSION "1".  The per-kind pins (`mingen`,
+`bad-primes`, `check` over Z and `forster-lift`, including a hypothesis
+failure) were taken before certificate records were declared as codecs.
 """
 
 import hashlib
@@ -170,3 +173,42 @@ def test_zoo_output_is_byte_identical(family, field, capsys):
     code, out = run(capsys, "zoo", family, "--field", field)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ZOO_DIGESTS[family, field]
+
+
+# (zoo arguments, command, command arguments after the algebra path)
+KIND_CASES = {
+    "mingen-mat2-f2-unital": (("matrix", "--field", "F2", "--n", "2"), "mingen", ("--unital",)),
+    "mingen-etale4-f3": (("split-etale", "--field", "F3", "--n", "4"), "mingen", ()),
+    "bad-primes-etale3-z": (("split-etale-z", "--n", "3"), "bad-primes", ("--tuple", '[["1","2","3"]]')),
+    "check-etale3-z-ref": (("split-etale-z", "--n", "3"), "check", ("--tuple", '[["1","2","3"]]')),
+    "check-etale3-z-gen": (
+        ("split-etale-z", "--n", "3"),
+        "check",
+        ("--tuple", '[["1","0","0"],["0","1","0"]]'),
+    ),
+    "lift-etale3-z": (("split-etale-z", "--n", "3"), "forster-lift", ("--n", "2")),
+    "lift-zero-z-3-0": (("zero-z", "--factors", "3,0"), "forster-lift", ("--n", "2")),
+    "lift-zero-z-2-2-failure": (("zero-z", "--factors", "2,2"), "forster-lift", ("--n", "1")),
+}
+
+# sha256 of the stdout of each per-kind case
+KIND_DIGESTS = {
+    "bad-primes-etale3-z": "4e959bc12cd0de97e07584939da555e1c16f1a7224b32d0f14b7a2acf6379b65",
+    "check-etale3-z-gen": "73af8769416266180b3f9b392ccca67f6c3450f0be0c9712082a69d6729e1e6b",
+    "check-etale3-z-ref": "fb55d8cc535977b88051b653442b3c8c7106eb198d5e334174835e0f3394a1b3",
+    "lift-etale3-z": "893931eb13ecf3f6ef2205feab835aa97692dd446f24054c08be4dcb38021f22",
+    "lift-zero-z-2-2-failure": "2bddfa1209eddc5d99c5125948b9100215a32487af1bb779ce8eb433ab8b8fc4",
+    "lift-zero-z-3-0": "129e8af23a4e4c5b9a52445e7a2e064aa21607d37538b7d42405f8db80e58562",
+    "mingen-etale4-f3": "bd78bc90a490185cc46e5940e2ef14b3a4ccef62da55332d0a22095543fad544",
+    "mingen-mat2-f2-unital": "d2695b23de639d1a35fec7a21d49f0a79f6442498a5d059714dfa31d3e689ae9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_CASES))
+def test_certificate_kind_output_is_byte_identical(case, tmp_path, capsys):
+    zoo_args, command, args = KIND_CASES[case]
+    code, out = run(capsys, "zoo", *zoo_args)
+    path = tmp_path / "algebra.json"
+    path.write_text(out, encoding="utf-8")
+    code, out = run(capsys, command, str(path), *args)
+    assert hashlib.sha256(out.encode()).hexdigest() == KIND_DIGESTS[case]
