@@ -12,10 +12,11 @@ operation values on basis tuples.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .fields import QQ, Field, Scalar, validate_vector
 from .linalg import RowReducer
@@ -47,12 +48,12 @@ def canonical_tensor(
     arity: int,
     triples: Iterable[tuple[Sequence[int], int, object]],
     vet,
-    moduli: Sequence[int],
+    mod: Callable[[int, object], object],
 ) -> OperationTensor:
     """The one canonical form of a tensor, from (index tuple, output index,
     coefficient) triples: arity and index ranges checked, each coefficient
     vetted by vet, coefficients of the same entry summed and the sum into
-    coordinate l reduced mod moduli[l] (0 for none), index tuples and
+    coordinate l reduced by mod(l, sum), index tuples and
     outputs ascending, zero coefficients dropped."""
     if arity < 0:
         raise ValueError("arity must be nonnegative")
@@ -68,7 +69,7 @@ def canonical_tensor(
         row[out] = row.get(out, 0) + vet(coeff)
     entries = []
     for idx in sorted(acc):
-        reduced = ((l, c % moduli[l] if moduli[l] else c) for l, c in sorted(acc[idx].items()))
+        reduced = ((l, mod(l, c)) for l, c in sorted(acc[idx].items()))
         outs = tuple((l, c) for l, c in reduced if c)
         if outs:
             entries.append((idx, outs))
@@ -83,7 +84,13 @@ def make_tensor(
 ) -> OperationTensor:
     """Canonical tensor over a field: coefficients coerced into the field,
     sums reduced % p over F_p."""
-    return canonical_tensor(dim, arity, triples, field.coerce, (field.char,) * dim)
+    return canonical_tensor(dim, arity, triples, field.coerce, field_mod(field))
+
+
+def field_mod(field: Field):
+    """Coordinate reduction over a field: x % p over F_p, x itself over Q."""
+    p = field.char
+    return (lambda l, x: x % p) if p else (lambda l, x: x)
 
 
 def eval_tensor(op: OperationTensor, dim: int, args) -> list:
@@ -120,17 +127,17 @@ def eval_tensor(op: OperationTensor, dim: int, args) -> list:
     return out
 
 
-def check_roles(ops, dim: int, product_index: int, unit_index, involution_index, reduce) -> None:
+def check_roles(ops, dim: int, product_index: int, unit_index, involution_index, mod) -> None:
     """Validate the designated product, unit and involution of an algebra.
 
     The unit and involution laws are checked on basis tuples, which suffices
-    by multilinearity, reading each tensor once: e.b_i = b_i = b_i.e from the
-    matrices of left and right multiplication by e, built in one pass over
-    the product entries, and sigma(sigma(b_i)) = b_i and sigma(b_i.b_j) =
-    sigma(b_j).sigma(b_i) with every tensor value looked up by its index
-    tuple.  reduce maps an unreduced coordinate list to the canonical list
-    the laws compare (% p over F_p, identity over Q, mod the invariant
-    factors over Z).
+    by multilinearity, reading each tensor once: e.b_j = b_j = b_j.e from
+    one pass over the product entries, and sigma(sigma(b_i)) = b_i and
+    sigma(b_i.b_j) = sigma(b_j).sigma(b_i) with every tensor value looked up
+    by its index tuple.  Values are sparse {coordinate: value} maps, so the
+    unit costs O(dim + product entries) and nothing costs dim^2 memory.
+    mod(l, x) reduces coordinate l to the canonical value the laws compare
+    (x % p over F_p, x over Q, x mod the l-th invariant factor over Z).
     """
     if not 0 <= product_index < len(ops):
         raise ValueError("product index out of range")
@@ -138,27 +145,27 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
         raise ValueError("designated product must have arity 2")
     prod = ops[product_index].entries
 
-    def is_basis_vector(v, i):
-        # v == b_i without a dim x dim identity, which a document without
-        # roles would pay for at any declared dim
-        return v[i] == 1 and v.count(0) == dim - 1
+    def reduced(row: dict) -> dict:
+        return {l: y for l, y in ((l, mod(l, x)) for l, x in row.items()) if y}
 
     if unit_index is not None:
         if not 0 <= unit_index < len(ops):
             raise ValueError("unit index out of range")
         if ops[unit_index].arity != 0:
             raise ValueError("designated unit must have arity 0")
-        e = reduce(eval_tensor(ops[unit_index], dim, ()))
-        left = [[0] * dim for _ in range(dim)]
-        right = [[0] * dim for _ in range(dim)]
+        e = reduced({l: c for _, outs in ops[unit_index].entries for l, c in outs})
         # left[j] accumulates e.b_j and right[i] accumulates b_i.e
+        left: dict[int, dict] = {}
+        right: dict[int, dict] = {}
         for (i, j), outs in prod:
-            for x, row in ((e[i], left[j]), (e[j], right[i])):
+            for x, side, key in ((e.get(i), left, j), (e.get(j), right, i)):
                 if x:
+                    row = side.setdefault(key, {})
                     for l, c in outs:
-                        row[l] += x * c
-        for i in range(dim):
-            if not (is_basis_vector(reduce(left[i]), i) and is_basis_vector(reduce(right[i]), i)):
+                        row[l] = row.get(l, 0) + x * c
+        for side in (left, right):
+            # a basis vector missing from side has e.b_j = 0 or b_j.e = 0
+            if len(side) != dim or any(reduced(row) != {i: 1} for i, row in side.items()):
                 raise ValueError("designated unit fails the unit law")
     if involution_index is not None:
         if not 0 <= involution_index < len(ops):
@@ -170,16 +177,16 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
 
         def combine(tensor, terms):
             # sum of x * tensor[idx] over the (idx, x) terms, reduced
-            out = [0] * dim
+            out: dict[int, object] = {}
             for idx, x in terms:
                 for l, c in tensor.get(idx, ()):
-                    out[l] += x * c
-            return reduce(out)
+                    out[l] = out.get(l, 0) + x * c
+            return reduced(out)
 
-        images = [sigma.get((i,), ()) for i in range(dim)]
         for i in range(dim):
-            if not is_basis_vector(combine(sigma, (((l,), c) for l, c in images[i])), i):
+            if combine(sigma, (((l,), c) for l, c in sigma.get((i,), ()))) != {i: 1}:
                 raise ValueError("designated involution is not an involution")
+        images = [sigma.get((i,), ()) for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
                 lhs = combine(sigma, (((l,), c) for l, c in table.get((i, j), ())))
@@ -193,7 +200,7 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
 class ElementAPI:
     """evaluate, product, unit_vector and involution, written once.  The
     subclass vets each argument (_vet) and evaluates an operation to its
-    canonical value (_value), the way check_roles takes its reduce."""
+    canonical value (_value), the way check_roles takes its mod."""
 
     def evaluate(self, op_index: int, args: Sequence[Sequence]) -> tuple:
         if not 0 <= op_index < len(self.ops):
@@ -235,8 +242,9 @@ class Multialgebra(ElementAPI):
     involution_index: Optional[int] = None
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be nonnegative")
+        if not 0 <= self.dim <= sys.maxsize:
+            # a larger dim cannot be the length of a list, nor of an element
+            raise ValueError(f"dimension must be in [0, {sys.maxsize}]")
         for op in self.ops:
             # a scan, not canonical_tensor again: parsed tensors passed it already
             if any(len(idx) != op.arity for idx, _ in op.entries):
@@ -245,14 +253,13 @@ class Multialgebra(ElementAPI):
             used.update(l for _, outs in op.entries for l, _ in outs)
             if used and not (0 <= min(used) and max(used) < self.dim):
                 raise ValueError(f"tensor index out of range for dimension {self.dim}")
-        p = self.field.char
         check_roles(
             self.ops,
             self.dim,
             self.product_index,
             self.unit_index,
             self.involution_index,
-            (lambda v: [x % p for x in v]) if p else list,
+            field_mod(self.field),
         )
 
     # -- evaluation: arguments and values are coerced into the field ---------

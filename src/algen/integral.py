@@ -15,6 +15,7 @@ operation tensors.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -55,12 +56,7 @@ def _int_vector(v: Sequence[int], m: int) -> tuple[int, ...]:
 
 def reduce_element(factors: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative: coordinate i reduced into [0, d_i) when d_i > 0."""
-    return tuple(_reduce(factors, _int_vector(v, len(factors))))
-
-
-def _reduce(factors: Sequence[int], v: Sequence[int]) -> list[int]:
-    """reduce_element without validation, for evaluator output."""
-    return [x % d if d else x for d, x in zip(factors, v)]
+    return tuple(x % d if d else x for d, x in zip(factors, _int_vector(v, len(factors))))
 
 
 def make_z_tensor(
@@ -69,7 +65,12 @@ def make_z_tensor(
     triples: Iterable[tuple[Sequence[int], int, int]],
 ) -> OperationTensor:
     """Canonical integer tensor: coefficients into coordinate l reduced mod d_l."""
-    return canonical_tensor(len(factors), arity, triples, _int_scalar, factors)
+    return canonical_tensor(len(factors), arity, triples, _int_scalar, _factor_mod(factors))
+
+
+def _factor_mod(factors: Sequence[int]):
+    """Coordinate reduction on M: coordinate l mod d_l when d_l > 0."""
+    return lambda l, x: x % factors[l] if factors[l] else x
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class IntegralAlgebra(ElementAPI):
             self.product_index,
             self.unit_index,
             self.involution_index,
-            lambda v: _reduce(self.factors, v),
+            _factor_mod(self.factors),
         )
 
     # -- basic structure -----------------------------------------------------
@@ -196,8 +197,8 @@ def normalize_presentation(
     the quotient; tensors are conjugated by the accompanying unimodular
     column transform and trivial (factor 1) coordinates are dropped.
     """
-    if generators < 0:
-        raise ValueError("generator count must be nonnegative")
+    if not 0 <= generators <= sys.maxsize:
+        raise ValueError(f"generator count must be in [0, {sys.maxsize}]")
     m = generators
     rel_rows = [list(_int_vector(r, m)) for r in relations]
     free = (0,) * m

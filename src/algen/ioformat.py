@@ -5,8 +5,10 @@ any language see exact values, rationals are "num/den" (or plain decimal)
 strings, booleans are JSON booleans, and tensors are sparse lists of rows
 [i_1, ..., i_k, out_index, coefficient].  Serialization is canonical (sorted
 keys, no whitespace) and parse(serialize(x)) returns x for canonical-form
-values.  Certificates embed a SHA-256 hash of the canonically serialized
-algebra so a verifier detects algebra/certificate mismatches up front.
+values.  Each certificate record is declared once as a Codec, which both
+emits and parses it, so the two directions agree by construction.
+Certificates embed a SHA-256 hash of the canonically serialized algebra so
+a verifier detects algebra/certificate mismatches up front.
 Algebra documents and certificates carry separate versions, so a change
 of certificate format leaves algebra documents and their hashes alone.
 """
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional, Union
 
 from .algebra import (
     GenerationCertificate,
@@ -25,11 +27,12 @@ from .algebra import (
     make_tensor,
     replay_certificate,
 )
-from .fields import Field, field_from_name, field_name, validate_vector
+from .fields import Field, field_from_name, field_name
 from .forster import (
     ConstructibleSet,
     LiftCertificate,
     LiftStep,
+    LocalReport,
     PartitionCell,
     PrimeStep,
     replay_lift,
@@ -65,7 +68,7 @@ class FormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Scalars
+# Scalars and codecs
 # ---------------------------------------------------------------------------
 
 
@@ -120,16 +123,98 @@ def _expect_dict(doc, context: str) -> dict:
     return doc
 
 
-def _int_vector_doc(v) -> list:
-    return [int_str(x) for x in v]
+class Codec(NamedTuple):
+    """A value's JSON form both ways: emit(value) -> JSON, parse(JSON) -> value.
+
+    parse is None for a value that is emitted but never read back.
+    """
+
+    emit: Callable
+    parse: Optional[Callable]
 
 
-def _parse_int_vector(doc, context: str, rank: Optional[int] = None) -> tuple[int, ...]:
-    """Integer vector; with rank given, its length must equal the rank."""
-    vec = tuple(parse_int(x) for x in _expect_list(doc, context))
-    if rank is not None and len(vec) != rank:
-        raise FormatError(f"{context} length {len(vec)} != rank {rank}")
-    return vec
+def _same(value):
+    return value
+
+
+def _typed(cls, name: str) -> Codec:
+    """A JSON value of one type, written as itself."""
+
+    def parse(value):
+        if not isinstance(value, cls):
+            raise FormatError(f"expected {name}, got {value!r}")
+        return value
+
+    return Codec(_same, parse)
+
+
+def optional(codec: Codec) -> Codec:
+    """None, or a value of codec."""
+    emit, parse = codec
+    return Codec(
+        lambda value: None if value is None else emit(value),
+        lambda doc: None if doc is None else parse(doc),
+    )
+
+
+def seq(item: Codec, length: Optional[int] = None) -> Codec:
+    """A tuple as a JSON list; with length given, the list must have it."""
+    emit, parse_item = item
+
+    def parse(doc) -> tuple:
+        if not isinstance(doc, list):
+            raise FormatError("expected a list")
+        if length is not None and len(doc) != length:
+            raise FormatError(f"length {len(doc)}, expected {length}")
+        return tuple(parse_item(x) for x in doc)
+
+    return Codec(lambda values: [emit(x) for x in values], parse)
+
+
+def record(cls, **fields: Codec) -> Codec:
+    """A dataclass as a JSON object with one key per declared attribute.
+
+    DERIVED attributes are emitted only; the parsed object recomputes them.
+    Any other attribute without a parser makes the record emit-only.  A
+    ValueError from the dataclass, or from a field, is raised as a
+    FormatError.
+    """
+    emitters = tuple((key, codec.emit) for key, codec in fields.items())
+    parsers = tuple((key, codec.parse) for key, codec in fields.items() if codec.parse)
+
+    def emit(value) -> dict:
+        return {key: emit_field(getattr(value, key)) for key, emit_field in emitters}
+
+    def parse(doc):
+        if not isinstance(doc, dict):
+            raise FormatError(f"expected a {cls.__name__} object")
+        values = {}
+        for key, parse_field in parsers:
+            try:
+                values[key] = parse_field(doc.get(key))
+            except ValueError as bad:
+                raise FormatError(f"{key}: {bad}") from bad
+        try:
+            return cls(**values)
+        except ValueError as bad:
+            raise FormatError(f"{cls.__name__}: {bad}") from bad
+
+    emit_only = any(codec.parse is None and codec is not DERIVED for codec in fields.values())
+    return Codec(emit, None if emit_only else parse)
+
+
+INT = Codec(int_str, parse_int)
+OPT_INT = optional(INT)
+BOOL = _typed(bool, "a boolean")
+STR = _typed(str, "a string")
+# emitted from the record's attribute and never parsed: the parsed record
+# recomputes it, and the re-emission in verify_certificate refuses an edit
+DERIVED = Codec(_same, None)
+INT_VECTOR = seq(INT)
+
+
+def _scalars(field: Field) -> Codec:
+    return Codec(field.format, lambda value: parse_scalar(field, value))
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +236,12 @@ class ParsedAlgebra:
 
     def parse_elements(self, doc) -> tuple[tuple, ...]:
         """Tuple of element vectors, mapped into the algebra's coordinates."""
-        rows = _expect_list(doc, "element tuple")
-        out = []
-        for row in rows:
-            row = _expect_list(row, "element")
-            if self.is_integral:
-                vec = tuple(parse_int(x) for x in row)
-                if self.presentation is not None:
-                    out.append(self.presentation.map_element(vec))
-                else:
-                    if len(vec) != self.algebra.rank:
-                        raise FormatError(
-                            f"element length {len(vec)} != rank {self.algebra.rank}"
-                        )
-                    out.append(reduce_element(self.algebra.factors, vec))
-            else:
-                vec = [parse_scalar(self.algebra.field, x) for x in row]
-                try:
-                    out.append(validate_vector(self.algebra.field, vec, self.algebra.dim))
-                except ValueError as bad:
-                    raise FormatError(str(bad)) from bad
-        return tuple(out)
+        alg = self.algebra
+        if not self.is_integral:
+            return seq(seq(_scalars(alg.field), alg.dim)).parse(doc)
+        if self.presentation is not None:
+            return tuple(self.presentation.map_element(v) for v in seq(INT_VECTOR).parse(doc))
+        return tuple(reduce_element(alg.factors, v) for v in _elements(alg).parse(doc))
 
 
 def _roles(alg) -> dict[int, str]:
@@ -195,7 +265,7 @@ def serialize_algebra(alg: Union[Multialgebra, IntegralAlgebra]) -> dict:
     if isinstance(alg, IntegralAlgebra):
         base = "Z"
         fmt = int_str
-        doc = {"factors": [int_str(d) for d in alg.factors]}
+        doc = {"factors": INT_VECTOR.emit(alg.factors)}
     else:
         base = field_name(alg.field)
         fmt = alg.field.format
@@ -224,9 +294,7 @@ def _parse_tensor_rows(op_doc: dict, parse_coeff) -> tuple[int, list]:
     for row in _expect_list(op_doc.get("entries"), "tensor entries"):
         row = _expect_list(row, "tensor row")
         if len(row) != arity + 2:
-            raise FormatError(
-                f"tensor row of length {len(row)} does not match arity {arity}"
-            )
+            raise FormatError(f"tensor row of length {len(row)} does not match arity {arity}")
         idx = tuple(parse_int(x) for x in row[:arity])
         out = parse_int(row[arity])
         triples.append((idx, out, parse_coeff(row[arity + 1])))
@@ -234,7 +302,8 @@ def _parse_tensor_rows(op_doc: dict, parse_coeff) -> tuple[int, list]:
 
 
 def _parse_ops(doc: dict, parse_coeff):
-    """All tensors plus the role designations; roles must be unique."""
+    """All tensors plus the role designations, as the product_index,
+    unit_index and involution_index keywords; roles must be unique."""
     ops = []
     roles: dict[str, int] = {}
     for i, op_doc in enumerate(_expect_list(doc.get("ops"), "ops")):
@@ -244,10 +313,10 @@ def _parse_ops(doc: dict, parse_coeff):
         if role is not None:
             if role not in ("product", "unit", "involution"):
                 raise FormatError(f"unknown role {role!r}")
-            if role in roles:
+            if f"{role}_index" in roles:
                 raise FormatError(f"duplicate role {role!r}")
-            roles[role] = i
-    if "product" not in roles:
+            roles[f"{role}_index"] = i
+    if "product_index" not in roles:
         raise FormatError("no operation is designated as the product")
     return ops, roles
 
@@ -275,15 +344,7 @@ def _parse_field_algebra(doc: dict, field: Field) -> ParsedAlgebra:
     dim = parse_int(doc.get("dim"))
     ops, roles = _parse_ops(doc, lambda s: parse_scalar(field, s))
     tensors = tuple(make_tensor(field, dim, arity, triples) for arity, triples in ops)
-    algebra = Multialgebra(
-        field=field,
-        dim=dim,
-        ops=tensors,
-        product_index=roles["product"],
-        unit_index=roles.get("unit"),
-        involution_index=roles.get("involution"),
-    )
-    return ParsedAlgebra(algebra=algebra)
+    return ParsedAlgebra(Multialgebra(field=field, dim=dim, ops=tensors, **roles))
 
 
 def _parse_integral(doc: dict) -> ParsedAlgebra:
@@ -293,69 +354,136 @@ def _parse_integral(doc: dict) -> ParsedAlgebra:
         raise FormatError("a Z algebra needs exactly one of factors or presentation")
     ops, roles = _parse_ops(doc, parse_int)
     if has_factors:
-        factors = _parse_int_vector(doc.get("factors"), "factors")
+        factors = INT_VECTOR.parse(doc.get("factors"))
         tensors = tuple(make_z_tensor(factors, arity, triples) for arity, triples in ops)
-        algebra = IntegralAlgebra(
-            factors=factors,
-            ops=tensors,
-            product_index=roles["product"],
-            unit_index=roles.get("unit"),
-            involution_index=roles.get("involution"),
-        )
-        return ParsedAlgebra(algebra=algebra)
+        return ParsedAlgebra(IntegralAlgebra(factors=factors, ops=tensors, **roles))
     pres_doc = _expect_dict(doc.get("presentation"), "presentation")
     generators = parse_int(pres_doc.get("generators"))
-    relations = [
-        _parse_int_vector(row, "relation")
-        for row in _expect_list(pres_doc.get("relations"), "relations")
-    ]
-    presentation = normalize_presentation(
-        generators,
-        relations,
-        ops,
-        product_index=roles["product"],
-        unit_index=roles.get("unit"),
-        involution_index=roles.get("involution"),
-    )
+    relations = seq(INT_VECTOR).parse(pres_doc.get("relations"))
+    presentation = normalize_presentation(generators, relations, ops, **roles)
     return ParsedAlgebra(algebra=presentation.algebra, presentation=presentation)
 
 
 # ---------------------------------------------------------------------------
-# Budgets and element tuples
+# Certificates: each record declared once, and documents of an envelope plus
+# the body of one kind
 # ---------------------------------------------------------------------------
 
 
-def budget_doc(budget: SearchBudget) -> dict:
-    return {
-        "max_exhaustive": int_str(budget.max_exhaustive),
-        "random_trials": int_str(budget.random_trials),
-        "seed": int_str(budget.seed),
-        "coeff_height": int_str(budget.coeff_height),
-    }
+BUDGET = record(SearchBudget, max_exhaustive=INT, random_trials=INT, seed=INT, coeff_height=INT)
+SIZE_ATTEMPT = record(SizeAttempt, n=INT, total=INT, exhaustive=BOOL, tested=INT, found=BOOL)
+SUPPORT = record(BadPrimesReport, generic_fail=BOOL, primes=INT_VECTOR, exponent=OPT_INT)
+# region primes are written sorted as decimal strings
+REGION = record(
+    ConstructibleSet,
+    cofinite=BOOL,
+    primes=Codec(lambda primes: sorted(int_str(p) for p in primes), INT_VECTOR.parse),
+)
+PARTITION_CELL = record(PartitionCell, region=REGION, level=INT, witness=INT_VECTOR)
+_PRIME_STEP = record(
+    PrimeStep,
+    prime=INT,
+    witness=INT_VECTOR,
+    extension=seq(INT_VECTOR),
+    completed=seq(INT_VECTOR),
+    excluded=INT_VECTOR,
+)
+# fiber coordinates are written canonically, as the residues in [0, p)
+PRIME_STEP = Codec(
+    lambda ps: _PRIME_STEP.emit(
+        replace(ps, extension=tuple(tuple(x % ps.prime for x in v) for v in ps.extension))
+    ),
+    _PRIME_STEP.parse,
+)
+LIFT_STEP = record(
+    LiftStep, element=INT_VECTOR, completions=seq(PRIME_STEP), partition=seq(PARTITION_CELL)
+)
+# printed when a lift's hypothesis fails, and emit-only: the per-prime
+# searches are summarised as [prime, status, tested] triples
+LOCAL_REPORT = record(
+    LocalReport,
+    status=STR,
+    n=INT,
+    prime=OPT_INT,
+    witness=optional(seq(INT_VECTOR)),
+    support=optional(SUPPORT),
+    completions=Codec(
+        lambda pairs: [[int_str(p), res.status, int_str(res.tested)] for p, res in pairs], None
+    ),
+)
 
 
-def parse_budget(doc) -> SearchBudget:
-    doc = _expect_dict(doc, "budget")
-    try:
-        return SearchBudget(
-            max_exhaustive=parse_int(doc.get("max_exhaustive")),
-            random_trials=parse_int(doc.get("random_trials")),
-            seed=parse_int(doc.get("seed")),
-            coeff_height=parse_int(doc.get("coeff_height")),
-        )
-    except ValueError as bad:
-        raise FormatError(str(bad)) from bad
+def _elements(alg) -> Codec:
+    """Element tuples; over Z each element has the module's rank."""
+    if isinstance(alg, IntegralAlgebra):
+        return seq(seq(INT, alg.rank))
+    return seq(seq(_scalars(alg.field)))
+
+
+def _generation(alg: Multialgebra) -> Codec:
+    return record(
+        GenerationCertificate,
+        elements=_elements(alg),
+        closure_dim=INT,
+        ambient_dim=INT,
+        unital=BOOL,
+        monomial_count=INT,
+        method=STR,
+        seed=OPT_INT,
+        trial=OPT_INT,
+        index=OPT_INT,
+    )
+
+
+def _mingen(alg: Multialgebra) -> Codec:
+    return record(
+        MinGenReport,
+        unital=BOOL,
+        n_upper=OPT_INT,
+        lower_bound_certified=BOOL,
+        attempts=seq(SIZE_ATTEMPT),
+        certificate=optional(_generation(alg)),
+    )
+
+
+def _global_report(rank: int) -> Codec:
+    """The subgroup, as its canonical rows in Z^rank, and its support."""
+    rows = seq(seq(INT, rank))
+    return record(
+        GlobalGenerationReport,
+        generates=DERIVED,
+        subgroup=Codec(
+            lambda lattice: rows.emit(lattice.rows),
+            lambda doc: lattice_from_vectors(rows.parse(doc), rank),
+        ),
+        support=SUPPORT,
+    )
+
+
+def _lift(rank: int) -> Codec:
+    return record(
+        LiftCertificate,
+        factors=INT_VECTOR,
+        n=INT,
+        generators=seq(INT_VECTOR),
+        steps=seq(LIFT_STEP),
+        verification=_global_report(rank),
+    )
+
+
+def local_report_doc(report: LocalReport) -> dict:
+    """Summary of a local n-generation check (printed when lifting fails)."""
+    return LOCAL_REPORT.emit(report)
 
 
 def elements_doc(alg, elements) -> list:
-    if isinstance(alg, IntegralAlgebra):
-        return [_int_vector_doc(v) for v in elements]
-    return [[alg.field.format(x) for x in v] for v in elements]
+    return _elements(alg).emit(elements)
 
 
-# ---------------------------------------------------------------------------
-# Certificates
-# ---------------------------------------------------------------------------
+def parse_lift_certificate(doc) -> LiftCertificate:
+    """A lift certificate on its own: the subgroup lives in Z^len(factors)."""
+    factors = INT_VECTOR.parse(_expect_dict(doc, "lift certificate").get("factors"))
+    return _lift(len(factors)).parse(doc)
 
 
 def _envelope(kind: str, alg) -> dict:
@@ -367,269 +495,33 @@ def _envelope(kind: str, alg) -> dict:
     }
 
 
-def _opt_int_str(x) -> Optional[str]:
-    return None if x is None else int_str(x)
+def _mingen_body(alg: Multialgebra, report: MinGenReport, budget: SearchBudget) -> dict:
+    return {"budget": BUDGET.emit(budget), **_mingen(alg).emit(report)}
 
 
-def _parse_opt_int(value) -> Optional[int]:
-    return None if value is None else parse_int(value)
-
-
-def _generation_payload(alg: Multialgebra, cert: GenerationCertificate) -> dict:
-    return {
-        "elements": elements_doc(alg, cert.elements),
-        "closure_dim": int_str(cert.closure_dim),
-        "ambient_dim": int_str(cert.ambient_dim),
-        "unital": cert.unital,
-        "monomial_count": int_str(cert.monomial_count),
-        "method": cert.method,
-        "seed": _opt_int_str(cert.seed),
-        "trial": _opt_int_str(cert.trial),
-        "index": _opt_int_str(cert.index),
-    }
-
-
-def _parse_generation_payload(doc: dict, field: Field) -> GenerationCertificate:
-    elements = tuple(
-        tuple(parse_scalar(field, x) for x in _expect_list(row, "element"))
-        for row in _expect_list(doc.get("elements"), "elements")
-    )
-    method = doc.get("method")
-    if not isinstance(method, str):
-        raise FormatError("missing search method")
-    unital = doc.get("unital")
-    if not isinstance(unital, bool):
-        raise FormatError("unital flag must be a boolean")
-    return GenerationCertificate(
-        elements=elements,
-        closure_dim=parse_int(doc.get("closure_dim")),
-        ambient_dim=parse_int(doc.get("ambient_dim")),
-        unital=unital,
-        monomial_count=parse_int(doc.get("monomial_count")),
-        method=method,
-        seed=_parse_opt_int(doc.get("seed")),
-        trial=_parse_opt_int(doc.get("trial")),
-        index=_parse_opt_int(doc.get("index")),
-    )
+def _integral_body(A: IntegralAlgebra, elements, report: dict) -> dict:
+    return {"elements": elements_doc(A, elements), "report": report}
 
 
 def generation_certificate_doc(alg: Multialgebra, cert: GenerationCertificate) -> dict:
-    doc = _envelope("generation", alg)
-    doc.update(_generation_payload(alg, cert))
-    return doc
+    return {**_envelope("generation", alg), **_generation(alg).emit(cert)}
 
 
 def mingen_report_doc(alg: Multialgebra, report: MinGenReport, budget: SearchBudget) -> dict:
-    doc = _envelope("mingen", alg)
-    doc.update(
-        {
-            "budget": budget_doc(budget),
-            "unital": report.unital,
-            "n_upper": _opt_int_str(report.n_upper),
-            "lower_bound_certified": report.lower_bound_certified,
-            "attempts": [
-                {
-                    "n": int_str(a.n),
-                    "total": int_str(a.total),
-                    "exhaustive": a.exhaustive,
-                    "tested": int_str(a.tested),
-                    "found": a.found,
-                }
-                for a in report.attempts
-            ],
-            "certificate": None
-            if report.certificate is None
-            else _generation_payload(alg, report.certificate),
-        }
-    )
-    return doc
-
-
-def _support_payload(report: BadPrimesReport) -> dict:
-    return {
-        "generic_fail": report.generic_fail,
-        "primes": [int_str(p) for p in report.primes],
-        "exponent": _opt_int_str(report.exponent),
-    }
-
-
-def _parse_support_payload(doc) -> BadPrimesReport:
-    doc = _expect_dict(doc, "bad-prime report")
-    generic_fail = doc.get("generic_fail")
-    if not isinstance(generic_fail, bool):
-        raise FormatError("generic_fail must be a boolean")
-    return BadPrimesReport(
-        generic_fail=generic_fail,
-        primes=_parse_int_vector(doc.get("primes"), "primes"),
-        exponent=_parse_opt_int(doc.get("exponent")),
-    )
-
-
-def _integral_report_doc(kind: str, A: IntegralAlgebra, elements, payload) -> dict:
-    doc = _envelope(kind, A)
-    doc.update({"elements": elements_doc(A, elements), "report": payload})
-    return doc
+    return {**_envelope("mingen", alg), **_mingen_body(alg, report, budget)}
 
 
 def bad_primes_doc(A: IntegralAlgebra, elements, report: BadPrimesReport) -> dict:
-    return _integral_report_doc("bad-primes", A, elements, _support_payload(report))
-
-
-def _global_payload(report: GlobalGenerationReport) -> dict:
-    return {
-        "generates": report.generates,
-        "subgroup": [_int_vector_doc(row) for row in report.subgroup.rows],
-        "support": _support_payload(report.support),
-    }
-
-
-def _parse_global_payload(doc, ambient: int) -> GlobalGenerationReport:
-    """The subgroup and support; `generates` derives from the subgroup, and
-    the canonical re-emission in verify_certificate rejects an edited flag."""
-    doc = _expect_dict(doc, "verification report")
-    rows = [
-        _parse_int_vector(row, "subgroup row", ambient)
-        for row in _expect_list(doc.get("subgroup"), "subgroup")
-    ]
-    return GlobalGenerationReport(
-        subgroup=lattice_from_vectors(rows, ambient),
-        support=_parse_support_payload(doc.get("support")),
-    )
+    return {**_envelope("bad-primes", A), **_integral_body(A, elements, SUPPORT.emit(report))}
 
 
 def global_generation_doc(A: IntegralAlgebra, elements, report: GlobalGenerationReport) -> dict:
-    return _integral_report_doc("global-generation", A, elements, _global_payload(report))
-
-
-def local_report_doc(report) -> dict:
-    """Summary of a local n-generation check (used when lifting fails)."""
-    return {
-        "status": report.status,
-        "n": int_str(report.n),
-        "prime": _opt_int_str(report.prime),
-        "witness": None
-        if report.witness is None
-        else [_int_vector_doc(v) for v in report.witness],
-        "support": None if report.support is None else _support_payload(report.support),
-        "completions": [
-            [int_str(p), res.status, int_str(res.tested)]
-            for p, res in report.completions
-        ],
-    }
-
-
-def _region_doc(region: ConstructibleSet) -> dict:
-    return {"cofinite": region.cofinite, "primes": sorted(int_str(p) for p in region.primes)}
-
-
-def _parse_region(doc) -> ConstructibleSet:
-    doc = _expect_dict(doc, "prime region")
-    cofinite = doc.get("cofinite")
-    if not isinstance(cofinite, bool):
-        raise FormatError("cofinite must be a boolean")
-    primes = _parse_int_vector(doc.get("primes"), "region primes")
-    try:
-        return ConstructibleSet(cofinite=cofinite, primes=frozenset(primes))
-    except ValueError as bad:
-        raise FormatError(str(bad)) from bad
+    body = _integral_body(A, elements, _global_report(A.rank).emit(report))
+    return {**_envelope("global-generation", A), **body}
 
 
 def lift_certificate_doc(A: IntegralAlgebra, cert: LiftCertificate) -> dict:
-    doc = _envelope("lift", A)
-    steps = []
-    for step in cert.steps:
-        steps.append(
-            {
-                "element": _int_vector_doc(step.element),
-                "completions": [
-                    {
-                        "prime": int_str(ps.prime),
-                        "witness": _int_vector_doc(ps.witness),
-                        # fiber coordinates, canonically the residues in [0, p)
-                        "extension": [
-                            [int_str(x % ps.prime) for x in v] for v in ps.extension
-                        ],
-                        "completed": [_int_vector_doc(v) for v in ps.completed],
-                        "excluded": [int_str(p) for p in ps.excluded],
-                    }
-                    for ps in step.completions
-                ],
-                "partition": [
-                    {
-                        "region": _region_doc(cell.region),
-                        "level": int_str(cell.level),
-                        "witness": _int_vector_doc(cell.witness),
-                    }
-                    for cell in step.partition
-                ],
-            }
-        )
-    doc.update(
-        {
-            "n": int_str(cert.n),
-            "factors": [int_str(d) for d in cert.factors],
-            "generators": [_int_vector_doc(v) for v in cert.generators],
-            "steps": steps,
-            "verification": _global_payload(cert.verification),
-        }
-    )
-    return doc
-
-
-def parse_lift_certificate(doc) -> LiftCertificate:
-    doc = _expect_dict(doc, "lift certificate")
-    factors = _parse_int_vector(doc.get("factors"), "factors")
-    steps = []
-    for step_doc in _expect_list(doc.get("steps"), "steps"):
-        step_doc = _expect_dict(step_doc, "step")
-        completions = []
-        for ps_doc in _expect_list(step_doc.get("completions"), "completions"):
-            ps_doc = _expect_dict(ps_doc, "completion")
-            completions.append(
-                PrimeStep(
-                    prime=parse_int(ps_doc.get("prime")),
-                    witness=_parse_int_vector(ps_doc.get("witness"), "witness"),
-                    extension=tuple(
-                        _parse_int_vector(v, "extension element")
-                        for v in _expect_list(ps_doc.get("extension"), "extension")
-                    ),
-                    completed=tuple(
-                        _parse_int_vector(v, "completed element")
-                        for v in _expect_list(ps_doc.get("completed"), "completed")
-                    ),
-                    excluded=_parse_int_vector(ps_doc.get("excluded"), "excluded"),
-                )
-            )
-        cells = []
-        for cell_doc in _expect_list(step_doc.get("partition"), "partition"):
-            cell_doc = _expect_dict(cell_doc, "cell")
-            try:
-                cells.append(
-                    PartitionCell(
-                        region=_parse_region(cell_doc.get("region")),
-                        level=parse_int(cell_doc.get("level")),
-                        witness=_parse_int_vector(cell_doc.get("witness"), "witness"),
-                    )
-                )
-            except ValueError as bad:
-                raise FormatError(str(bad)) from bad
-        steps.append(
-            LiftStep(
-                element=_parse_int_vector(step_doc.get("element"), "element"),
-                completions=tuple(completions),
-                partition=tuple(cells),
-            )
-        )
-    return LiftCertificate(
-        factors=factors,
-        n=parse_int(doc.get("n")),
-        generators=tuple(
-            _parse_int_vector(v, "generator")
-            for v in _expect_list(doc.get("generators"), "generators")
-        ),
-        steps=tuple(steps),
-        verification=_parse_global_payload(doc.get("verification"), len(factors)),
-    )
+    return {**_envelope("lift", A), **_lift(A.rank).emit(cert)}
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +529,64 @@ def parse_lift_certificate(doc) -> LiftCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_elements(doc: dict, rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        _parse_int_vector(v, "element", rank)
-        for v in _expect_list(doc.get("elements"), "elements")
-    )
+class _Refused(Exception):
+    """A replay disagrees with the document; the message says how."""
 
 
-def _require_kind(parsed: ParsedAlgebra, integral: bool, kind: str):
-    if parsed.is_integral != integral:
-        side = "a Z algebra" if integral else "a field algebra"
-        raise FormatError(f"a {kind} certificate needs {side}")
+def _replay_generation(alg: Multialgebra, doc: dict) -> dict:
+    codec = _generation(alg)
+    cert = codec.parse(doc)
+    if not replay_certificate(alg, cert):
+        raise _Refused("closure replay does not match the certificate")
+    return codec.emit(cert)
+
+
+def _replay_mingen(alg: Multialgebra, doc: dict) -> dict:
+    if alg.field.order is None:
+        raise FormatError("a mingen certificate needs an algebra over a finite field")
+    budget = BUDGET.parse(doc.get("budget"))
+    unital = BOOL.parse(doc.get("unital"))
+    if budget.max_exhaustive > MAX_VERIFY_EXHAUSTIVE or budget.random_trials > MAX_VERIFY_TRIALS:
+        raise _Refused(
+            "inconclusive: too costly to verify (budget above "
+            f"max_exhaustive {MAX_VERIFY_EXHAUSTIVE}, random_trials {MAX_VERIFY_TRIALS})"
+        )
+    return _mingen_body(alg, min_generators(alg, budget, unital=unital), budget)
+
+
+def _replay_bad_primes(A: IntegralAlgebra, doc: dict) -> dict:
+    elements = _elements(A).parse(doc.get("elements"))
+    return _integral_body(A, elements, SUPPORT.emit(bad_primes(A, elements)))
+
+
+def _replay_global(A: IntegralAlgebra, doc: dict) -> dict:
+    elements = _elements(A).parse(doc.get("elements"))
+    report = verify_global_generation(A, elements)
+    return _integral_body(A, elements, _global_report(A.rank).emit(report))
+
+
+def _replay_lift(A: IntegralAlgebra, doc: dict) -> dict:
+    codec = _lift(A.rank)
+    cert = codec.parse(doc)
+    ok, detail = replay_lift(A, cert)
+    if not ok:
+        raise _Refused(detail)
+    return codec.emit(cert)
+
+
+# kind: (needs a Z algebra, replay returning the body it re-emits, the
+# complaint when that body and the document differ)
+_REPLAYS = {
+    "generation": (False, _replay_generation, "certificate document is not in canonical form"),
+    "mingen": (False, _replay_mingen, "rerunning the search does not reproduce the report"),
+    "bad-primes": (True, _replay_bad_primes, "recomputed bad primes do not match the report"),
+    "global-generation": (
+        True,
+        _replay_global,
+        "recomputed verification does not match the report",
+    ),
+    "lift": (True, _replay_lift, "certificate document is not in canonical form"),
+}
 
 
 def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
@@ -656,10 +595,11 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
     Every mathematical claim is recomputed: generation certificates rerun the
     closure, mingen reports rerun the whole (deterministic, seeded) search
     under the recorded budget, bad-prime and global-generation reports are
-    recomputed and compared field by field, and lift certificates go through
-    the full step-by-step replay.  Factoring always uses the verifier's own
-    trial-division bound.  Budgets above the MAX_VERIFY_* caps are refused
-    as inconclusive.  Returns (ok, detail).
+    recomputed, and lift certificates go through the full step-by-step
+    replay.  The document is then compared, byte for byte, with the envelope
+    plus the body the replay re-emits.  Factoring always uses the verifier's
+    own trial-division bound.  Budgets above the MAX_VERIFY_* caps are
+    refused as inconclusive.  Returns (ok, detail).
     """
     try:
         doc = _expect_dict(doc, "certificate document")
@@ -668,66 +608,21 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
         if doc.get("version") != CERTIFICATE_VERSION:
             raise FormatError(f"unsupported version {doc.get('version')!r}")
         kind = doc.get("kind")
-        if doc.get("algebra_sha256") != algebra_hash(parsed.algebra):
+        envelope = _envelope(kind, parsed.algebra)
+        if doc.get("algebra_sha256") != envelope["algebra_sha256"]:
             return False, "algebra hash mismatch"
-
-        if kind == "generation":
-            _require_kind(parsed, False, kind)
-            cert = _parse_generation_payload(doc, parsed.algebra.field)
-            if not replay_certificate(parsed.algebra, cert):
-                return False, "closure replay does not match the certificate"
-            if canonical_json(generation_certificate_doc(parsed.algebra, cert)) != canonical_json(doc):
-                return False, "certificate document is not in canonical form"
-            return True, "ok"
-
-        if kind == "mingen":
-            _require_kind(parsed, False, kind)
-            if parsed.algebra.field.order is None:
-                raise FormatError("a mingen certificate needs an algebra over a finite field")
-            budget = parse_budget(doc.get("budget"))
-            unital = doc.get("unital")
-            if not isinstance(unital, bool):
-                raise FormatError("unital flag must be a boolean")
-            if budget.max_exhaustive > MAX_VERIFY_EXHAUSTIVE or budget.random_trials > MAX_VERIFY_TRIALS:
-                return False, (
-                    "inconclusive: too costly to verify (budget above "
-                    f"max_exhaustive {MAX_VERIFY_EXHAUSTIVE}, random_trials {MAX_VERIFY_TRIALS})"
-                )
-            fresh = min_generators(parsed.algebra, budget, unital=unital)
-            expected = mingen_report_doc(parsed.algebra, fresh, budget)
-            if canonical_json(expected) != canonical_json(doc):
-                return False, "rerunning the search does not reproduce the report"
-            return True, "ok"
-
-        if kind == "bad-primes":
-            _require_kind(parsed, True, kind)
-            elements = _parse_int_elements(doc, parsed.algebra.rank)
-            fresh = bad_primes(parsed.algebra, elements)
-            expected = bad_primes_doc(parsed.algebra, elements, fresh)
-            if canonical_json(expected) != canonical_json(doc):
-                return False, "recomputed bad primes do not match the report"
-            return True, "ok"
-
-        if kind == "global-generation":
-            _require_kind(parsed, True, kind)
-            elements = _parse_int_elements(doc, parsed.algebra.rank)
-            fresh = verify_global_generation(parsed.algebra, elements)
-            expected = global_generation_doc(parsed.algebra, elements, fresh)
-            if canonical_json(expected) != canonical_json(doc):
-                return False, "recomputed verification does not match the report"
-            return True, "ok"
-
-        if kind == "lift":
-            _require_kind(parsed, True, kind)
-            cert = parse_lift_certificate(doc)
-            ok, detail = replay_lift(parsed.algebra, cert)
-            if not ok:
-                return False, detail
-            if canonical_json(lift_certificate_doc(parsed.algebra, cert)) != canonical_json(doc):
-                return False, "certificate document is not in canonical form"
-            return True, "ok"
-
-        raise FormatError(f"unknown certificate kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _REPLAYS:
+            raise FormatError(f"unknown certificate kind {kind!r}")
+        integral, replay, differs = _REPLAYS[kind]
+        if parsed.is_integral != integral:
+            side = "a Z algebra" if integral else "a field algebra"
+            raise FormatError(f"a {kind} certificate needs {side}")
+        body = replay(parsed.algebra, doc)
+        if canonical_json({**envelope, **body}) != canonical_json(doc):
+            return False, differs
+        return True, "ok"
+    except _Refused as refused:
+        return False, str(refused)
     except FormatError as bad:
         return False, f"malformed certificate: {bad}"
     except FactorizationIncomplete as stuck:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -130,6 +131,20 @@ def test_check_integral(capsys, e3z):
     assert code == 1
     # the unital flag is a field-side notion
     assert run(capsys, "check", e3z, "--tuple", '[["1","2","3"]]', "--unital")[0] == 3
+
+
+def test_check_refuses_a_dim_beyond_list_lengths(capsys, tmp_path):
+    # a declared dim above sys.maxsize is invalid input (3), not a certified
+    # negative (1) from an escaped OverflowError
+    doc = {
+        "format": "algen-algebra",
+        "version": "1",
+        "base": "F2",
+        "dim": str(sys.maxsize + 1),
+        "ops": [{"arity": "2", "role": "product", "entries": []}],
+    }
+    path = write(tmp_path, "huge.json", doc)
+    assert run(capsys, "check", path, "--tuple", "[]")[0] == 3
 
 
 def test_check_tuple_from_file(capsys, m2, tmp_path):

@@ -16,7 +16,7 @@ import algen.integral
 import algen.ioformat
 from algen.algebra import is_generating
 from algen.fields import GF, QQ
-from algen.forster import forster_lift
+from algen.forster import ConstructibleSet, forster_lift
 from algen.integral import (
     bad_primes,
     integral_matrix_algebra,
@@ -26,11 +26,16 @@ from algen.integral import (
 )
 from algen.intmat import FactorizationIncomplete
 from algen.ioformat import (
+    BUDGET,
+    INT,
+    LOCAL_REPORT,
+    OPT_INT,
+    PARTITION_CELL,
+    REGION,
     FormatError,
     ParsedAlgebra,
     algebra_hash,
     bad_primes_doc,
-    budget_doc,
     canonical_json,
     elements_doc,
     generation_certificate_doc,
@@ -41,10 +46,10 @@ from algen.ioformat import (
     MAX_VERIFY_TRIALS,
     mingen_report_doc,
     parse_algebra,
-    parse_budget,
     parse_int,
     parse_lift_certificate,
     parse_scalar,
+    seq,
     serialize_algebra,
     verify_certificate,
 )
@@ -200,12 +205,16 @@ def test_parse_algebra_errors():
 
 
 # parses an F_2, a Q and a Z document of dimension 10^5 with an empty
-# product, no unit and no involution, and prints the slowest parse in seconds
+# product, no unit and no involution, refuses an F_3 document of dimension
+# 10^5 whose designated unit is b_0, parses the unital split etale F_2^(10^4),
+# and prints the slowest parse in seconds
 _PARSE_LARGE_DIM = """
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))  # a dim^2 table fails at once
-from algen.ioformat import parse_algebra
-dim, slowest = 10**5, 0.0
+from algen.fields import GF
+from algen.ioformat import FormatError, parse_algebra, serialize_algebra
+from algen.zoo import split_etale
+dim, docs = 10**5, []
 for base in ("F2", "Q", "Z"):
     doc = {"base": base, "format": "algen-algebra", "version": "1",
            "ops": [{"arity": "2", "entries": [], "role": "product"}]}
@@ -213,24 +222,55 @@ for base in ("F2", "Q", "Z"):
         doc["factors"] = ["0"] * dim
     else:
         doc["dim"] = str(dim)
+    docs.append((doc, None))
+false_unit = {"base": "F3", "dim": str(dim), "format": "algen-algebra", "version": "1",
+              "ops": [{"arity": "2", "entries": [["0", "0", "0", "1"], ["0", "1", "1", "1"],
+                                                 ["1", "0", "1", "1"]], "role": "product"},
+                      {"arity": "0", "entries": [["0", "1"]], "role": "unit"}]}
+docs.append((false_unit, "designated unit fails the unit law"))
+docs.append((serialize_algebra(split_etale(GF(2), 10**4)), None))
+slowest = 0.0
+for doc, refusal in docs:
     start = time.perf_counter()
-    parse_algebra(doc)
+    try:
+        parse_algebra(doc)
+    except FormatError as refused:
+        assert refusal is not None and refusal in str(refused), refused
+    else:
+        assert refusal is None
     slowest = max(slowest, time.perf_counter() - start)
 print(slowest)
 """
 
 
+def _src_env():
+    src = os.path.dirname(os.path.dirname(algen.ioformat.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_parse_cost_is_not_quadratic_in_dim():
     # a 150-byte document may declare any dimension; with no unit and no
-    # involution nothing in parsing may cost dim^2.  A subprocess with a
-    # 2 GiB address-space limit, so that a regression fails, not the host
-    src = os.path.dirname(os.path.dirname(algen.ioformat.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # involution nothing in parsing may cost dim^2, and the unit law costs
+    # O(dim + product entries).  A subprocess with a 2 GiB address-space
+    # limit, so that a regression fails, not the host
     done = subprocess.run(
-        [sys.executable, "-c", _PARSE_LARGE_DIM], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _PARSE_LARGE_DIM], env=_src_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-500:]
     assert float(done.stdout) < 1.0
+
+
+def test_parse_refuses_sizes_beyond_list_lengths():
+    # a dim or generator count above sys.maxsize cannot be a list length;
+    # parse_algebra refuses it as a FormatError, not an OverflowError
+    huge = str(sys.maxsize + 1)
+    field_doc = _reload(serialize_algebra(matrix_algebra(GF(2), 2)))
+    field_doc["dim"] = huge
+    z_doc = _ring_presentation_doc()
+    z_doc["presentation"] = {"generators": huge, "relations": []}
+    for doc in (field_doc, z_doc):
+        with pytest.raises(FormatError, match="must be in"):
+            parse_algebra(doc)
 
 
 def test_parse_elements():
@@ -248,9 +288,31 @@ def test_parse_elements():
 
 def test_budget_round_trip():
     budget = SearchBudget(max_exhaustive=500, random_trials=3, seed=9, coeff_height=4)
-    assert parse_budget(_reload(budget_doc(budget))) == budget
+    assert BUDGET.parse(_reload(BUDGET.emit(budget))) == budget
     with pytest.raises(FormatError):
-        parse_budget({"max_exhaustive": "0", "random_trials": "1", "seed": "1", "coeff_height": "1"})
+        BUDGET.parse({"max_exhaustive": "0", "random_trials": "1", "seed": "1", "coeff_height": "1"})
+
+
+def test_codec_declarations():
+    # region primes are written sorted as decimal strings, not as numbers
+    region = ConstructibleSet(cofinite=True, primes=frozenset({3, 11}))
+    doc = REGION.emit(region)
+    assert doc == {"cofinite": True, "primes": ["11", "3"]}
+    assert REGION.parse(_reload(doc)) == region
+    # a field's complaint names its key, and the dataclass's ValueError
+    # becomes a FormatError
+    with pytest.raises(FormatError, match="^cofinite: expected a boolean"):
+        REGION.parse({"cofinite": "yes", "primes": []})
+    with pytest.raises(FormatError, match="not a proven prime"):
+        REGION.parse({"cofinite": False, "primes": ["4"]})
+    with pytest.raises(FormatError, match="^PartitionCell: witness length"):
+        PARTITION_CELL.parse({"region": doc, "level": "2", "witness": ["0"]})
+    # a hypothesis-failure report is a summary: its record is emit-only
+    assert LOCAL_REPORT.parse is None
+    assert OPT_INT.emit(None) is None and OPT_INT.parse("-7") == -7
+    assert seq(INT, 2).parse(["1", 2]) == (1, 2)
+    with pytest.raises(FormatError, match="length 1, expected 2"):
+        seq(INT, 2).parse(["1"])
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +658,7 @@ def test_verify_reports_unfactorable_exponent_as_inconclusive(monkeypatch):
     assert not ok and detail.startswith("inconclusive: could not factor")
 
 
-def test_lift_replay_uses_the_certificate_factor_bound(monkeypatch):
+def test_lift_replay_uses_no_certificate_factor_bound(monkeypatch):
     # a lift certificate names no factor bound: the replay's bad-prime and
     # global checks get the algebra and the elements only, and a document
     # that adds a bound is refused after an otherwise successful replay
@@ -743,3 +805,97 @@ def _verify_mutated(data, doc_kind):
     assert isinstance(ok, bool) and isinstance(detail, str)
     if doc != original and not tuple_changed:
         assert not ok, f"accepted a mutated document: {detail}"
+
+
+def _mutate(data, doc, mutations) -> None:
+    """One to two random mutations of doc, in place: _verify_mutated's
+    mutations, and with mutations["dim"] a hostile dim."""
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        kind = data.draw(st.sampled_from(sorted(mutations)), label="kind")
+        paths = [path for path, value in _nodes(doc) if mutations[kind](path, value)]
+        if not paths:
+            continue
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        key, value = path[-1], parent[path[-1]]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_OTHER_TYPES)))
+        elif kind == "truncate":
+            parent[key] = value[: data.draw(st.integers(0, len(value) - 1))]
+        elif kind == "extend":
+            extra = data.draw(st.sampled_from(value)) if value else "0"
+            parent[key] = value + [copy.deepcopy(extra)]
+        elif kind == "dim":
+            parent[key] = data.draw(st.sampled_from(_HOSTILE_DIMS))
+        else:
+            parent[key] = data.draw(st.sampled_from(_HOSTILE_INTS))
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing algebra documents
+# ---------------------------------------------------------------------------
+
+
+_ALGEBRA_MUTATIONS = dict(_MUTATIONS, dim=lambda path, value: path == ("dim",))
+# a dim that costs dim^2 if anything is quadratic, and one no list can have
+_HOSTILE_DIMS = ["100000", str(sys.maxsize + 1)]
+
+
+@functools.cache
+def _algebra_doc(name):
+    if name == "f2":
+        doc = _reload(serialize_algebra(matrix_algebra(GF(2), 2)))
+        del doc["ops"][1]["role"]  # the product alone, no unit
+        return doc
+    if name == "z-presentation":
+        return _ring_presentation_doc()
+    algebra = {
+        "f3-unital": split_etale(GF(3), 3),
+        "q": quaternion_algebra(QQ),
+        "z-factors": integral_split_etale(3),
+    }[name]
+    return _reload(serialize_algebra(algebra))
+
+
+@settings(
+    max_examples=600,
+    deadline=1000,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(name=st.sampled_from(["f2", "f3-unital", "q", "z-factors", "z-presentation"]), data=st.data())
+def _parse_survives_mutations(name, data):
+    """One to two random mutations of an algebra document: parse_algebra
+    returns a ParsedAlgebra or raises FormatError, within a second."""
+    doc = copy.deepcopy(_algebra_doc(name))
+    _mutate(data, doc, _ALGEBRA_MUTATIONS)
+    try:
+        assert isinstance(parse_algebra(doc), ParsedAlgebra)
+    except FormatError:
+        pass
+
+
+_PARSE_MUTATED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from test_ioformat import _parse_survives_mutations
+_parse_survives_mutations()
+"""
+
+
+def test_parse_survives_mutated_algebra_documents():
+    # in a subprocess with a 2 GiB address-space limit, so that a parse that
+    # grows with a declared size fails the test, not the host
+    tests = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _PARSE_MUTATED, tests],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
