@@ -241,9 +241,6 @@ def _cmd_forster_lift(args) -> int:
         doc = {"error": "hypothesis-failure", "report": local_report_doc(failure.report)}
         _emit(doc, str(failure))
         return 1
-    except BudgetExhausted as failure:
-        _emit({"error": "budget-exhausted", "detail": str(failure)}, str(failure))
-        return 2
     doc = lift_certificate_doc(parsed.algebra, cert)
     _emit(doc, f"lifted to {len(cert.generators)} global generators; verified")
     return 0

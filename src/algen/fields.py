@@ -111,9 +111,6 @@ class PrimeField:
             raise ValueError(f"not a scalar for F_{self.p}: {x!r}")
         return x % self.p
 
-    def elements(self) -> range:
-        return range(self.p)
-
     def format(self, a: int) -> str:
         return str(a)
 
@@ -169,9 +166,6 @@ class RationalField:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise ValueError(f"not a rational scalar: {x!r}")
-
-    def elements(self):
-        raise ValueError("the rationals are infinite")
 
     def format(self, a: Fraction) -> str:
         if a.denominator == 1:

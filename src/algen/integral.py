@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -166,20 +167,20 @@ class IntegralAlgebra(ElementAPI):
 
 @dataclass(frozen=True)
 class Presentation:
-    """A normalized module together with the raw-coordinate change of basis."""
+    """A normalized module together with the raw-coordinate change of basis:
+    images[i] lists the nonzero (coordinate, coefficient) pairs of raw
+    generator i in the canonical invariant-factor coordinates."""
 
     algebra: IntegralAlgebra
-    transform: tuple[tuple[int, ...], ...]
-    kept: tuple[int, ...]
+    images: tuple[tuple[tuple[int, int], ...], ...]
 
     def map_element(self, v: Sequence[int]) -> tuple[int, ...]:
         """Raw generator coordinates -> canonical invariant-factor coordinates."""
-        vec = _int_vector(v, len(self.transform))
-        image = [
-            sum(x * self.transform[i][j] for i, x in enumerate(vec))
-            for j in range(len(self.transform))
-        ]
-        return reduce_element(self.algebra.factors, [image[c] for c in self.kept])
+        out = [0] * self.algebra.rank
+        for x, image in zip(_int_vector(v, len(self.images)), self.images):
+            for a, c in image:
+                out[a] += x * c
+        return reduce_element(self.algebra.factors, out)
 
 
 def normalize_presentation(
@@ -193,9 +194,12 @@ def normalize_presentation(
     """Quotient of Z^generators by the rows of `relations`, in canonical form.
 
     `ops` lists (arity, triples) tensors written in the raw generator
-    coordinates.  The Smith decomposition of the relation matrix diagonalizes
-    the quotient; tensors are conjugated by the accompanying unimodular
-    column transform and trivial (factor 1) coordinates are dropped.
+    coordinates.  The Smith decomposition U R V = D of the relation matrix
+    diagonalizes the quotient, and trivial (factor 1) coordinates are
+    dropped.  Raw generator i maps to row i of V on the kept columns, and
+    kept coordinate a is row a of V^-1, so each raw tensor entry is
+    conjugated on its own: input i expands to the kept a with V^-1[a][i] !=
+    0, each output to its image.  Without relations no matrix is built.
     """
     if not 0 <= generators <= sys.maxsize:
         raise ValueError(f"generator count must be in [0, {sys.maxsize}]")
@@ -206,29 +210,24 @@ def normalize_presentation(
 
     if rel_rows:
         dec = snf(rel_rows)
-        V, W, diag = dec.right, dec.right_inverse, dec.diag
+        V, W = dec.right, dec.right_inverse
+        full = [abs(d) for d in dec.diag] + [0] * (m - len(dec.diag))
+        kept = [c for c in range(m) if full[c] != 1]
+        factors = tuple(full[c] for c in kept)
+        images = tuple(tuple((a, V[i][c]) for a, c in enumerate(kept) if V[i][c]) for i in range(m))
+        inputs = tuple(tuple((a, W[c][i]) for a, c in enumerate(kept) if W[c][i]) for i in range(m))
     else:
-        V = W = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-        diag = ()
-    full = tuple(abs(diag[i]) if i < len(diag) else 0 for i in range(m))
-    kept = tuple(i for i in range(m) if full[i] != 1)
-    factors = tuple(full[c] for c in kept)
-    pos = {c: j for j, c in enumerate(kept)}
-
-    def to_new(raw_vec: Sequence[int]) -> list[int]:
-        image = [sum(x * V[i][j] for i, x in enumerate(raw_vec)) for j in range(m)]
-        return [image[c] for c in kept]
+        factors = free
+        images = inputs = tuple(((i, 1),) for i in range(m))
 
     new_ops = []
     for op in raw_ops:
         triples = []
-        for coords in itertools.product(kept, repeat=op.arity):
-            args = [W[c] for c in coords]
-            value = to_new(eval_tensor(op, m, args))
-            new_idx = tuple(pos[c] for c in coords)
-            for l, c in enumerate(value):
-                if c:
-                    triples.append((new_idx, l, c))
+        for idx, outs in op.entries:
+            for args in itertools.product(*(inputs[i] for i in idx)):
+                new_idx = tuple(a for a, _ in args)
+                w = prod(x for _, x in args)
+                triples.extend((new_idx, b, w * c * v) for l, c in outs for b, v in images[l])
         new_ops.append(make_z_tensor(factors, op.arity, triples))
 
     algebra = IntegralAlgebra(
@@ -238,7 +237,7 @@ def normalize_presentation(
         unit_index=unit_index,
         involution_index=involution_index,
     )
-    return Presentation(algebra=algebra, transform=V, kept=kept)
+    return Presentation(algebra=algebra, images=images)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,10 @@ def integral_zero_module(factors: Sequence[int]) -> IntegralAlgebra:
 
 
 def integral_matrix_algebra(n: int) -> IntegralAlgebra:
-    """Mat_n over Z on the free module Z^(n^2); fibers are matrix_algebra(F_p, n)."""
+    """Mat_n over Z on Z^(n^2), basis E_{i,j} at index i*n + j (row-major):
+    E_{i,j} E_{k,l} = delta_{jk} E_{i,l}, the identity as unit, and for
+    n = 2 the symplectic involution [[a,b],[c,d]] -> [[d,-b],[-c,a]] (the
+    Cayley-Dickson conjugation).  zoo.matrix_algebra is its base change."""
     if n < 1:
         raise ValueError("matrix algebra needs n >= 1")
     factors = (0,) * (n * n)
@@ -474,7 +476,8 @@ def integral_matrix_algebra(n: int) -> IntegralAlgebra:
 
 
 def integral_split_etale(n: int) -> IntegralAlgebra:
-    """Z^n with componentwise product and the all-ones unit."""
+    """Z^n with componentwise product and the all-ones unit; zoo.split_etale
+    is its base change to a field."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
     factors = (0,) * n

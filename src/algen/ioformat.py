@@ -480,12 +480,6 @@ def elements_doc(alg, elements) -> list:
     return _elements(alg).emit(elements)
 
 
-def parse_lift_certificate(doc) -> LiftCertificate:
-    """A lift certificate on its own: the subgroup lives in Z^len(factors)."""
-    factors = INT_VECTOR.parse(_expect_dict(doc, "lift certificate").get("factors"))
-    return _lift(len(factors)).parse(doc)
-
-
 def _envelope(kind: str, alg) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,

@@ -4,8 +4,9 @@ Families: zero-product modules, full matrix algebras Mat_n, split etale
 algebras F^n, Cayley-Dickson doublings (quaternions, split octonions), and
 the 27-dimensional Albert algebra of octonion-Hermitian 3x3 matrices under
 the Jordan product.  Each constructor fixes a basis and emits exact structure
-constants; generator tuples come with the construction where a closed form
-exists, and by seeded search for the Albert algebra.
+constants; Mat_n and F^n are the base changes of their Z forms in
+algen.integral.  Generator tuples come with the construction where a closed
+form exists, and by seeded search for the Albert algebra.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from .algebra import Element, Multialgebra, OperationTensor, eval_tensor, make_tensor
 from .fields import Field, GF, QQ
+from .integral import fiber_mod_p, generic_fiber, integral_matrix_algebra, integral_split_etale
 
 
 # ---------------------------------------------------------------------------
@@ -21,47 +23,16 @@ from .fields import Field, GF, QQ
 # ---------------------------------------------------------------------------
 
 
+def _base_change(A, field: Field) -> Multialgebra:
+    """The fiber of a Z form over the field: mod p over F_p, generic over Q."""
+    return (fiber_mod_p(A, field.char) if field.char else generic_fiber(A)).algebra
+
+
 def matrix_algebra(field: Field, n: int) -> Multialgebra:
-    """Mat_n over the field, basis E_{i,j} at index i*n + j (row-major).
-
-    E_{i,j} E_{k,l} = delta_{jk} E_{i,l}.  The identity is flagged as unit.
-    For n = 2 the algebra carries its symplectic involution
-    [[a,b],[c,d]] -> [[d,-b],[-c,a]] (the conjugation used by the
-    Cayley-Dickson doubling); other sizes have no designated involution.
-    """
-    if n < 1:
-        raise ValueError("matrix algebra needs n >= 1")
-    dim = n * n
-
-    def e(i, j):
-        return i * n + j
-
-    product = make_tensor(
-        field,
-        dim,
-        2,
-        (((e(i, j), e(j, l)), e(i, l), 1) for i in range(n) for j in range(n) for l in range(n)),
-    )
-    unit = make_tensor(field, dim, 0, (((), e(i, i), 1) for i in range(n)))
-    ops = [product, unit]
-    involution_index = None
-    if n == 2:
-        conj = [
-            ((e(0, 0),), e(1, 1), 1),
-            ((e(1, 1),), e(0, 0), 1),
-            ((e(0, 1),), e(0, 1), -1),
-            ((e(1, 0),), e(1, 0), -1),
-        ]
-        ops.append(make_tensor(field, dim, 1, conj))
-        involution_index = 2
-    return Multialgebra(
-        field=field,
-        dim=dim,
-        ops=tuple(ops),
-        product_index=0,
-        unit_index=1,
-        involution_index=involution_index,
-    )
+    """Mat_n over the field: the base change of integral_matrix_algebra(n),
+    basis E_{i,j} at index i*n + j, with the identity as unit and, for
+    n = 2, the symplectic involution."""
+    return _base_change(integral_matrix_algebra(n), field)
 
 
 def canonical_matrix_generators(field: Field, n: int) -> tuple[Element, Element]:
@@ -91,12 +62,9 @@ def zero_algebra(field: Field, r: int) -> Multialgebra:
 
 
 def split_etale(field: Field, n: int) -> Multialgebra:
-    """F^n with componentwise product; the all-ones vector is the unit."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    product = make_tensor(field, n, 2, (((i, i), i, 1) for i in range(n)))
-    unit = make_tensor(field, n, 0, (((), i, 1) for i in range(n)))
-    return Multialgebra(field=field, dim=n, ops=(product, unit), product_index=0, unit_index=1)
+    """F^n with componentwise product and the all-ones unit: the base change
+    of integral_split_etale(n)."""
+    return _base_change(integral_split_etale(n), field)
 
 
 def distinct_entries_generator(field: Field, n: int) -> Element:

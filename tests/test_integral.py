@@ -162,6 +162,81 @@ def test_normalize_trivial_and_empty_relations():
     assert pres2.map_element((1, 1)) == (0,)
 
 
+def _z6_ring():
+    product = make_z_tensor((6,), 2, [((0, 0), 0, 1)])
+    unit = make_z_tensor((6,), 0, [((), 0, 1)])
+    return IntegralAlgebra(factors=(6,), ops=(product, unit), product_index=0, unit_index=1)
+
+
+def _apply(triples, m, args):
+    """The multilinear map given by (index tuple, output, coefficient)
+    triples, applied to integer vectors of length m."""
+    out = [0] * m
+    for idx, l, c in triples:
+        term = c
+        for arg, i in zip(args, idx):
+            term *= arg[i]
+        out[l] += term
+    return out
+
+
+def _disguised_presentation(rng, A):
+    """A raw presentation of A: extra generators standing for random
+    combinations of A's basis, A's torsion rows and a redundant combination
+    of all relation rows, then a random unimodular change of generators.
+    Returns (generators, relations, ops as (arity, triples))."""
+    r = A.rank
+    m = r + rng.randint(1, 2)
+    # pi[i]: raw generator i as an element of A
+    pi = [[int(i == k) for k in range(r)] for i in range(r)]
+    pi += [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r, m)]
+    rows = [[d * int(k == i) for k in range(m)] for i, d in enumerate(A.factors) if d]
+    rows += [[-x for x in pi[j]] + [int(k == j) for k in range(r, m)] for j in range(r, m)]
+    coeffs = [rng.randint(-2, 2) for _ in rows]
+    rows.append([sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(m)])
+    # new generator a is row a of Q in the old ones, so it is the element
+    # sum_i Q[a][i] pi[i] of A, and old coordinates become new ones by Q^-1
+    Q = [[int(i == j) for j in range(m)] for i in range(m)]
+    Qinv = [row[:] for row in Q]
+    for _ in range(3 * m):
+        a, b = rng.sample(range(m), 2)
+        q = rng.randint(-3, 3)
+        Q[a] = [x + q * y for x, y in zip(Q[a], Q[b])]
+        for row in Qinv:
+            row[b] -= q * row[a]
+
+    def rewrite(v):
+        return [sum(v[k] * Qinv[k][j] for k in range(m)) for j in range(m)]
+
+    ops = []
+    for k, op in enumerate(A.ops):
+        triples = []
+        for idx in itertools.product(range(m), repeat=op.arity):
+            args = [[sum(Q[a][i] * pi[i][j] for i in range(m)) for j in range(r)] for a in idx]
+            value = rewrite(list(A.evaluate(k, args)) + [0] * (m - r))
+            triples.extend((idx, l, c) for l, c in enumerate(value) if c)
+        ops.append((op.arity, triples))
+    return m, [rewrite(row) for row in rows], ops
+
+
+def test_normalize_recovers_disguised_presentations():
+    # the invariant factors are those of the algebra the presentation came
+    # from, and map_element carries every raw operation to the normalized one
+    rng = random.Random(13)
+    for A in (integral_matrix_algebra(2), integral_split_etale(3), _z6_ring()):
+        for _ in range(6):
+            m, relations, ops = _disguised_presentation(rng, A)
+            pres = normalize_presentation(
+                m, relations, ops, A.product_index, A.unit_index, A.involution_index
+            )
+            assert pres.algebra.factors == A.factors
+            for k, (arity, triples) in enumerate(ops):
+                for _ in range(4):
+                    args = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(arity)]
+                    expected = pres.map_element(_apply(triples, m, args))
+                    assert pres.algebra.evaluate(k, [pres.map_element(v) for v in args]) == expected
+
+
 def test_fiber_dimensions_torsion():
     A = integral_zero_module((6,))
     assert [fiber_mod_p(A, p).algebra.dim for p in (2, 3, 5)] == [1, 1, 0]

@@ -47,7 +47,6 @@ from algen.ioformat import (
     mingen_report_doc,
     parse_algebra,
     parse_int,
-    parse_lift_certificate,
     parse_scalar,
     seq,
     serialize_algebra,
@@ -207,7 +206,9 @@ def test_parse_algebra_errors():
 # parses an F_2, a Q and a Z document of dimension 10^5 with an empty
 # product, no unit and no involution, refuses an F_3 document of dimension
 # 10^5 whose designated unit is b_0, parses the unital split etale F_2^(10^4),
-# and prints the slowest parse in seconds
+# an F_2 document of dimension 10^4 with a diagonal product and the identity
+# involution, and a Z presentation of 10^5 generators with no relations and
+# an empty product, and prints the slowest parse in seconds
 _PARSE_LARGE_DIM = """
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))  # a dim^2 table fails at once
@@ -229,6 +230,14 @@ false_unit = {"base": "F3", "dim": str(dim), "format": "algen-algebra", "version
                       {"arity": "0", "entries": [["0", "1"]], "role": "unit"}]}
 docs.append((false_unit, "designated unit fails the unit law"))
 docs.append((serialize_algebra(split_etale(GF(2), 10**4)), None))
+diagonal = [[str(i)] * 3 + ["1"] for i in range(10**4)]
+identity = [[str(i), str(i), "1"] for i in range(10**4)]
+docs.append(({"base": "F2", "dim": str(10**4), "format": "algen-algebra", "version": "1",
+              "ops": [{"arity": "2", "entries": diagonal, "role": "product"},
+                      {"arity": "1", "entries": identity, "role": "involution"}]}, None))
+docs.append(({"base": "Z", "presentation": {"generators": str(dim), "relations": []},
+              "format": "algen-algebra", "version": "1",
+              "ops": [{"arity": "2", "entries": [], "role": "product"}]}, None))
 slowest = 0.0
 for doc, refusal in docs:
     start = time.perf_counter()
@@ -249,10 +258,11 @@ def _src_env():
 
 
 def test_parse_cost_is_not_quadratic_in_dim():
-    # a 150-byte document may declare any dimension; with no unit and no
-    # involution nothing in parsing may cost dim^2, and the unit law costs
-    # O(dim + product entries).  A subprocess with a 2 GiB address-space
-    # limit, so that a regression fails, not the host
+    # a 150-byte document may declare any dimension or generator count, and
+    # nothing in parsing may cost its square: the unit law costs O(dim +
+    # product entries), the involution law checks only the pairs where a
+    # side can be nonzero.  A subprocess with a 2 GiB address-space limit,
+    # so that a regression fails, not the host
     done = subprocess.run(
         [sys.executable, "-c", _PARSE_LARGE_DIM], env=_src_env(), capture_output=True, text=True, timeout=120
     )
@@ -557,7 +567,8 @@ def test_lift_round_trip_and_verify():
     parsed = ParsedAlgebra(A)
     cert = forster_lift(A, 2)
     doc = lift_certificate_doc(A, cert)
-    back = parse_lift_certificate(_reload(doc))
+    # the lift codec that verify_certificate parses with
+    back = algen.ioformat._lift(A.rank).parse(_reload(doc))
     assert back == cert
     assert canonical_json(lift_certificate_doc(A, back)) == canonical_json(doc)
     assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
@@ -838,8 +849,9 @@ def _mutate(data, doc, mutations) -> None:
 # ---------------------------------------------------------------------------
 
 
-_ALGEBRA_MUTATIONS = dict(_MUTATIONS, dim=lambda path, value: path == ("dim",))
-# a dim that costs dim^2 if anything is quadratic, and one no list can have
+_ALGEBRA_MUTATIONS = dict(_MUTATIONS, dim=lambda path, value: path in (("dim",), ("presentation", "generators")))
+# a dim or generator count that costs its square if anything is quadratic,
+# and one no list can have
 _HOSTILE_DIMS = ["100000", str(sys.maxsize + 1)]
 
 

@@ -6,6 +6,7 @@ import pytest
 from algen.algebra import Multialgebra, OperationTensor, is_generating, make_tensor
 from algen.fields import GF, QQ
 from algen import zoo
+from algen.integral import integral_matrix_algebra, integral_split_etale
 from support import closure_basis, field_extension_etale
 
 
@@ -55,6 +56,33 @@ def test_matrix_involution_only_for_two():
     A = zoo.matrix_algebra(QQ, 2)
     # [[a,b],[c,d]] -> [[d,-b],[-c,a]]
     assert A.involution((1, 2, 3, 4)) == (4, -2, -3, 1)
+
+
+def test_matrix_and_split_etale_match_plain_arithmetic():
+    # an oracle that shares nothing with the builders: on every pair of basis
+    # vectors Mat_n multiplies as n x n matrices and F^n coordinatewise, and
+    # the unit is the identity matrix or the all-ones vector, over Z and
+    # over F_2, F_3 and Q
+    def matmul(n):
+        return lambda x, y: [
+            sum(x[i * n + k] * y[k * n + j] for k in range(n)) for i in range(n) for j in range(n)
+        ]
+
+    def coordinatewise(x, y):
+        return [a * b for a, b in zip(x, y)]
+
+    families = []
+    for n in (1, 2, 3):
+        identity = [int(i == j) for i in range(n) for j in range(n)]
+        families.append((zoo.matrix_algebra, integral_matrix_algebra, n, n * n, matmul(n), identity))
+    for n in range(5):
+        families.append((zoo.split_etale, integral_split_etale, n, n, coordinatewise, [1] * n))
+    for over_field, over_z, n, dim, mul, unit in families:
+        b = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+        for A in (over_z(n), *(over_field(field, n) for field in (GF(2), GF(3), QQ))):
+            assert A.unit_vector() == tuple(unit)
+            for x, y in itertools.product(b, repeat=2):
+                assert A.product(x, y) == tuple(mul(x, y)), (A, x, y)
 
 
 # -- zero and etale -----------------------------------------------------------
