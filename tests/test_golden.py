@@ -11,6 +11,8 @@ before the Albert and Cayley-Dickson builders were rewritten in integers;
 algebra documents carry ALGEBRA_VERSION "1".  The per-kind pins (`mingen`,
 `bad-primes`, `check` over Z and `forster-lift`, including a hypothesis
 failure) were taken before certificate records were declared as codecs.
+The `matrix-z` and `split-etale-z --n 5` lift pins were taken before the
+lift reused the local requirement's completion searches.
 """
 
 import hashlib
@@ -189,6 +191,11 @@ KIND_CASES = {
     "lift-etale3-z": (("split-etale-z", "--n", "3"), "forster-lift", ("--n", "2")),
     "lift-zero-z-3-0": (("zero-z", "--factors", "3,0"), "forster-lift", ("--n", "2")),
     "lift-zero-z-2-2-failure": (("zero-z", "--factors", "2,2"), "forster-lift", ("--n", "1")),
+    # lifts whose first step searches the prime 2 from the empty prefix,
+    # the search that the local requirement already made
+    "lift-mat2-z": (("matrix-z", "--n", "2"), "forster-lift", ("--n", "2")),
+    "lift-mat3-z": (("matrix-z", "--n", "3"), "forster-lift", ("--n", "2")),
+    "lift-etale5-z": (("split-etale-z", "--n", "5"), "forster-lift", ("--n", "3")),
 }
 
 # sha256 of the stdout of each per-kind case
@@ -197,6 +204,9 @@ KIND_DIGESTS = {
     "check-etale3-z-gen": "73af8769416266180b3f9b392ccca67f6c3450f0be0c9712082a69d6729e1e6b",
     "check-etale3-z-ref": "fb55d8cc535977b88051b653442b3c8c7106eb198d5e334174835e0f3394a1b3",
     "lift-etale3-z": "893931eb13ecf3f6ef2205feab835aa97692dd446f24054c08be4dcb38021f22",
+    "lift-etale5-z": "01471ef8cbe0d51851d7343f0679cb94a4b03daed4c715ccb78806d90bbcc7f6",
+    "lift-mat2-z": "18a3151f949051bd2a6197f1843320e8f725b7d5ea60e84016e3c53b089e1e4b",
+    "lift-mat3-z": "91aa86d498d5fae6fb83eb92a3478d337a2d43b852e8cf0749c0b2ca78736ea4",
     "lift-zero-z-2-2-failure": "2bddfa1209eddc5d99c5125948b9100215a32487af1bb779ce8eb433ab8b8fc4",
     "lift-zero-z-3-0": "129e8af23a4e4c5b9a52445e7a2e064aa21607d37538b7d42405f8db80e58562",
     "mingen-etale4-f3": "bd78bc90a490185cc46e5940e2ef14b3a4ccef62da55332d0a22095543fad544",
