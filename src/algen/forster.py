@@ -384,10 +384,15 @@ def forster_lift(
         raise BudgetExhausted("local requirement could not be verified within the budget")
 
     generators: list[tuple[int, ...]] = []
+    # completable is deterministic, so each (prime, projected prefix) is
+    # searched once; the local requirement's searches are the empty prefix's
+    searched = {(p, ()): res for p, res in local.completions}
 
     def extend(cell: PartitionCell, p: int, fib: Fiber) -> tuple:
-        partial = [fib.project(generators[t]) for t in cell.witness]
-        res = completable(fib.algebra, partial, n, budget, unital=True)
+        partial = tuple(fib.project(generators[t]) for t in cell.witness)
+        res = searched.get((p, partial))
+        if res is None:
+            res = searched[p, partial] = completable(fib.algebra, partial, n, budget, unital=True)
         if res.status == "certified_none":
             raise RuntimeError(f"internal: witnessed prefix not completable at prime {p}")
         if res.status == "inconclusive":

@@ -351,7 +351,8 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
         if op.arity == 0:
             rows.append(tuple(eval_tensor(op, m, ())))
     current = lattice_from_vectors(rows, m)
-    while True:
+    # all of Z^m is closed under every operation: no round can grow it
+    while not current.is_full():
         produced: list[Sequence[int]] = list(current.rows)
         for op in A.ops:
             if op.arity == 0 or not op.entries:
@@ -360,8 +361,9 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
                 produced.append(eval_tensor(op, m, args))
         refreshed = lattice_from_vectors(produced, m)
         if refreshed.rows == current.rows:
-            return refreshed
+            break
         current = refreshed
+    return current
 
 
 @dataclass(frozen=True)
@@ -382,10 +384,10 @@ class BadPrimesReport:
 def _support_of_lattice(A: IntegralAlgebra, B: IntegerLattice) -> BadPrimesReport:
     if B.rank < A.rank:
         return BadPrimesReport(generic_fail=True, primes=(), exponent=None)
-    diag = snf(B.rows).diag if B.rows else ()
-    exponent = diag[-1] if diag else 1
-    if exponent == 1:
+    if B.is_full():
         return BadPrimesReport(generic_fail=False, primes=(), exponent=1)
+    # a full-rank lattice other than Z^m has index, so exponent, above 1
+    exponent = snf(B.rows).diag[-1]
     fac = factor(exponent)
     if not fac.complete:
         raise FactorizationIncomplete(exponent, fac.primes, fac.cofactor)

@@ -78,6 +78,11 @@ def _hnf_rows(vectors: Iterable[Sequence[int]], ambient: int):
             if pivot_row is None:
                 pivot_row = row
                 continue
+            q, r = divmod(row[c], pivot_row[c])
+            if not r:
+                # a multiple of the pivot: subtraction clears it without a gcd step
+                row[:] = [b - q * a for a, b in zip(pivot_row, row)]
+                continue
             g, x, y = xgcd(pivot_row[c], row[c])
             qa, qb = pivot_row[c] // g, row[c] // g
             merged = [x * a + y * b for a, b in zip(pivot_row, row)]

@@ -197,6 +197,27 @@ def test_lift_matrix_algebra():
     assert replay_lift(M, cert) == (True, "ok")
 
 
+@pytest.mark.parametrize(
+    "A, n",
+    [(integral_matrix_algebra(3), 2), (integral_split_etale(5), 3)],
+    ids=["mat3-z", "etale5-z"],
+)
+def test_lift_searches_each_prime_and_prefix_once(A, n, monkeypatch):
+    # step 0 completes the empty prefix at 2, which the local requirement
+    # already searched; the lift reuses that result instead of searching again
+    searched = []
+
+    def counting(alg, partial, *args, **kwargs):
+        searched.append((alg.field.p, tuple(tuple(v) for v in partial)))
+        return completable(alg, partial, *args, **kwargs)
+
+    monkeypatch.setattr(algen.forster, "completable", counting)
+    cert = forster_lift(A, n)
+    assert len(searched) == len(set(searched)) == 3
+    assert (2, ()) in searched
+    assert replay_lift(A, cert) == (True, "ok")
+
+
 def test_lift_cyclic_six():
     A = integral_zero_module((6,))
     cert = forster_lift(A, 1)

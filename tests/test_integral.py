@@ -6,10 +6,11 @@ import pytest
 
 import algen.algebra
 import algen.integral
-from algen.algebra import OperationTensor, is_generating
+from algen.algebra import OperationTensor, eval_tensor, is_generating
 from algen.fields import GF, QQ
-from algen.intmat import FactorizationIncomplete
+from algen.intmat import FactorizationIncomplete, factor, lattice_from_vectors, snf
 from algen.integral import (
+    BadPrimesReport,
     IntegralAlgebra,
     bad_primes,
     fiber_mod_p,
@@ -362,6 +363,71 @@ def test_bad_primes_factorization_incomplete():
     with pytest.raises(FactorizationIncomplete) as info:
         bad_primes(A, [])
     assert info.value.cofactor == big
+
+
+def _subgroup_by_rounds(A, elements):
+    """monomial_subgroup as a plain round loop: rounds run until one adds
+    nothing, even after the lattice is all of Z^m."""
+    m = A.rank
+    rows = A.relation_rows()
+    rows.extend(reduce_element(A.factors, v) for v in elements)
+    rows.extend(tuple(eval_tensor(op, m, ())) for op in A.ops if op.arity == 0)
+    current = lattice_from_vectors(rows, m)
+    while True:
+        produced = list(current.rows)
+        for op in A.ops:
+            if op.arity and op.entries:
+                for args in itertools.product(current.rows, repeat=op.arity):
+                    produced.append(eval_tensor(op, m, args))
+        refreshed = lattice_from_vectors(produced, m)
+        if refreshed.rows == current.rows:
+            return refreshed
+        current = refreshed
+
+
+def _support_by_snf(A, B):
+    """The prime support read off an SNF of every full-rank lattice."""
+    if B.rank < A.rank:
+        return BadPrimesReport(generic_fail=True, primes=(), exponent=None)
+    diag = snf(B.rows).diag if B.rows else ()
+    exponent = diag[-1] if diag else 1
+    return BadPrimesReport(
+        generic_fail=False, primes=factor(exponent).distinct_primes(), exponent=exponent
+    )
+
+
+def _torsion_ring():
+    """Z[t]/(t^2 - 1, 2 + 2t), normalized to invariant factors (2, 0)."""
+    ops = [(2, RING_T), (0, [((), 0, 1)])]
+    return normalize_presentation(2, [[2, 2]], ops, 0, unit_index=1).algebra
+
+
+@pytest.mark.parametrize(
+    "A, sizes, entries",
+    [
+        (integral_matrix_algebra(2), (0, 2, 3), (-1, 0, 1)),
+        (integral_matrix_algebra(3), (1, 2), (-1, 0, 1)),
+        (integral_split_etale(5), (2, 3, 4), (0, 1)),
+        (integral_zero_module((2, 4, 0)), (2, 3, 4), (-1, 0, 1)),
+        (_torsion_ring(), (0, 1, 2), (-3, -1, 0, 1, 2, 3)),
+    ],
+    ids=["mat2-z", "mat3-z", "etale5-z", "zero-2-4-0", "torsion-ring"],
+)
+def test_subgroup_stops_at_the_full_lattice(A, sizes, entries):
+    # the full-lattice exit and the SNF skip against the plain round loop
+    rng = random.Random(f"subgroup:{A.factors}")
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        S = [
+            tuple(rng.choice(entries) for _ in range(A.rank))
+            for _ in range(rng.choice(sizes))
+        ]
+        B = monomial_subgroup(A, S)
+        want = _subgroup_by_rounds(A, S)
+        assert B == want, (A.factors, S)
+        assert bad_primes(A, S) == _support_by_snf(A, want), (A.factors, S)
+        seen[B.is_full()] += 1
+    assert min(seen.values()) >= 3, seen
 
 
 def test_verify_global_generation_examples():

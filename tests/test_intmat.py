@@ -6,6 +6,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+import algen.intmat
 from algen.intmat import (
     Factorization,
     IntegerLattice,
@@ -284,22 +285,69 @@ def test_snf_matches_sympy():
         assert ours == [abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i]]
 
 
+def _assert_sympy_hnf_lattice(vectors, m):
+    """Our HNF against sympy's, compared as lattices: sympy's HNF is
+    column-style, so its basis must lie in ours with the same rank and volume."""
+    ours = lattice_from_vectors(vectors, m)
+    if not any(map(any, vectors)):
+        assert ours.rank == 0
+        return ours
+    theirs = hermite_normal_form(sympy.Matrix(vectors).T)
+    assert ours.rank == theirs.cols
+    assert all(lattice_contains(ours, list(theirs.col(j))) for j in range(theirs.cols))
+    basis = sympy.Matrix(ours.rows)
+    assert (basis * basis.T).det() == (theirs.T * theirs).det()
+    return ours
+
+
 def test_lattice_from_vectors_matches_sympy_hnf():
-    # sympy's HNF is column-style, so the two bases are compared as lattices:
-    # sympy's basis lies in ours, and both have the same rank and volume
     rng = random.Random(6)
     for _ in range(150):
         m = rng.randint(1, 4)
-        vectors = _random_matrix(rng, rng.randint(1, 5), m)
-        ours = lattice_from_vectors(vectors, m)
-        if not any(map(any, vectors)):
-            assert ours.rank == 0
-            continue
-        theirs = hermite_normal_form(sympy.Matrix(vectors).T)
-        assert ours.rank == theirs.cols
-        assert all(lattice_contains(ours, list(theirs.col(j))) for j in range(theirs.cols))
-        basis = sympy.Matrix(ours.rows)
-        assert (basis * basis.T).det() == (theirs.T * theirs).det()
+        _assert_sympy_hnf_lattice(_random_matrix(rng, rng.randint(1, 5), m), m)
+
+
+def test_hnf_divisible_pivots_match_sympy_hnf():
+    # rows whose entry in the pivot column is a multiple of the pivot are
+    # reduced by subtraction: duplicates, positive and negative multiples of
+    # earlier rows, zero rows, and pivots above 1 dividing later entries
+    rng = random.Random(8)
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        pivot = rng.choice((2, 3, -2, 4)) * rng.randint(1, 3)
+        vectors = [[pivot] + [rng.randint(-5, 5) for _ in range(m - 1)]]
+        vectors += _random_matrix(rng, rng.randint(0, 3), m, height=5)
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                vectors.append(list(rng.choice(vectors)))
+            elif kind == 1:
+                k = rng.choice((-3, -2, -1, 2, 3))
+                vectors.append([k * x for x in rng.choice(vectors)])
+            elif kind == 2:
+                vectors.append([0] * m)
+            else:
+                tail = [rng.randint(-5, 5) for _ in range(m - 1)]
+                vectors.append([pivot * rng.randint(-3, 3)] + tail)
+        ours = _assert_sympy_hnf_lattice(vectors, m)
+        for _ in range(3):
+            shuffled = vectors[:]
+            rng.shuffle(shuffled)
+            assert lattice_from_vectors(shuffled, m) == ours
+
+
+def test_hnf_multiples_of_the_pivot_need_no_xgcd(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(algen.intmat, "xgcd", counting)
+    vectors = [[2, 1, 0], [4, 2, 0], [-6, 0, 0], [0, 0, 0], [2, 1, 0], [0, 3, 3]]
+    lat = lattice_from_vectors(vectors, 3)
+    assert calls == []
+    assert lat.rows == ((2, 1, 0), (0, 3, 0), (0, 0, 3))
 
 
 def test_factor_matches_sympy():
