@@ -12,7 +12,9 @@ algebra documents carry ALGEBRA_VERSION "1".  The per-kind pins (`mingen`,
 `bad-primes`, `check` over Z and `forster-lift`, including a hypothesis
 failure) were taken before certificate records were declared as codecs.
 The `matrix-z` and `split-etale-z --n 5` lift pins were taken before the
-lift reused the local requirement's completion searches.
+lift reused the local requirement's completion searches.  The `zoo` pins of
+the quaternions over F2, F3 and F5 and of the octonions over F2 and F5 were
+taken before Cayley-Dickson doubling moved from field algebras to Z forms.
 """
 
 import hashlib
@@ -133,8 +135,13 @@ ZOO_DIGESTS = {
     ("albert", "F5"): "5de85c0841f5cae89ff41c3d1d961bc6b17b03cceb339fcaa7506efced30fb4c",
     ("albert", "F7"): "699742ffd9db56f33a84d92b4650f433fad846830047720078c40f1f6b95e1e7",
     ("albert", "Q"): "bc658d1c46bb8cd31eccd6442131b5a7ae1caba01832af6fabd48b960368f004",
+    ("octonion", "F2"): "9abdd9b0e313e96a6863f39d3f551cbcfd053ff006b2a1e737a054070262d14d",
     ("octonion", "F3"): "5f214a96fbc356bf01b53706edbf33fbc1fbcd8a86c6c44b883eb11fbe9b17f9",
+    ("octonion", "F5"): "7b2697754a11a897cd6556ed2336a44cc167122e847ec1c30ce1b4b7d03efe74",
     ("octonion", "Q"): "173c6cdf9ec80be09edb8288a258509aedf8d4e44715ad0e1c2070f09cc53bb2",
+    ("quaternion", "F2"): "cba8c22a492d48bbdd89be03bf908831db6fe3639dea270c0812eb0b87b31bde",
+    ("quaternion", "F3"): "d4122030616e133dba5dca7a4dabc2f03f47cc144dc3ebcaa4191e54a6af881e",
+    ("quaternion", "F5"): "2e96ef387c90577c976df0d32359f606ddcfb88751581107021ae8ee06c00f50",
     ("quaternion", "Q"): "f61ba80074612a5e7d8af6715db968b0aa565109788ac114e67c737611e184fa",
 }
 
