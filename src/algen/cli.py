@@ -3,7 +3,7 @@
 Results are JSON on standard output with a one-line human summary on
 standard error.  Exit codes are uniform across commands: 0 for a positive
 result, 1 for a certified negative, 2 for an inconclusive search or an
-exhausted budget, 3 for invalid input.
+exhausted budget, 3 for invalid input, 4 for an internal error.
 """
 
 from __future__ import annotations
@@ -338,6 +338,14 @@ def main(argv=None) -> int:
     except (FormatError, json.JSONDecodeError, OSError, ValueError) as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 3
+    except Exception as crash:
+        # an uncaught crash would exit 1, which reads as a certified negative;
+        # traceback is imported here so that no command pays for it at start
+        import traceback
+
+        traceback.print_exc()
+        _emit({"error": "internal", "detail": repr(crash)}, f"internal error: {crash!r}")
+        return 4
 
 
 if __name__ == "__main__":

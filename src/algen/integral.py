@@ -439,6 +439,52 @@ def integral_zero_module(factors: Sequence[int]) -> IntegralAlgebra:
     return IntegralAlgebra(factors=tuple(factors), ops=(product,), product_index=0)
 
 
+def integral_ground() -> IntegralAlgebra:
+    """Z itself, unital, with the identity involution: where doubling starts."""
+    ops = tuple(make_z_tensor((0,), arity, [((0,) * arity, 0, 1)]) for arity in (2, 0, 1))
+    return IntegralAlgebra(factors=(0,), ops=ops, product_index=0, unit_index=1, involution_index=2)
+
+
+def cayley_dickson(A: IntegralAlgebra, mu: int) -> IntegralAlgebra:
+    """Double a free, unital Z algebra with involution sigma.
+
+    On pairs: (a,b)(c,d) = (ac + mu sigma(d) b, da + b sigma(c)); unit (e,0);
+    involution (a,b) -> (sigma(a), -b).  The tensors are written from the
+    entries of A, r = rank A: each product entry b_a b_b -> c b_l gives
+    (a, b) -> l and (b, r+a) -> r+l with c, (r+a, k) -> r+l with s c and
+    (r+b, r+k) -> l with mu s c for each k whose sigma(b_k) holds b_b,
+    respectively b_a, with coefficient s.  Construction re-runs the unit and
+    involution law checks.  A must be free: doubling Z/2 + Z would give the
+    factors (2, 0, 2, 0), which are not in invariant-factor order.
+    """
+    if A.unit_index is None or A.involution_index is None:
+        raise ValueError("Cayley-Dickson input needs designated unit and involution")
+    if any(A.factors):
+        raise ValueError("Cayley-Dickson input must be a free Z-module")
+    if not _int_scalar(mu):
+        raise ValueError("Cayley-Dickson scalar must be nonzero")
+    r = A.rank
+    sigma = A.ops[A.involution_index].entries
+    # holders[m] lists (k, s) where sigma(b_k) holds b_m with coefficient s
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for (k,), outs in sigma:
+        for m, s in outs:
+            holders.setdefault(m, []).append((k, s))
+    triples = []
+    for (a, b), outs in A.ops[A.product_index].entries:
+        for l, c in outs:
+            triples.append(((a, b), l, c))
+            triples.append(((b, r + a), r + l, c))
+            triples.extend(((r + a, k), r + l, s * c) for k, s in holders.get(b, ()))
+            triples.extend(((r + b, r + k), l, mu * s * c) for k, s in holders.get(a, ()))
+    conj = [(idx, l, s) for idx, outs in sigma for l, s in outs]
+    conj.extend(((r + i,), r + i, -1) for i in range(r))
+    factors = (0,) * (2 * r)
+    # the unit (e, 0) has A's unit tensor, already canonical on 2r coordinates
+    ops = (make_z_tensor(factors, 2, triples), A.ops[A.unit_index], make_z_tensor(factors, 1, conj))
+    return IntegralAlgebra(factors=factors, ops=ops, product_index=0, unit_index=1, involution_index=2)
+
+
 def integral_matrix_algebra(n: int) -> IntegralAlgebra:
     """Mat_n over Z on Z^(n^2), basis E_{i,j} at index i*n + j (row-major):
     E_{i,j} E_{k,l} = delta_{jk} E_{i,l}, the identity as unit, and for

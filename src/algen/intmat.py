@@ -311,8 +311,14 @@ def _brent_rho(n: int) -> int | None:
     return None
 
 
-def factor(n: int, bound: int = 1_000_000) -> Factorization:
-    """Factor n by trial division up to bound, then deterministic rho splits.
+# The one trial-division bound, the same for prover and verifier.  It decides
+# only whether factoring finishes, never which primes divide n.
+TRIAL_DIVISION_BOUND = 1_000_000
+
+
+def factor(n: int) -> Factorization:
+    """Factor n by trial division up to TRIAL_DIVISION_BOUND, then
+    deterministic rho splits.
 
     Factors are reported only when proven prime; whatever resists ends up in
     the cofactor (complete iff cofactor == 1).
@@ -329,7 +335,7 @@ def factor(n: int, bound: int = 1_000_000) -> Factorization:
                 remaining //= f
         f = 5
         step = 2
-        while f <= bound and f * f <= remaining:
+        while f <= TRIAL_DIVISION_BOUND and f * f <= remaining:
             while remaining % f == 0:
                 primes.append(f)
                 remaining //= f

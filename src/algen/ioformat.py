@@ -591,9 +591,10 @@ def verify_certificate(parsed: ParsedAlgebra, doc) -> tuple[bool, str]:
     under the recorded budget, bad-prime and global-generation reports are
     recomputed, and lift certificates go through the full step-by-step
     replay.  The document is then compared, byte for byte, with the envelope
-    plus the body the replay re-emits.  Factoring always uses the verifier's
-    own trial-division bound.  Budgets above the MAX_VERIFY_* caps are
-    refused as inconclusive.  Returns (ok, detail).
+    plus the body the replay re-emits.  Factoring uses intmat's one
+    trial-division bound, the prover's too, which decides only whether
+    factoring finishes.  Budgets above the MAX_VERIFY_* caps are refused as
+    inconclusive.  Returns (ok, detail).
     """
     try:
         doc = _expect_dict(doc, "certificate document")

@@ -8,7 +8,7 @@ loops depend on that canonicality.  Spans over Q are algebra._RationalSpan.
 Over F_2 each row is held as one int, coordinate i at bit width - 1 - i, so
 a row's pivot column is width - bit_length, rows in RREF order are
 descending ints, and reduction is XOR.  Over odd p a row is a list of
-coordinates in [0, p).  Either way rows and pivots read as lists.
+coordinates in [0, p).  Either way rows read as coordinate lists.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class RowReducer:
         if self.p != 2:
             return self._rows
         return [self._coordinates(m) for m in self._rows]
-
-    @property
-    def pivots(self) -> list[int]:
-        if self.p != 2:
-            return self._pivots
-        return [self.width - m.bit_length() for m in self._rows]
 
     def key(self) -> tuple:
         """The span as a hashable value: equal keys, equal spans."""

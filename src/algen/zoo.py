@@ -4,9 +4,10 @@ Families: zero-product modules, full matrix algebras Mat_n, split etale
 algebras F^n, Cayley-Dickson doublings (quaternions, split octonions), and
 the 27-dimensional Albert algebra of octonion-Hermitian 3x3 matrices under
 the Jordan product.  Each constructor fixes a basis and emits exact structure
-constants; Mat_n and F^n are the base changes of their Z forms in
-algen.integral.  Generator tuples come with the construction where a closed
-form exists, and by seeded search for the Albert algebra.
+constants; Mat_n, F^n, the quaternions and the split octonions are the base
+changes of their Z forms in algen.integral, the latter two built by
+integral.cayley_dickson.  Generator tuples come with the construction where
+a closed form exists, and by seeded search for the Albert algebra.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from fractions import Fraction
 
 from .algebra import Element, Multialgebra, OperationTensor, eval_tensor, make_tensor
 from .fields import Field, GF, QQ
-from .integral import fiber_mod_p, generic_fiber, integral_matrix_algebra, integral_split_etale
+from .integral import (
+    cayley_dickson,
+    fiber_mod_p,
+    generic_fiber,
+    integral_ground,
+    integral_matrix_algebra,
+    integral_split_etale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +52,7 @@ def canonical_matrix_generators(field: Field, n: int) -> tuple[Element, Element]
     cyc = [field.zero] * dim
     for i in range(n - 1):
         cyc[i * n + (i + 1)] = field.one
-    cyc[(n - 1) * n + 0] = field.add(cyc[(n - 1) * n + 0], field.one)
+    cyc[(n - 1) * n] = field.one
     return first, tuple(cyc)
 
 
@@ -113,85 +121,21 @@ def etale_logq_generators(p: int, n: int, unital: bool = False) -> list[Element]
 # ---------------------------------------------------------------------------
 
 
-def ground_algebra(field: Field) -> Multialgebra:
-    """The field itself: 1-dimensional, unital, identity involution."""
-    product = make_tensor(field, 1, 2, [((0, 0), 0, 1)])
-    unit = make_tensor(field, 1, 0, [((), 0, 1)])
-    conj = make_tensor(field, 1, 1, [((0,), 0, 1)])
-    return Multialgebra(
-        field=field, dim=1, ops=(product, unit, conj), product_index=0, unit_index=1, involution_index=2
-    )
-
-
-def cayley_dickson(alg: Multialgebra, mu) -> Multialgebra:
-    """Double a unital algebra with involution.
-
-    On pairs: (a,b)(c,d) = (ac + mu conj(d) b, da + b conj(c)); unit (e,0);
-    involution (a,b) -> (conj(a), -b).  The doubled algebra keeps all three
-    designations, and its construction re-runs the unit/involution law checks.
-    """
-    if alg.unit_index is None or alg.involution_index is None:
-        raise ValueError("Cayley-Dickson input needs designated unit and involution")
-    field = alg.field
-    mu = field.coerce(mu)
-    if mu == field.zero:
-        raise ValueError("Cayley-Dickson scalar must be nonzero")
-    r = alg.dim
-    basis = [tuple(field.one if k == i else field.zero for k in range(r)) for i in range(r)]
-    conj = [alg.involution(b) for b in basis]
-
-    triples = []
-    for i in range(r):
-        for k in range(r):
-            # (e_i, 0)(e_k, 0) = (e_i e_k, 0)
-            v = alg.product(basis[i], basis[k])
-            triples.extend(((i, k), l, c) for l, c in enumerate(v) if c != field.zero)
-            # (e_i, 0)(0, e_k) = (0, e_k e_i)
-            v = alg.product(basis[k], basis[i])
-            triples.extend(((i, r + k), r + l, c) for l, c in enumerate(v) if c != field.zero)
-            # (0, e_i)(e_k, 0) = (0, e_i conj(e_k))
-            v = alg.product(basis[i], conj[k])
-            triples.extend(((r + i, k), r + l, c) for l, c in enumerate(v) if c != field.zero)
-            # (0, e_i)(0, e_k) = (mu conj(e_k) e_i, 0)
-            v = alg.product(conj[k], basis[i])
-            triples.extend(((r + i, r + k), l, mu * c) for l, c in enumerate(v) if c != field.zero)
-    product = make_tensor(field, 2 * r, 2, triples)
-
-    e = alg.unit_vector()
-    unit = make_tensor(field, 2 * r, 0, (((), l, c) for l, c in enumerate(e) if c != field.zero))
-
-    inv_triples = []
-    for i in range(r):
-        inv_triples.extend(((i,), l, c) for l, c in enumerate(conj[i]) if c != field.zero)
-        inv_triples.append(((r + i,), r + i, -1))
-    involution = make_tensor(field, 2 * r, 1, inv_triples)
-
-    return Multialgebra(
-        field=field,
-        dim=2 * r,
-        ops=(product, unit, involution),
-        product_index=0,
-        unit_index=1,
-        involution_index=2,
-    )
-
-
 def quaternion_algebra(field: Field = QQ) -> Multialgebra:
-    """Two doublings from the ground field with mu = -1, -1."""
-    return cayley_dickson(cayley_dickson(ground_algebra(field), -1), -1)
+    """Two doublings of Z with mu = -1, -1, base changed to the field."""
+    return _base_change(cayley_dickson(cayley_dickson(integral_ground(), -1), -1), field)
 
 
 def split_octonion(field: Field) -> Multialgebra:
-    """The 8-dimensional CD(Mat_2(field), 1)."""
-    return cayley_dickson(matrix_algebra(field, 2), 1)
+    """The 8-dimensional CD(Mat_2, 1): the base change of CD(Mat_2(Z), 1)."""
+    return _base_change(cayley_dickson(integral_matrix_algebra(2), 1), field)
 
 
 def octonion_generators(field: Field) -> tuple[Element, Element, Element]:
     """(g1, 0), (g2, 0) for the canonical Mat_2 pair, plus (0, identity)."""
     g1, g2 = canonical_matrix_generators(field, 2)
-    zero4 = (field.zero,) * 4
-    unit2 = matrix_algebra(field, 2).unit_vector()
-    return (g1 + zero4, g2 + zero4, zero4 + unit2)
+    zero, one = field.zero, field.one
+    return (g1 + (zero,) * 4, g2 + (zero,) * 4, (zero,) * 4 + (one, zero, zero, one))
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +148,15 @@ def albert(field: Field) -> Multialgebra:
 
     Coordinates: 3 diagonal scalars, then the octonion entries at positions
     (1,2), (1,3), (2,3), giving 3 + 3*8 = 27.  The product is
-    x o y = (xy + yx)/2.  The split octonions have integer structure
-    constants, so 2(x o y) = xy + yx is computed once per pair of basis
-    matrices in integers with eval_tensor, checked to be Hermitian with a
+    x o y = (xy + yx)/2.  2(x o y) = xy + yx is computed once per pair of
+    basis matrices in integers, with eval_tensor on the tensors of the split
+    octonions' Z form, checked to be Hermitian with a
     scalar diagonal, and halved by make_tensor in the target field.  The
     same integers serve Q and every F_p; requires characteristic != 2.
     """
     if field.char == 2:
         raise ValueError("Albert algebra needs characteristic != 2")
-    # the octonion structure constants are integers: read them as ints
-    mul, unit, sigma = (
-        OperationTensor(op.arity, tuple((idx, tuple((l, int(c)) for l, c in outs)) for idx, outs in op.entries))
-        for op in split_octonion(QQ).ops
-    )
+    mul, unit, sigma = cayley_dickson(integral_matrix_algebra(2), 1).ops
     one = eval_tensor(unit, 8, ())
     zero = [0] * 8
 

@@ -1,8 +1,10 @@
 """Oracles and algebras that several test modules share and no library
 code needs: trial-division primality, spans and lattices computed by sympy,
-and the non-split etale forms F_p[x]/(f) of the split etale algebras."""
+the non-split etale forms F_p[x]/(f) of the split etale algebras, and the
+environment of a subprocess that imports algen from this checkout."""
 
 import itertools
+import os
 from fractions import Fraction
 from typing import Sequence
 
@@ -10,8 +12,16 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices import DomainMatrix
 
+import algen
 from algen.algebra import Multialgebra, _closure_reducer, make_tensor
 from algen.fields import GF, validate_vector
+
+
+def src_env() -> dict:
+    """os.environ with the directory that holds the imported algen package
+    first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(algen.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def is_prime(n: int) -> bool:

@@ -1,10 +1,15 @@
 import json
+import os
+import resource
+import subprocess
 import sys
 
 import pytest
 
+import algen.cli
 from algen.cli import main
 from algen.ioformat import parse_algebra
+from support import src_env
 
 RING_PRESENTATION = {
     "format": "algen-algebra",
@@ -282,3 +287,103 @@ def test_cli_reports_usage_errors_as_invalid(capsys):
     assert main([]) == 3
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# internal errors and the installed entry point
+# ---------------------------------------------------------------------------
+
+
+def _limit_address_space():
+    # the interpreter with algen imported takes about 25 MiB
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_memory_error_exits_internal(tmp_path):
+    # mingen on a 127-byte F_2 document declaring dim 10^12 computes
+    # 2^(dim * n) and runs out of memory; a crash is no certified negative,
+    # so it exits 4, not 1.  In a subprocess with a 256 MiB address-space
+    # limit, so that the allocation fails, not the host.  The power squares
+    # its way up to the limit: on a 2-CPU host that took 3-4 s under 256 MiB
+    # and 30 s under 2 GiB
+    doc = (
+        '{"base":"F2","dim":"1000000000000","format":"algen-algebra",'
+        '"ops":[{"arity":"2","entries":[],"role":"product"}],"version":"1"}'
+    )
+    path = tmp_path / "huge.json"
+    path.write_text(doc + "\n", encoding="utf-8")
+    assert path.stat().st_size == 127
+    done = subprocess.run(
+        [sys.executable, "-m", "algen.cli", "mingen", str(path)],
+        env=src_env(),
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 4, done.stderr[-500:]
+    report = json.loads(done.stdout)
+    assert report["error"] == "internal" and "MemoryError" in report["detail"]
+
+
+def test_internal_error_exits_4(capsys, e3z, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("internal: lift step lost its prime")
+
+    monkeypatch.setattr(algen.cli, "forster_lift", crash)
+    code, doc = run(capsys, "forster-lift", e3z, "--n", "2")
+    assert code == 4
+    assert doc == {"error": "internal", "detail": "RuntimeError('internal: lift step lost its prime')"}
+
+
+# The commands of the CI workflow's "algen entry point" step, in order; the
+# test checks that the workflow lists the same ones
+ENTRY_POINT_COMMANDS = [
+    "algen zoo split-etale-z --n 3 > e3z.json",
+    """algen check e3z.json --tuple '[["1","2","3"],["0","0","1"]]' > e3z-check.json""",
+    "algen verify-cert e3z.json e3z-check.json",
+    """algen bad-primes e3z.json --tuple '[["1","2","3"]]' > bad-primes.json""",
+    "algen verify-cert e3z.json bad-primes.json",
+    "algen forster-lift e3z.json --n 2 > lift.json",
+    "algen verify-cert e3z.json lift.json",
+    "algen zoo matrix-z --n 2 > m2z.json",
+    "algen forster-lift m2z.json --n 2 > m2z-lift.json",
+    "algen verify-cert m2z.json m2z-lift.json",
+    "algen zoo albert --field F3 > albert3.json",
+    "algen zoo matrix --field F2 --n 2 > m2.json",
+    "algen mingen m2.json --unital > mingen.json",
+    "algen verify-cert m2.json mingen.json",
+    "algen zoo octonion --field Q > oq.json",
+    "algen zoo octonion --field Q --emit generators > oq-gens.json",
+    "algen check oq.json --tuple @oq-gens.json > oq-check.json",
+    "algen verify-cert oq.json oq-check.json",
+    "algen zoo quaternion --field F3 > h3.json",
+    """algen check h3.json --tuple '[["0","1","0","0"],["0","0","1","0"]]' > h3-check.json""",
+    "algen verify-cert h3.json h3-check.json",
+    "algen zoo octonion --field F5 > o5.json",
+    "algen zoo octonion --field F5 --emit generators > o5-gens.json",
+    "algen check o5.json --tuple @o5-gens.json > o5-check.json",
+    "algen verify-cert o5.json o5-check.json",
+    """algen check ring.json --tuple '[["0","1"]]' > ring-check.json""",
+    "algen verify-cert ring.json ring-check.json",
+    """algen bad-primes ring.json --tuple '[["0","1"]]' > ring-bad-primes.json""",
+    "algen verify-cert ring.json ring-bad-primes.json",
+]
+
+
+def test_ci_entry_point_commands(tmp_path):
+    workflow = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tests.yml")
+    with open(workflow, encoding="utf-8") as handle:
+        listed = [line.strip() for line in handle if line.strip().startswith("algen ")]
+    assert listed == ENTRY_POINT_COMMANDS
+    (tmp_path / "ring.json").write_text(json.dumps(RING_PRESENTATION), encoding="utf-8")
+    # each line runs in a POSIX shell, with algen standing for python -m algen.cli
+    prelude = 'algen() { "$ALGEN_PYTHON" -m algen.cli "$@"; }\n'
+    env = dict(src_env(), ALGEN_PYTHON=sys.executable)
+    for command in ENTRY_POINT_COMMANDS:
+        done = subprocess.run(
+            prelude + command, shell=True, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, (command, done.stderr[-500:])
+        if command.startswith("algen verify-cert"):
+            assert json.loads(done.stdout)["ok"] is True, command

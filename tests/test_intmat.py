@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 import algen.intmat
 from algen.intmat import (
+    TRIAL_DIVISION_BOUND,
     Factorization,
     IntegerLattice,
     crt,
@@ -223,7 +224,7 @@ def test_factor_examples():
     assert factor(12).primes == (2, 2, 3)
     assert factor(12).complete
     assert factor(1) == Factorization(n=1, primes=(), cofactor=1)
-    f = factor(221, bound=20)
+    f = factor(221)
     assert f.primes == (13, 17)
     assert f.complete
     assert factor(-12).primes == (2, 2, 3)
@@ -232,14 +233,16 @@ def test_factor_examples():
 
 
 def test_factor_rho_beyond_bound():
-    f = factor(1000003 * 1000033, bound=100)
+    # both factors lie past TRIAL_DIVISION_BOUND, so rho splits them
+    assert 1000003 > TRIAL_DIVISION_BOUND
+    f = factor(1000003 * 1000033)
     assert f.primes == (1000003, 1000033)
     assert f.complete
 
 
 def test_factor_incomplete_beyond_proof_range():
     huge = 2**89 - 1  # prime, but past the deterministic witness range
-    f = factor(2 * huge, bound=1000)
+    f = factor(2 * huge)
     assert f.primes == (2,)
     assert not f.complete
     assert f.cofactor == huge

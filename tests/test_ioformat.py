@@ -59,6 +59,7 @@ from algen.zoo import (
     quaternion_algebra,
     split_etale,
 )
+from support import src_env
 
 
 def _reload(doc):
@@ -252,11 +253,6 @@ print(slowest)
 """
 
 
-def _src_env():
-    src = os.path.dirname(os.path.dirname(algen.ioformat.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_parse_cost_is_not_quadratic_in_dim():
     # a 150-byte document may declare any dimension or generator count, and
     # nothing in parsing may cost its square: the unit law costs O(dim +
@@ -264,7 +260,7 @@ def test_parse_cost_is_not_quadratic_in_dim():
     # side can be nonzero.  A subprocess with a 2 GiB address-space limit,
     # so that a regression fails, not the host
     done = subprocess.run(
-        [sys.executable, "-c", _PARSE_LARGE_DIM], env=_src_env(), capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _PARSE_LARGE_DIM], env=src_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-500:]
     assert float(done.stdout) < 1.0
@@ -905,7 +901,7 @@ def test_parse_survives_mutated_algebra_documents():
     tests = os.path.dirname(os.path.abspath(__file__))
     done = subprocess.run(
         [sys.executable, "-c", _PARSE_MUTATED, tests],
-        env=_src_env(),
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=600,

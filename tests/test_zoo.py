@@ -6,7 +6,18 @@ import pytest
 from algen.algebra import Multialgebra, OperationTensor, is_generating, make_tensor
 from algen.fields import GF, QQ
 from algen import zoo
-from algen.integral import integral_matrix_algebra, integral_split_etale
+from algen.integral import (
+    IntegralAlgebra,
+    cayley_dickson,
+    fiber_mod_p,
+    generic_fiber,
+    integral_ground,
+    integral_matrix_algebra,
+    integral_split_etale,
+    integral_zero_module,
+    make_z_tensor,
+)
+from algen.ioformat import serialize_algebra
 from support import closure_basis, field_extension_etale
 
 
@@ -166,24 +177,47 @@ def test_field_extension_etale():
 # -- Cayley-Dickson tower ------------------------------------------------------
 
 
+def base_change(A, field):
+    return (fiber_mod_p(A, field.char) if field.char else generic_fiber(A)).algebra
+
+
 def test_cd_once_is_split_quadratic_etale():
-    A = zoo.cayley_dickson(zoo.ground_algebra(GF(5)), 1)
-    assert A.dim == 2
+    A = cayley_dickson(integral_ground(), 1)
+    assert A.rank == 2
+    assert A.unit_vector() == (1, 0)
+    F = base_change(A, GF(5))
     half = GF(5).inv(2)
     plus = (half, half)
     minus = (half, GF(5).neg(half))
-    assert A.product(plus, plus) == plus
-    assert A.product(minus, minus) == minus
-    assert A.product(plus, minus) == (0, 0)
-    assert A.product(minus, plus) == (0, 0)
-    assert A.unit_vector() == (1, 0)
+    assert F.product(plus, plus) == plus
+    assert F.product(minus, minus) == minus
+    assert F.product(plus, minus) == (0, 0)
+    assert F.product(minus, plus) == (0, 0)
+    assert F.unit_vector() == (1, 0)
 
 
 def test_cd_requires_unit_involution_and_nonzero_mu():
-    with pytest.raises(ValueError):
-        zoo.cayley_dickson(zoo.ground_algebra(QQ), 0)
-    with pytest.raises(ValueError):
-        zoo.cayley_dickson(zoo.zero_algebra(QQ, 2), 1)
+    with pytest.raises(ValueError, match="nonzero"):
+        cayley_dickson(integral_ground(), 0)
+    with pytest.raises(ValueError, match="unit and involution"):
+        cayley_dickson(integral_zero_module((0, 0)), 1)
+    # Z/2 with the identity involution: doubling refuses any torsion, since
+    # the doubled factors of a mixed module such as Z/2 + Z, (2, 0, 2, 0),
+    # are not in invariant-factor order
+    factors = (2,)
+    ground_mod_2 = IntegralAlgebra(
+        factors=factors,
+        ops=(
+            make_z_tensor(factors, 2, [((0, 0), 0, 1)]),
+            make_z_tensor(factors, 0, [((), 0, 1)]),
+            make_z_tensor(factors, 1, [((0,), 0, 1)]),
+        ),
+        product_index=0,
+        unit_index=1,
+        involution_index=2,
+    )
+    with pytest.raises(ValueError, match="free"):
+        cayley_dickson(ground_mod_2, 1)
 
 
 def test_quaternions():
@@ -200,12 +234,76 @@ def test_quaternions():
     assert is_generating(H, [i, j])[0]
     # CD of commutative associative stays associative; CD of the
     # noncommutative quaternions is the non-associative octonion stage
-    O = zoo.cayley_dickson(H, -1)
+    H_Z = cayley_dickson(cayley_dickson(integral_ground(), -1), -1)
+    O = base_change(cayley_dickson(H_Z, -1), QQ)
     assert O.dim == 8
     assert any(
         not is_zero(O, associator(O, x, y, z))
         for x, y, z in itertools.product(basis(O), repeat=3)
     )
+
+
+def field_ground(field):
+    """The field itself: 1-dimensional, unital, identity involution."""
+    product = make_tensor(field, 1, 2, [((0, 0), 0, 1)])
+    unit = make_tensor(field, 1, 0, [((), 0, 1)])
+    conj = make_tensor(field, 1, 1, [((0,), 0, 1)])
+    return Multialgebra(
+        field=field, dim=1, ops=(product, unit, conj), product_index=0, unit_index=1, involution_index=2
+    )
+
+
+def field_cayley_dickson(alg, mu):
+    """Oracle: double a field algebra by evaluating its product on basis
+    vectors, (a,b)(c,d) = (ac + mu conj(d) b, da + b conj(c))."""
+    field = alg.field
+    mu = field.coerce(mu)
+    r = alg.dim
+    b = basis(alg)
+    conj = [alg.involution(x) for x in b]
+    triples = []
+    for i in range(r):
+        for k in range(r):
+            pieces = (
+                ((i, k), 0, alg.product(b[i], b[k]), 1),
+                ((i, r + k), r, alg.product(b[k], b[i]), 1),
+                ((r + i, k), r, alg.product(b[i], conj[k]), 1),
+                ((r + i, r + k), 0, alg.product(conj[k], b[i]), mu),
+            )
+            for idx, shift, v, scale in pieces:
+                triples.extend((idx, shift + l, scale * c) for l, c in enumerate(v) if c)
+    product = make_tensor(field, 2 * r, 2, triples)
+    e = alg.unit_vector()
+    unit = make_tensor(field, 2 * r, 0, (((), l, c) for l, c in enumerate(e) if c))
+    inv = [((i,), l, c) for i in range(r) for l, c in enumerate(conj[i]) if c]
+    inv += [((r + i,), r + i, -1) for i in range(r)]
+    involution = make_tensor(field, 2 * r, 1, inv)
+    return Multialgebra(
+        field=field, dim=2 * r, ops=(product, unit, involution), product_index=0, unit_index=1, involution_index=2
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+def test_z_doubling_matches_field_doubling(field):
+    # the Z doubling reads tensor entries; the oracle evaluates the field
+    # product on basis vectors.  Their base changes agree as algebras and as
+    # documents: ground -> quaternions, Mat_2 -> split octonions, and the
+    # split octonions doubled again
+    H_Z = cayley_dickson(cayley_dickson(integral_ground(), -1), -1)
+    H = field_cayley_dickson(field_cayley_dickson(field_ground(field), -1), -1)
+    O_Z = cayley_dickson(integral_matrix_algebra(2), 1)
+    O = field_cayley_dickson(zoo.matrix_algebra(field, 2), 1)
+    cases = (
+        (H_Z, H, zoo.quaternion_algebra(field)),
+        (O_Z, O, zoo.split_octonion(field)),
+        (cayley_dickson(O_Z, -1), field_cayley_dickson(O, -1), None),
+    )
+    for over_z, oracle, stock in cases:
+        doubled = base_change(over_z, field)
+        assert doubled == oracle
+        assert serialize_algebra(doubled) == serialize_algebra(oracle)
+        if stock is not None:
+            assert serialize_algebra(stock) == serialize_algebra(oracle)
 
 
 def alternativity_holds(alg):
