@@ -15,6 +15,8 @@ The `matrix-z` and `split-etale-z --n 5` lift pins were taken before the
 lift reused the local requirement's completion searches.  The `zoo` pins of
 the quaternions over F2, F3 and F5 and of the octonions over F2 and F5 were
 taken before Cayley-Dickson doubling moved from field algebras to Z forms.
+The `zoo --emit generators` pins were taken before the zoo command stopped
+building generators for `--emit algebra`.
 """
 
 import hashlib
@@ -182,6 +184,27 @@ def test_zoo_output_is_byte_identical(family, field, capsys):
     code, out = run(capsys, "zoo", family, "--field", field)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ZOO_DIGESTS[family, field]
+
+
+# sha256 of the stdout of `algen zoo <arguments> --emit generators`
+GENERATOR_DIGESTS = {
+    ("matrix", "--field", "F3", "--n", "3"): "638ff1fb062f1b529ccad4818df9dc797fcf525ce904292db625dda722c94ad4",
+    ("split-etale", "--field", "F2", "--n", "5"): "0c315e1fc54eef33504fe802ec1a75f699a175f8bc9909e39976047ded9b76f1",
+    ("split-etale", "--field", "F3", "--n", "4", "--unital"): (
+        "9c0b36bdfd50985c40aa8652c96592571d37e2fccf4f077674dbc47ae3596252"
+    ),
+    ("split-etale", "--field", "Q", "--n", "4"): "a02967cd8efd9f203a03f2472b19654873f5efd290674fba6acb0346b5690b15",
+    ("octonion", "--field", "Q"): "0b8eef5dd14d7280cceeebe8f38a1b5c7f5a3b75887634727181bd43499450ce",
+    ("albert", "--field", "Q"): "95769824707e1896f5e235172716d262361684ccfaf69024366b9f9ed94eb617",
+    ("albert", "--field", "F3"): "2a91e670a20ec438a14e60c0b5851f2105c4bd9b35696a2197eb218c2eaa7f30",
+}
+
+
+@pytest.mark.parametrize("zoo_args", sorted(GENERATOR_DIGESTS), ids=lambda a: "-".join(x.lstrip("-") for x in a))
+def test_zoo_generators_output_is_byte_identical(zoo_args, capsys):
+    code, out = run(capsys, "zoo", *zoo_args, "--emit", "generators")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATOR_DIGESTS[zoo_args]
 
 
 # (zoo arguments, command, command arguments after the algebra path)
