@@ -208,35 +208,8 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
                 raise ValueError("designated involution is not an anti-automorphism")
 
 
-class ElementAPI:
-    """evaluate, product, unit_vector and involution, written once.  The
-    subclass vets each argument (_vet) and evaluates an operation to its
-    canonical value (_value), the way check_roles takes its mod."""
-
-    def evaluate(self, op_index: int, args: Sequence[Sequence]) -> tuple:
-        if not 0 <= op_index < len(self.ops):
-            raise ValueError(f"no operation {op_index}")
-        op = self.ops[op_index]
-        if len(args) != op.arity:
-            raise ValueError(f"operation {op_index} has arity {op.arity}, got {len(args)} arguments")
-        return self._value(op, [self._vet(a) for a in args])
-
-    def product(self, x: Sequence, y: Sequence) -> tuple:
-        return self.evaluate(self.product_index, (x, y))
-
-    def unit_vector(self) -> tuple:
-        if self.unit_index is None:
-            raise ValueError("algebra has no designated unit")
-        return self._value(self.ops[self.unit_index], ())
-
-    def involution(self, x: Sequence) -> tuple:
-        if self.involution_index is None:
-            raise ValueError("algebra has no designated involution")
-        return self.evaluate(self.involution_index, (x,))
-
-
 @dataclass(frozen=True)
-class Multialgebra(ElementAPI):
+class Multialgebra:
     """Finite-dimensional algebra given by structure constants.
 
     Immutable; construction checks that each index tuple matches its
@@ -273,17 +246,13 @@ class Multialgebra(ElementAPI):
             field_mod(self.field),
         )
 
-    # -- evaluation: arguments and values are coerced into the field ---------
-
-    def _vet(self, v: Sequence[Scalar]) -> Element:
-        return validate_vector(self.field, v, self.dim)
-
-    def _value(self, op: OperationTensor, args) -> Element:
-        return self._vet(eval_tensor(op, self.dim, args))
-
     def constants(self) -> list[Element]:
         """Values of all arity-0 operations."""
-        return [self._value(op, ()) for op in self.ops if op.arity == 0]
+        return [
+            validate_vector(self.field, eval_tensor(op, self.dim, ()), self.dim)
+            for op in self.ops
+            if op.arity == 0
+        ]
 
     @cached_property
     def _scaled_ops(self) -> tuple[OperationTensor, ...]:

@@ -4,6 +4,10 @@ Results are JSON on standard output with a one-line human summary on
 standard error.  Exit codes are uniform across commands: 0 for a positive
 result, 1 for a certified negative, 2 for an inconclusive search or an
 exhausted budget, 3 for invalid input, 4 for an internal error.
+
+`zoo` reads each family from one table, ZOO, which gives the builder of its
+algebra and the builder of its canonical generators, or None; the
+generators are built only for --emit generators.
 """
 
 from __future__ import annotations
@@ -52,19 +56,6 @@ from .zoo import (
     split_octonion,
     zero_algebra,
 )
-
-ZOO_FAMILIES = (
-    "matrix",
-    "zero",
-    "split-etale",
-    "quaternion",
-    "octonion",
-    "albert",
-    "matrix-z",
-    "split-etale-z",
-    "zero-z",
-)
-
 
 def _emit(doc, summary: str) -> None:
     print(canonical_json(doc))
@@ -125,50 +116,47 @@ def _parse_factors(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _zoo_build(args):
-    """Construct the requested family member plus any canonical generators."""
-    family = args.family
-    if family == "matrix":
-        field = field_from_name(args.field)
-        return matrix_algebra(field, args.n), canonical_matrix_generators(field, args.n)
-    if family == "zero":
-        return zero_algebra(field_from_name(args.field), args.r), None
-    if family == "split-etale":
-        field = field_from_name(args.field)
-        alg = split_etale(field, args.n)
-        if isinstance(field, PrimeField):
-            gens = tuple(etale_logq_generators(field.p, args.n, unital=args.unital))
-        elif args.unital:
-            gens = None
-        else:
-            gens = (distinct_entries_generator(field, args.n),)
-        return alg, gens
-    if family == "quaternion":
-        return quaternion_algebra(field_from_name(args.field)), None
-    if family == "octonion":
-        field = field_from_name(args.field)
-        return split_octonion(field), octonion_generators(field)
-    if family == "albert":
-        field = field_from_name(args.field)
-        return albert(field), albert_generators(field)
-    if family == "matrix-z":
-        return integral_matrix_algebra(args.n), None
-    if family == "split-etale-z":
-        return integral_split_etale(args.n), None
-    if family == "zero-z":
-        return integral_zero_module(_parse_factors(args.factors)), None
-    raise FormatError(f"unknown family {family!r}")
+def _field(args):
+    return field_from_name(args.field)
+
+
+def _etale_generators(args):
+    field = _field(args)
+    if isinstance(field, PrimeField):
+        return tuple(etale_logq_generators(field.p, args.n, unital=args.unital))
+    # over Q only the non-unital variant has recorded generators
+    return None if args.unital else (distinct_entries_generator(field, args.n),)
+
+
+# family -> (algebra builder, canonical generators builder or None); a
+# generators builder returns None for a variant that has none recorded
+ZOO = {
+    "matrix": (
+        lambda a: matrix_algebra(_field(a), a.n),
+        lambda a: canonical_matrix_generators(_field(a), a.n),
+    ),
+    "zero": (lambda a: zero_algebra(_field(a), a.r), None),
+    "split-etale": (lambda a: split_etale(_field(a), a.n), _etale_generators),
+    "quaternion": (lambda a: quaternion_algebra(_field(a)), None),
+    "octonion": (lambda a: split_octonion(_field(a)), lambda a: octonion_generators(_field(a))),
+    "albert": (lambda a: albert(_field(a)), lambda a: albert_generators(_field(a))),
+    "matrix-z": (lambda a: integral_matrix_algebra(a.n), None),
+    "split-etale-z": (lambda a: integral_split_etale(a.n), None),
+    "zero-z": (lambda a: integral_zero_module(_parse_factors(a.factors)), None),
+}
 
 
 def _cmd_zoo(args) -> int:
-    alg, gens = _zoo_build(args)
-    if args.emit == "generators":
-        if gens is None:
-            raise FormatError(f"no canonical generators recorded for {args.family!r}")
-        _emit(elements_doc(alg, gens), f"{args.family}: {len(gens)} canonical generators")
-    else:
+    build, generators = ZOO[args.family]
+    alg = build(args)
+    if args.emit == "algebra":
         dim = alg.rank if hasattr(alg, "rank") else alg.dim
         _emit(serialize_algebra(alg), f"{args.family}: dimension {dim}")
+        return 0
+    gens = generators(args) if generators else None
+    if gens is None:
+        raise FormatError(f"no canonical generators recorded for {args.family!r}")
+    _emit(elements_doc(alg, gens), f"{args.family}: {len(gens)} canonical generators")
     return 0
 
 
@@ -271,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     zoo = sub.add_parser("zoo", help="emit a stock algebra (or its canonical generators)")
-    zoo.add_argument("family", choices=ZOO_FAMILIES)
+    zoo.add_argument("family", choices=ZOO)
     zoo.add_argument("--field", default="Q", help="Q or F<p> (field families)")
     zoo.add_argument("--n", type=int, default=2, help="size parameter")
     zoo.add_argument("--r", type=int, default=2, help="dimension for the zero family")

@@ -70,11 +70,6 @@ class ConstructibleSet:
 
     # -- predicates --------------------------------------------------------
 
-    def __contains__(self, p: int) -> bool:
-        if self.cofinite:
-            return p not in self.primes
-        return p in self.primes
-
     @property
     def is_empty(self) -> bool:
         return not self.cofinite and not self.primes

@@ -23,7 +23,6 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    ElementAPI,
     Multialgebra,
     OperationTensor,
     canonical_tensor,
@@ -75,7 +74,7 @@ def _factor_mod(factors: Sequence[int]):
 
 
 @dataclass(frozen=True)
-class IntegralAlgebra(ElementAPI):
+class IntegralAlgebra:
     """Multialgebra on M = Z/d_1 + ... + Z/d_m given by integer tensors.
 
     Construction validates the invariant-factor shape, that every tensor is
@@ -150,14 +149,6 @@ class IntegralAlgebra(ElementAPI):
             for i, d in enumerate(self.factors)
             if d
         ]
-
-    # -- evaluation: integer arguments, values reduced mod the factors -------
-
-    def _vet(self, v: Sequence[int]) -> tuple[int, ...]:
-        return _int_vector(v, self.rank)
-
-    def _value(self, op: OperationTensor, args) -> tuple[int, ...]:
-        return reduce_element(self.factors, eval_tensor(op, self.rank, args))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Oracles and algebras that several test modules share and no library
-code needs: trial-division primality, spans and lattices computed by sympy,
-the non-split etale forms F_p[x]/(f) of the split etale algebras, and the
-environment of a subprocess that imports algen from this checkout."""
+code needs: element arithmetic in field and Z algebras, trial-division
+primality, spans and lattices computed by sympy, the non-split etale forms
+F_p[x]/(f) of the split etale algebras, and the environment of a subprocess
+that imports algen from this checkout."""
 
 import itertools
 import os
@@ -13,8 +14,9 @@ from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 import algen
-from algen.algebra import Multialgebra, _closure_reducer, make_tensor
+from algen.algebra import Multialgebra, _closure_reducer, eval_tensor, make_tensor
 from algen.fields import GF, validate_vector
+from algen.integral import IntegralAlgebra, _int_vector, reduce_element
 
 
 def src_env() -> dict:
@@ -22,6 +24,31 @@ def src_env() -> dict:
     first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(algen.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def evaluate(alg, op_index: int, args) -> tuple:
+    """Operation op_index of alg on args.  Over a field, arguments and value
+    are coerced into the field by validate_vector; over Z, arguments must be
+    integer vectors of the module's rank and the value is reduced mod the
+    invariant factors."""
+    op = alg.ops[op_index]
+    if isinstance(alg, IntegralAlgebra):
+        args = [_int_vector(a, alg.rank) for a in args]
+        return reduce_element(alg.factors, eval_tensor(op, alg.rank, args))
+    args = [validate_vector(alg.field, a, alg.dim) for a in args]
+    return validate_vector(alg.field, eval_tensor(op, alg.dim, args), alg.dim)
+
+
+def product(alg, x, y) -> tuple:
+    return evaluate(alg, alg.product_index, (x, y))
+
+
+def unit_vector(alg) -> tuple:
+    return evaluate(alg, alg.unit_index, ())
+
+
+def involution(alg, x) -> tuple:
+    return evaluate(alg, alg.involution_index, (x,))
 
 
 def is_prime(n: int) -> bool:

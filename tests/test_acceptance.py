@@ -51,6 +51,8 @@ from algen.zoo import (
     split_octonion,
 )
 
+from support import product
+
 PRIMES_TO_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -136,12 +138,12 @@ def test_criterion_04_split_octonions():
                 for i in range(8)
             ]
             for x in basis:
-                xx = O.product(x, x)
+                xx = product(O, x, x)
                 for y in basis:
-                    assert O.product(xx, y) == O.product(x, O.product(x, y))
-                    assert O.product(y, xx) == O.product(O.product(y, x), x)
+                    assert product(O, xx, y) == product(O, x, product(O, x, y))
+                    assert product(O, y, xx) == product(O, product(O, y, x), x)
             assert any(
-                O.product(O.product(x, y), z) != O.product(x, O.product(y, z))
+                product(O, product(O, x, y), z) != product(O, x, product(O, y, z))
                 for x in basis
                 for y in basis
                 for z in basis
@@ -161,14 +163,14 @@ def test_criterion_05_albert_is_jordan_and_three_generated():
                 for i in range(27)
             ]
             for x, y in itertools.combinations(basis, 2):
-                assert A.product(x, y) == A.product(y, x)
+                assert product(A, x, y) == product(A, y, x)
             rng = random.Random(5)
             for _ in range(100):
                 x = tuple(sample(rng) for _ in range(27))
                 y = tuple(sample(rng) for _ in range(27))
-                xx = A.product(x, x)
-                xy = A.product(x, y)
-                assert A.product(xy, xx) == A.product(x, A.product(y, xx))
+                xx = product(A, x, x)
+                xy = product(A, x, y)
+                assert product(A, xy, xx) == product(A, x, product(A, y, xx))
             ok, cert = is_generating(A, albert_generators(field))
             assert ok and cert.closure_dim == 27
 

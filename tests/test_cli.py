@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import algen.cli
+import algen.search
+import algen.zoo
 from algen.cli import main
 from algen.ioformat import parse_algebra
 from support import src_env
@@ -68,6 +70,9 @@ def test_zoo_families(capsys, tmp_path):
         (("zoo", "matrix", "--field", "F3", "--n", "3"), 9),
         (("zoo", "zero", "--field", "Q", "--r", "4"), 4),
         (("zoo", "split-etale", "--field", "F2", "--n", "3"), 3),
+        # F^0 is an algebra; only its generators need n >= 1
+        (("zoo", "split-etale", "--field", "F2", "--n", "0"), 0),
+        (("zoo", "split-etale", "--field", "Q", "--n", "0", "--unital"), 0),
         (("zoo", "quaternion", "--field", "Q"), 4),
         (("zoo", "octonion", "--field", "F5"), 8),
         (("zoo", "matrix-z", "--n", "2"), 4),
@@ -93,9 +98,34 @@ def test_zoo_generators(capsys):
     assert code == 0 and gens == [["1", "2", "3", "4"]]
     code, gens = run(capsys, "zoo", "octonion", "--field", "Q", "--emit", "generators")
     assert code == 0 and len(gens) == 3
-    # no canonical generators recorded for the zero family
+    # no canonical generators recorded for the zero family, and none exist for F^0
     code, _ = run(capsys, "zoo", "zero", "--field", "Q", "--emit", "generators")
     assert code == 3
+    for field in ("F2", "Q"):
+        code, _ = run(capsys, "zoo", "split-etale", "--field", field, "--n", "0", "--emit", "generators")
+        assert code == 3
+
+
+def test_zoo_builds_only_what_it_prints(capsys, monkeypatch):
+    # the Albert algebra is built once, and its generators, found by a
+    # random probe, are not built for --emit algebra
+    calls = {"albert": 0, "probe": 0}
+    build, probe = algen.zoo.albert, algen.search.random_probe
+
+    def counted_albert(field):
+        calls["albert"] += 1
+        return build(field)
+
+    def counted_probe(*args, **kwargs):
+        calls["probe"] += 1
+        return probe(*args, **kwargs)
+
+    for module in (algen.cli, algen.zoo):
+        monkeypatch.setattr(module, "albert", counted_albert)
+    monkeypatch.setattr(algen.search, "random_probe", counted_probe)
+    code, doc = run(capsys, "zoo", "albert", "--field", "F3")
+    assert code == 0 and doc["dim"] == "27"
+    assert calls == {"albert": 1, "probe": 0}
 
 
 def test_zoo_invalid(capsys):
@@ -350,6 +380,10 @@ ENTRY_POINT_COMMANDS = [
     "algen forster-lift m2z.json --n 2 > m2z-lift.json",
     "algen verify-cert m2z.json m2z-lift.json",
     "algen zoo albert --field F3 > albert3.json",
+    "algen zoo albert --field F3 --emit generators > albert3-gens.json",
+    "algen check albert3.json --tuple @albert3-gens.json > albert3-check.json",
+    "algen verify-cert albert3.json albert3-check.json",
+    "algen zoo split-etale --field F2 --n 0 > e0.json",
     "algen zoo matrix --field F2 --n 2 > m2.json",
     "algen mingen m2.json --unital > mingen.json",
     "algen verify-cert m2.json mingen.json",

@@ -25,7 +25,7 @@ from algen.integral import (
     verify_global_generation,
 )
 from algen.zoo import matrix_algebra, split_etale
-from support import lattice_contains
+from support import evaluate, involution, lattice_contains, product, unit_vector
 
 # the ring Z[t]/(t^2 - 1) on basis (1, t): used as a presentation workout
 RING_T = [
@@ -90,15 +90,15 @@ def test_tensor_canonical_form_enforced():
 
 def test_evaluate_and_reduce():
     A = integral_split_etale(2)
-    assert A.product((2, 3), (5, 7)) == (10, 21)
-    assert A.unit_vector() == (1, 1)
+    assert product(A, (2, 3), (5, 7)) == (10, 21)
+    assert unit_vector(A) == (1, 1)
     B = integral_zero_module((4,))
-    assert B.product((3,), (3,)) == (0,)
+    assert product(B, (3,), (3,)) == (0,)
     assert reduce_element((4, 0), (-1, -1)) == (3, -1)
     with pytest.raises(ValueError):
         reduce_element((4,), (True,))
     with pytest.raises(ValueError):
-        A.product((1,), (1, 2))
+        product(A, (1,), (1, 2))
 
 
 def test_element_api_reduces_values_mod_the_factors():
@@ -109,12 +109,12 @@ def test_element_api_reduces_values_mod_the_factors():
         make_z_tensor((4,), 1, [((0,), 0, 1)]),
     )
     A = IntegralAlgebra(factors=(4,), ops=ops, product_index=0, unit_index=1, involution_index=2)
-    assert A.product((3,), (3,)) == (1,)
-    assert A.evaluate(0, ((-1,), (7,))) == (1,)
-    assert A.unit_vector() == (1,)
-    assert A.involution((-2,)) == (2,)
+    assert product(A, (3,), (3,)) == (1,)
+    assert evaluate(A, 0, ((-1,), (7,))) == (1,)
+    assert unit_vector(A) == (1,)
+    assert involution(A, (-2,)) == (2,)
     with pytest.raises(ValueError, match="integer coordinate"):
-        A.involution((True,))
+        involution(A, (True,))
 
 
 def test_normalize_z2_plus_z3():
@@ -140,11 +140,11 @@ def test_normalize_conjugates_product():
     assert A.factors == (2, 0)
     one = pres.map_element((1, 0))
     t = pres.map_element((0, 1))
-    assert A.unit_vector() == reduce_element(A.factors, one)
-    assert A.product(t, t) == reduce_element(A.factors, one)
+    assert unit_vector(A) == reduce_element(A.factors, one)
+    assert product(A, t, t) == reduce_element(A.factors, one)
     # (1 + t)^2 = 2 + 2t = 0 in the quotient
     one_plus_t = pres.map_element((1, 1))
-    assert A.product(one_plus_t, one_plus_t) == (0, 0)
+    assert product(A, one_plus_t, one_plus_t) == (0, 0)
 
 
 def test_normalize_rejects_non_descending_relations():
@@ -214,7 +214,7 @@ def _disguised_presentation(rng, A):
         triples = []
         for idx in itertools.product(range(m), repeat=op.arity):
             args = [[sum(Q[a][i] * pi[i][j] for i in range(m)) for j in range(r)] for a in idx]
-            value = rewrite(list(A.evaluate(k, args)) + [0] * (m - r))
+            value = rewrite(list(evaluate(A, k, args)) + [0] * (m - r))
             triples.extend((idx, l, c) for l, c in enumerate(value) if c)
         ops.append((op.arity, triples))
     return m, [rewrite(row) for row in rows], ops
@@ -235,7 +235,7 @@ def test_normalize_recovers_disguised_presentations():
                 for _ in range(4):
                     args = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(arity)]
                     expected = pres.map_element(_apply(triples, m, args))
-                    assert pres.algebra.evaluate(k, [pres.map_element(v) for v in args]) == expected
+                    assert evaluate(pres.algebra, k, [pres.map_element(v) for v in args]) == expected
 
 
 def test_fiber_dimensions_torsion():
@@ -289,7 +289,7 @@ def test_fiber_mixed_coefficient_reduction():
     fib = fiber_mod_p(A, 2)
     assert fib.algebra.dim == 2
     assert fib.algebra.ops[0].entries == ()
-    assert A.product((1, 0), (1, 0)) == (0, 2)
+    assert product(A, (1, 0), (1, 0)) == (0, 2)
 
 
 def test_monomial_subgroup_zero_product_order6():
