@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -88,9 +89,12 @@ def make_tensor(
 
 
 def field_mod(field: Field):
-    """Coordinate reduction over a field: x % p over F_p, x itself over Q."""
-    p = field.char
-    return (lambda l, x: x % p) if p else (lambda l, x: x)
+    """Coordinate reduction over a field: x % p over F_p, x itself over Q;
+    a value of another type is coerced, which refuses or changes it."""
+    p, coerce = field.char, field.coerce
+    if p:
+        return lambda l, x: x % p if type(x) is int else coerce(x)
+    return lambda l, x: x if type(x) is Fraction else coerce(x)
 
 
 def eval_tensor(op: OperationTensor, dim: int, args) -> list:
@@ -127,8 +131,15 @@ def eval_tensor(op: OperationTensor, dim: int, args) -> list:
     return out
 
 
-def check_roles(ops, dim: int, product_index: int, unit_index, involution_index, mod) -> None:
-    """Validate the designated product, unit and involution of an algebra.
+def check_roles(alg, dim: int, mod) -> None:
+    """Validate the tensors of an algebra (a Multialgebra or IntegralAlgebra)
+    and its designated product, unit and involution.
+
+    One pass over each tensor, which is never rebuilt, checks the form that
+    canonical_tensor builds, so that the algebra parses back from its
+    document: index tuples of the arity, strictly ascending, each with
+    outputs strictly ascending and not empty; every index and output in
+    range(dim); each coefficient c into l nonzero and equal to mod(l, c).
 
     The unit and involution laws are checked on basis tuples, which suffices
     by multilinearity, reading each tensor once: e.b_j = b_j = b_j.e from
@@ -141,21 +152,41 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
     mod(l, x) reduces coordinate l to the canonical value the laws compare
     (x % p over F_p, x over Q, x mod the l-th invariant factor over Z).
     """
-    if not 0 <= product_index < len(ops):
+    ops = alg.ops
+    for op in ops:
+        arity, prev = op.arity, None
+        for idx, outs in op.entries:
+            if len(idx) != arity:
+                raise ValueError(f"index tuple does not match arity {arity}")
+            for i in idx:
+                if not 0 <= i < dim:
+                    raise ValueError(f"tensor index out of range for dimension {dim}")
+            if not outs or (prev is not None and idx <= prev):
+                raise ValueError("operation tensor is not in canonical form")
+            prev, last = idx, -1
+            for l, c in outs:
+                if not 0 <= l < dim:
+                    raise ValueError(f"tensor index out of range for dimension {dim}")
+                y = mod(l, c)
+                # over Q mod returns c itself, and `is` spares a slow Fraction ==
+                if l <= last or not c or (y is not c and y != c):
+                    raise ValueError("operation tensor is not in canonical form")
+                last = l
+    if not 0 <= alg.product_index < len(ops):
         raise ValueError("product index out of range")
-    if ops[product_index].arity != 2:
+    if ops[alg.product_index].arity != 2:
         raise ValueError("designated product must have arity 2")
-    prod = ops[product_index].entries
+    prod = ops[alg.product_index].entries
 
     def reduced(row: dict) -> dict:
         return {l: y for l, y in ((l, mod(l, x)) for l, x in row.items()) if y}
 
-    if unit_index is not None:
-        if not 0 <= unit_index < len(ops):
+    if alg.unit_index is not None:
+        if not 0 <= alg.unit_index < len(ops):
             raise ValueError("unit index out of range")
-        if ops[unit_index].arity != 0:
+        if ops[alg.unit_index].arity != 0:
             raise ValueError("designated unit must have arity 0")
-        e = reduced({l: c for _, outs in ops[unit_index].entries for l, c in outs})
+        e = reduced({l: c for _, outs in ops[alg.unit_index].entries for l, c in outs})
         # left[j] accumulates e.b_j and right[i] accumulates b_i.e
         left: dict[int, dict] = {}
         right: dict[int, dict] = {}
@@ -169,12 +200,12 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
             # a basis vector missing from side has e.b_j = 0 or b_j.e = 0
             if len(side) != dim or any(reduced(row) != {i: 1} for i, row in side.items()):
                 raise ValueError("designated unit fails the unit law")
-    if involution_index is not None:
-        if not 0 <= involution_index < len(ops):
+    if alg.involution_index is not None:
+        if not 0 <= alg.involution_index < len(ops):
             raise ValueError("involution index out of range")
-        if ops[involution_index].arity != 1:
+        if ops[alg.involution_index].arity != 1:
             raise ValueError("designated involution must have arity 1")
-        sigma = dict(ops[involution_index].entries)
+        sigma = dict(ops[alg.involution_index].entries)
         table = dict(prod)
 
         def combine(tensor, terms):
@@ -212,10 +243,9 @@ def check_roles(ops, dim: int, product_index: int, unit_index, involution_index,
 class Multialgebra:
     """Finite-dimensional algebra given by structure constants.
 
-    Immutable; construction checks that each index tuple matches its
-    tensor's arity and every index lies in range(dim), the designated-product
-    arity, and (when flagged) the unit and involution laws on basis tuples,
-    which suffices by multilinearity.
+    Immutable; construction runs check_roles: every tensor in canonical
+    form over the field, the designated-product arity, and (when flagged)
+    the unit and involution laws on basis tuples.
     """
 
     field: Field
@@ -229,22 +259,7 @@ class Multialgebra:
         if not 0 <= self.dim <= sys.maxsize:
             # a larger dim cannot be the length of a list, nor of an element
             raise ValueError(f"dimension must be in [0, {sys.maxsize}]")
-        for op in self.ops:
-            # a scan, not canonical_tensor again: parsed tensors passed it already
-            if any(len(idx) != op.arity for idx, _ in op.entries):
-                raise ValueError(f"index tuple does not match arity {op.arity}")
-            used = {i for idx, _ in op.entries for i in idx}
-            used.update(l for _, outs in op.entries for l, _ in outs)
-            if used and not (0 <= min(used) and max(used) < self.dim):
-                raise ValueError(f"tensor index out of range for dimension {self.dim}")
-        check_roles(
-            self.ops,
-            self.dim,
-            self.product_index,
-            self.unit_index,
-            self.involution_index,
-            field_mod(self.field),
-        )
+        check_roles(self, self.dim, field_mod(self.field))
 
     def constants(self) -> list[Element]:
         """Values of all arity-0 operations."""
@@ -497,13 +512,9 @@ def is_generating(
     alg: Multialgebra,
     elements: Iterable[Sequence[Scalar]],
     unital: bool = False,
-    method: str = "explicit",
-    seed: Optional[int] = None,
-    trial: Optional[int] = None,
-    index: Optional[int] = None,
     span: Optional[RowReducer] = None,
 ) -> tuple[bool, GenerationCertificate]:
-    """Decide whether the tuple generates; always returns a certificate.
+    """Decide whether the tuple generates; always returns a certificate, of method "explicit".
 
     span, over F_p only, is a RowReducer holding the RREF of the elements
     (with the constants when unital); the closure starts from it and grows
@@ -516,10 +527,6 @@ def is_generating(
         ambient_dim=alg.dim,
         unital=unital,
         monomial_count=monomials,
-        method=method,
-        seed=seed,
-        trial=trial,
-        index=index,
     )
     return span.dim == alg.dim, cert
 

@@ -7,7 +7,8 @@ exhausted budget, 3 for invalid input, 4 for an internal error.
 
 `zoo` reads each family from one table, ZOO, which gives the builder of its
 algebra and the builder of its canonical generators, or None; the
-generators are built only for --emit generators.
+generators are built only for --emit generators, from the arguments and the
+algebra already built.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def _field(args):
     return field_from_name(args.field)
 
 
-def _etale_generators(args):
-    field = _field(args)
+def _etale_generators(args, alg):
+    field = alg.field
     if isinstance(field, PrimeField):
         return tuple(etale_logq_generators(field.p, args.n, unital=args.unital))
     # over Q only the non-unital variant has recorded generators
@@ -129,17 +130,18 @@ def _etale_generators(args):
 
 
 # family -> (algebra builder, canonical generators builder or None); a
-# generators builder returns None for a variant that has none recorded
+# generators builder takes the arguments and the built algebra, and returns
+# None for a variant that has none recorded
 ZOO = {
     "matrix": (
         lambda a: matrix_algebra(_field(a), a.n),
-        lambda a: canonical_matrix_generators(_field(a), a.n),
+        lambda a, alg: canonical_matrix_generators(alg.field, a.n),
     ),
     "zero": (lambda a: zero_algebra(_field(a), a.r), None),
     "split-etale": (lambda a: split_etale(_field(a), a.n), _etale_generators),
     "quaternion": (lambda a: quaternion_algebra(_field(a)), None),
-    "octonion": (lambda a: split_octonion(_field(a)), lambda a: octonion_generators(_field(a))),
-    "albert": (lambda a: albert(_field(a)), lambda a: albert_generators(_field(a))),
+    "octonion": (lambda a: split_octonion(_field(a)), lambda a, alg: octonion_generators(alg.field)),
+    "albert": (lambda a: albert(_field(a)), lambda a, alg: albert_generators(alg)),
     "matrix-z": (lambda a: integral_matrix_algebra(a.n), None),
     "split-etale-z": (lambda a: integral_split_etale(a.n), None),
     "zero-z": (lambda a: integral_zero_module(_parse_factors(a.factors)), None),
@@ -153,7 +155,7 @@ def _cmd_zoo(args) -> int:
         dim = alg.rank if hasattr(alg, "rank") else alg.dim
         _emit(serialize_algebra(alg), f"{args.family}: dimension {dim}")
         return 0
-    gens = generators(args) if generators else None
+    gens = generators(args, alg) if generators else None
     if gens is None:
         raise FormatError(f"no canonical generators recorded for {args.family!r}")
     _emit(elements_doc(alg, gens), f"{args.family}: {len(gens)} canonical generators")

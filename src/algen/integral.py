@@ -30,7 +30,6 @@ from .algebra import (
     eval_tensor,
     # unused here, but perfbench/tracing.py wraps this binding by name
     is_generating,  # noqa: F401
-    make_tensor,
 )
 from .fields import GF, QQ, proved_prime
 from .intmat import (
@@ -43,7 +42,7 @@ from .intmat import (
 
 
 def _int_scalar(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
         raise ValueError(f"integer coordinate required, got {x!r}")
     return x
 
@@ -69,18 +68,19 @@ def make_z_tensor(
 
 
 def _factor_mod(factors: Sequence[int]):
-    """Coordinate reduction on M: coordinate l mod d_l when d_l > 0."""
-    return lambda l, x: x % factors[l] if factors[l] else x
+    """Coordinate reduction on M: coordinate l mod d_l when d_l > 0.  A
+    non-integer raises, so check_roles refuses a tensor that holds one."""
+    return lambda l, x: _int_scalar(x) % factors[l] if factors[l] else _int_scalar(x)
 
 
 @dataclass(frozen=True)
 class IntegralAlgebra:
     """Multialgebra on M = Z/d_1 + ... + Z/d_m given by integer tensors.
 
-    Construction validates the invariant-factor shape, that every tensor is
-    stored canonically and descends to M (torsion in any argument slot must
-    annihilate the coefficient mod the target factor), and the designated
-    unit and involution laws.
+    Construction validates the invariant-factor shape, runs check_roles
+    (canonical tensors, unit and involution laws), and then checks that every
+    tensor descends to M: torsion in any argument slot must annihilate the
+    coefficient mod the target factor.
     """
 
     factors: tuple[int, ...]
@@ -103,10 +103,8 @@ class IntegralAlgebra:
             if prev is not None and d % prev:
                 raise ValueError(f"invariant factors must form a divisibility chain, {prev} - {d}")
             prev = d
+        check_roles(self, self.rank, _factor_mod(self.factors))
         for op in self.ops:
-            flat = [(idx, l, c) for idx, outs in op.entries for l, c in outs]
-            if make_z_tensor(self.factors, op.arity, flat) != op:
-                raise ValueError("operation tensor is not in canonical form")
             for idx, outs in op.entries:
                 for slot_coord in idx:
                     d_in = self.factors[slot_coord]
@@ -114,21 +112,12 @@ class IntegralAlgebra:
                         continue
                     for l, c in outs:
                         d_out = self.factors[l]
-                        bad = d_in * c if d_out == 0 else (d_in * c) % d_out
-                        if bad:
+                        if (d_in * c) % d_out if d_out else d_in * c:
                             raise ValueError(
                                 "operation does not descend to the module: "
                                 f"factor {d_in} at input {slot_coord} vs "
                                 f"coefficient {c} into coordinate {l}"
                             )
-        check_roles(
-            self.ops,
-            self.rank,
-            self.product_index,
-            self.unit_index,
-            self.involution_index,
-            _factor_mod(self.factors),
-        )
 
     # -- basic structure -----------------------------------------------------
 
@@ -275,22 +264,24 @@ class Fiber:
 
 
 def _restricted_fiber(A: IntegralAlgebra, coords: tuple[int, ...], field) -> Fiber:
+    """A base changed to the field on the ascending coords: the entries whose
+    indices all survive, reindexed (monotone, so still in canonical order),
+    each coefficient coerced into the field and the zeros dropped."""
     pos = {c: j for j, c in enumerate(coords)}
-    dim = len(coords)
+    coerce = field.coerce
     ops = []
     for op in A.ops:
-        triples = []
+        entries = []
         for idx, outs in op.entries:
-            if any(i not in pos for i in idx):
-                continue
-            new_idx = tuple(pos[i] for i in idx)
-            for l, c in outs:
-                if l in pos:
-                    triples.append((new_idx, pos[l], c))
-        ops.append(make_tensor(field, dim, op.arity, triples))
+            if all(i in pos for i in idx):
+                values = ((pos[l], coerce(c)) for l, c in outs if l in pos)
+                row = tuple((l, y) for l, y in values if y)
+                if row:
+                    entries.append((tuple(pos[i] for i in idx), row))
+        ops.append(OperationTensor(arity=op.arity, entries=tuple(entries)))
     algebra = Multialgebra(
         field=field,
-        dim=dim,
+        dim=len(coords),
         ops=tuple(ops),
         product_index=A.product_index,
         unit_index=A.unit_index,

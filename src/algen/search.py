@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algebra import Element, GenerationCertificate, Multialgebra, is_generating
@@ -152,10 +152,9 @@ def _random_completion(
         extension = tuple(
             _random_element(rng, alg.field, alg.dim, budget.coeff_height) for _ in range(slots)
         )
-        ok, cert = is_generating(
-            alg, fixed + list(extension), unital=unital, method="random", seed=budget.seed, trial=trial
-        )
+        ok, cert = is_generating(alg, fixed + list(extension), unital=unital)
         if ok:
+            cert = replace(cert, method="random", seed=budget.seed, trial=trial)
             return CompletionResult("found", extension, cert, trial + 1)
     return CompletionResult("inconclusive", None, None, budget.random_trials)
 
@@ -253,10 +252,11 @@ def _walk(
     p, r = alg.field.p, alg.dim
     depth = len(chosen)
     if depth == len(seen):
-        ok, cert = is_generating(
-            alg, fixed + chosen, unital=unital, method="exhaustive", index=index, span=reducer
-        )
-        return CompletionResult("found", tuple(chosen), cert, index + 1) if ok else None
+        ok, cert = is_generating(alg, fixed + chosen, unital=unital, span=reducer)
+        if not ok:
+            return None
+        cert = replace(cert, method="exhaustive", index=index)
+        return CompletionResult("found", tuple(chosen), cert, index + 1)
     below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
     # product() varies the last coordinate fastest: lexicographic order
     for t, v in enumerate(itertools.product(range(p), repeat=r)):

@@ -203,11 +203,11 @@ def albert(field: Field) -> Multialgebra:
     return Multialgebra(field=field, dim=27, ops=(product, unit), product_index=0, unit_index=1)
 
 
-def albert_generators(field: Field) -> tuple[Element, ...]:
-    """A generating triple found by a seeded random probe (deterministic)."""
+def albert_generators(alg: Multialgebra) -> tuple[Element, ...]:
+    """A generating triple of an Albert algebra built by albert, found by a
+    seeded random probe (deterministic)."""
     from .search import DEFAULT_BUDGET, random_probe
 
-    alg = albert(field)
     cert = random_probe(alg, 3, DEFAULT_BUDGET)
     if cert is None:
         raise RuntimeError("no generating triple found within budget")

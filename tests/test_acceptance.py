@@ -171,7 +171,7 @@ def test_criterion_05_albert_is_jordan_and_three_generated():
                 xx = product(A, x, x)
                 xy = product(A, x, y)
                 assert product(A, xy, xx) == product(A, x, product(A, y, xx))
-            ok, cert = is_generating(A, albert_generators(field))
+            ok, cert = is_generating(A, albert_generators(A))
             assert ok and cert.closure_dim == 27
 
 

@@ -108,7 +108,8 @@ def test_zoo_generators(capsys):
 
 def test_zoo_builds_only_what_it_prints(capsys, monkeypatch):
     # the Albert algebra is built once, and its generators, found by a
-    # random probe, are not built for --emit algebra
+    # random probe, are not built for --emit algebra; --emit generators
+    # probes the algebra it built
     calls = {"albert": 0, "probe": 0}
     build, probe = algen.zoo.albert, algen.search.random_probe
 
@@ -126,6 +127,10 @@ def test_zoo_builds_only_what_it_prints(capsys, monkeypatch):
     code, doc = run(capsys, "zoo", "albert", "--field", "F3")
     assert code == 0 and doc["dim"] == "27"
     assert calls == {"albert": 1, "probe": 0}
+    calls.update(albert=0)
+    code, gens = run(capsys, "zoo", "albert", "--field", "F3", "--emit", "generators")
+    assert code == 0 and len(gens) == 3
+    assert calls == {"albert": 1, "probe": 1}
 
 
 def test_zoo_invalid(capsys):
@@ -394,6 +399,9 @@ ENTRY_POINT_COMMANDS = [
     "algen zoo quaternion --field F3 > h3.json",
     """algen check h3.json --tuple '[["0","1","0","0"],["0","0","1","0"]]' > h3-check.json""",
     "algen verify-cert h3.json h3-check.json",
+    "algen zoo quaternion --field Q > hq.json",
+    """algen check hq.json --tuple '[["0","1","0","0"],["0","0","1","0"]]' > hq-check.json""",
+    "algen verify-cert hq.json hq-check.json",
     "algen zoo octonion --field F5 > o5.json",
     "algen zoo octonion --field F5 --emit generators > o5-gens.json",
     "algen check o5.json --tuple @o5-gens.json > o5-check.json",

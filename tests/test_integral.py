@@ -1,20 +1,23 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import algen.algebra
 import algen.integral
-from algen.algebra import OperationTensor, eval_tensor, is_generating
+from algen.algebra import OperationTensor, eval_tensor, is_generating, make_tensor
 from algen.fields import GF, QQ
 from algen.intmat import FactorizationIncomplete, factor, lattice_from_vectors, snf
 from algen.integral import (
     BadPrimesReport,
     IntegralAlgebra,
     bad_primes,
+    cayley_dickson,
     fiber_mod_p,
     generic_fiber,
+    integral_ground,
     integral_matrix_algebra,
     integral_split_etale,
     integral_zero_module,
@@ -86,6 +89,16 @@ def test_tensor_canonical_form_enforced():
     with pytest.raises(ValueError, match="canonical"):
         IntegralAlgebra(factors=(3,), ops=(raw,), product_index=0)
     assert make_z_tensor((3,), 2, [((0, 0), 0, 5)]).entries == (((0, 0), ((0, 2),)),)
+
+
+def test_out_of_range_index_is_a_value_error():
+    # the descent check reads factors[i], so the range check must come first
+    raw = OperationTensor(arity=2, entries=(((0, 5), ((0, 1),)),))
+    with pytest.raises(ValueError, match="out of range"):
+        IntegralAlgebra(factors=(2,), ops=(raw,), product_index=0)
+    raw = OperationTensor(arity=2, entries=(((0, 0), ((0, Fraction(1, 2)),)),))
+    with pytest.raises(ValueError, match="integer coordinate"):
+        IntegralAlgebra(factors=(0,), ops=(raw,), product_index=0)
 
 
 def test_evaluate_and_reduce():
@@ -262,6 +275,63 @@ def test_fiber_of_free_algebras_matches_field_zoo():
     assert generic_fiber(E3).algebra == split_etale(QQ, 3)
 
 
+def _old_restriction(A, coords, field):
+    """The tensors of a fiber as make_tensor builds them from the Z entries
+    that survive: the reference for the entry map of _restricted_fiber."""
+    pos = {c: j for j, c in enumerate(coords)}
+    ops = []
+    for op in A.ops:
+        triples = [
+            (tuple(pos[i] for i in idx), pos[l], c)
+            for idx, outs in op.entries
+            if all(i in pos for i in idx)
+            for l, c in outs
+            if l in pos
+        ]
+        ops.append(make_tensor(field, len(coords), op.arity, triples))
+    return tuple(ops)
+
+
+# the Z forms of the zoo and of the lift benchmark, and a torsion ring
+Z_FORMS = {
+    "ground": integral_ground,
+    "quaternions": lambda: cayley_dickson(cayley_dickson(integral_ground(), -1), -1),
+    "split-octonions": lambda: cayley_dickson(integral_matrix_algebra(2), 1),
+    "torsion-ring": lambda: _torsion_ring(),
+    **{f"mat{n}": (lambda n=n: integral_matrix_algebra(n)) for n in (1, 2, 3, 4)},
+    **{f"etale{n}": (lambda n=n: integral_split_etale(n)) for n in (0, 3, 5, 8)},
+    **{
+        "zero-" + ".".join(map(str, f)): (lambda f=f: integral_zero_module(f))
+        for f in ((6, 0), (2, 2), (2, 4, 0), (6,))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(Z_FORMS))
+def test_fibers_map_the_canonical_entries(name):
+    A = Z_FORMS[name]()
+    for p in (2, 3, 5, None):
+        fib = fiber_mod_p(A, p) if p else generic_fiber(A)
+        field = GF(p) if p else QQ
+        assert fib.algebra.ops == _old_restriction(A, fib.coordinates, field)
+
+
+def test_construction_and_fibers_do_not_recanonicalize(monkeypatch):
+    # the Z forms and their fibers are built, with canonical tensors, before the patch
+    forms = [cayley_dickson(integral_matrix_algebra(2), 1), _torsion_ring()]
+    expected = [(fiber_mod_p(B, 2), fiber_mod_p(B, 3), generic_fiber(B)) for B in forms]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_tensor called")
+
+    for module in (algen.algebra, algen.integral):
+        monkeypatch.setattr(module, "canonical_tensor", refuse)
+    for B, fibers in zip(forms, expected):
+        fresh = IntegralAlgebra(B.factors, B.ops, B.product_index, B.unit_index, B.involution_index)
+        got = (fiber_mod_p(fresh, 2), fiber_mod_p(fresh, 3), generic_fiber(fresh))
+        assert [f.algebra for f in got] == [f.algebra for f in fibers]
+
+
 def test_fiber_projection_and_lift():
     A = integral_zero_module((2, 4, 0))
     fib = fiber_mod_p(A, 2)
@@ -275,8 +345,6 @@ def test_fiber_projection_and_lift():
     gen = generic_fiber(A)
     assert gen.project((1, 2, 5)) == (5,)
     assert gen.lift(gen.project((1, 2, 5))) == (0, 0, 5)
-    from fractions import Fraction
-
     with pytest.raises(ValueError):
         gen.lift((Fraction(1, 2),))
 

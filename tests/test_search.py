@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -185,10 +186,9 @@ def _brute_completion(alg, fixed, n, budget, unital):
     if total <= budget.max_exhaustive:
         vectors = list(itertools.product(range(p), repeat=r))
         for index, ext in enumerate(itertools.product(vectors, repeat=slots)):
-            ok, cert = is_generating(
-                alg, list(fixed) + list(ext), unital=unital, method="exhaustive", index=index
-            )
+            ok, cert = is_generating(alg, list(fixed) + list(ext), unital=unital)
             if ok:
+                cert = dataclasses.replace(cert, method="exhaustive", index=index)
                 return CompletionResult("found", ext, cert, index + 1)
         return CompletionResult("certified_none", None, None, total)
     h = budget.coeff_height
@@ -197,10 +197,9 @@ def _brute_completion(alg, fixed, n, budget, unital):
         ext = tuple(
             tuple(alg.field.coerce(rng.randint(-h, h)) for _ in range(r)) for _ in range(slots)
         )
-        ok, cert = is_generating(
-            alg, list(fixed) + list(ext), unital=unital, method="random", seed=budget.seed, trial=trial
-        )
+        ok, cert = is_generating(alg, list(fixed) + list(ext), unital=unital)
         if ok:
+            cert = dataclasses.replace(cert, method="random", seed=budget.seed, trial=trial)
             return CompletionResult("found", ext, cert, trial + 1)
     return CompletionResult("inconclusive", None, None, budget.random_trials)
 

@@ -378,9 +378,10 @@ def test_albert_jordan_identity_sampled():
 
 
 def test_albert_generators_triple():
-    gens = zoo.albert_generators(GF(5))
+    A = zoo.albert(GF(5))
+    gens = zoo.albert_generators(A)
     assert len(gens) == 3
-    ok, cert = is_generating(zoo.albert(GF(5)), gens)
+    ok, cert = is_generating(A, gens)
     assert ok and cert.closure_dim == 27
 
 
