@@ -19,7 +19,9 @@ The `zoo --emit generators` pins were taken before the zoo command stopped
 building generators for `--emit algebra`.  The sized `zoo` pins (split etale
 over Q and F5, Mat_3 over F5, Mat_3(Z) and Z^4) were taken before tensors
 were canonicalized only where they are made and base changes mapped their
-entries.
+entries.  The scalar spelling pins (`check` and the re-serialized algebra
+of documents that spell their scalars in every accepted way) were taken
+before plain decimal integers stopped going through Fraction.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ import json
 import pytest
 
 from algen.cli import main
+from algen.ioformat import canonical_json, parse_algebra, serialize_algebra
 
 OCT_ONE = [1, 0, 0, 1, 0, 0, 0, 0]
 OCT_GENS = [
@@ -272,3 +275,52 @@ def test_certificate_kind_output_is_byte_identical(case, tmp_path, capsys):
     path.write_text(out, encoding="utf-8")
     code, out = run(capsys, command, str(path), *args)
     assert hashlib.sha256(out.encode()).hexdigest() == KIND_DIGESTS[case]
+
+
+# Every scalar spelling the parser accepts, in the coefficients, the tuple
+# and (through parse_int) the dimension and an index: a sign, surrounding
+# spaces, an unreduced fraction, a signed zero, a decimal point, an
+# exponent and a non-ASCII digit.  The row (0, 0) -> 0 repeats, so its
+# coefficients are summed.  Pinned before plain decimal integers stopped
+# going through Fraction.
+SPELLED_ENTRIES = [
+    ["0", "0", "0", "+3"],
+    ["0", "1", "1", " 7 "],
+    ["1", "0", "1", "2/4"],
+    ["1", "1", "2", "-0"],
+    ["1", "1", "2", "0.5"],
+    ["2", "2", "0", "1e1"],
+    ["0", "2", "٢", "-1"],
+    ["2", "0", "2", "٣"],
+    ["0", "0", "0", "-1"],
+]
+SPELLED_TUPLE = [["+3", " 7 ", "2/4"], ["-0", "0.5", "1e1"], ["-1", "٣", "1"]]
+
+# sha256 of canonical_json(serialize_algebra(parsed)) and of the `check` stdout
+SPELLED_DIGESTS = {
+    "Q": (
+        "926341117d55deca4fc7519d1e5e7a2b56478fa16010c0a2482248db2b4a02e4",
+        "518ffdb25d89f58f427555e27eae742fdbb83d69371fde6daea4ca5f12ae653f",
+    ),
+    "F3": (
+        "2a05bfe7487a3994c7626c5284665ed1593aa89b6699eaa83fa31f7d211d7dad",
+        "888cbd51532e211897a8dd802b565465df1896001bb597e3fbed534cc4ac7359",
+    ),
+}
+
+
+@pytest.mark.parametrize("base", sorted(SPELLED_DIGESTS))
+def test_scalar_spellings_parse_as_pinned(base, tmp_path, capsys):
+    doc = {
+        "base": base,
+        "dim": "+3",
+        "format": "algen-algebra",
+        "ops": [{"arity": "2", "entries": SPELLED_ENTRIES, "role": "product"}],
+        "version": "1",
+    }
+    serialized = canonical_json(serialize_algebra(parse_algebra(doc).algebra))
+    path = tmp_path / "spelled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "check", str(path), "--tuple", json.dumps(SPELLED_TUPLE))
+    digests = (hashlib.sha256(serialized.encode()).hexdigest(), hashlib.sha256(out.encode()).hexdigest())
+    assert digests == SPELLED_DIGESTS[base]
