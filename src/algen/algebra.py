@@ -53,7 +53,7 @@ def canonical_tensor(
 ) -> OperationTensor:
     """The one canonical form of a tensor, from (index tuple, output index,
     coefficient) triples: arity and index ranges checked, each coefficient
-    vetted by vet, coefficients of the same entry summed and the sum into
+    vetted by vet, coefficients of a repeated entry summed and the sum into
     coordinate l reduced by mod(l, sum), index tuples and
     outputs ascending, zero coefficients dropped."""
     if arity < 0:
@@ -67,7 +67,8 @@ def canonical_tensor(
         if any(not 0 <= i < dim for i in idx) or not 0 <= out < dim:
             raise ValueError(f"tensor index out of range for dimension {dim}")
         row = acc.setdefault(idx, {})
-        row[out] = row.get(out, 0) + vet(coeff)
+        coeff = vet(coeff)
+        row[out] = row[out] + coeff if out in row else coeff
     entries = []
     for idx in sorted(acc):
         reduced = ((l, mod(l, c)) for l, c in sorted(acc[idx].items()))

@@ -14,6 +14,7 @@ algebra already built.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -253,7 +254,10 @@ def _cmd_verify_cert(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing reads it
+    and never changes it, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="algen",
         description="Exact generator computations for structure-constant algebras.",

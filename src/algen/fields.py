@@ -161,6 +161,8 @@ class RationalField:
         return a / b
 
     def coerce(self, x: object) -> Fraction:
+        if type(x) is Fraction:
+            return x
         if isinstance(x, bool):
             raise ValueError(f"not a rational scalar: {x!r}")
         if isinstance(x, (int, Fraction)):

@@ -76,6 +76,19 @@ def int_str(x: int) -> str:
     return str(int(x))
 
 
+def _int_literal(s: str) -> Optional[int]:
+    """int(s) when s is a decimal integer (spaces around an optional sign
+    and digits); None for any other spelling."""
+    body = s.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits.isdigit():
+        return None
+    try:
+        return int(body)
+    except ValueError as bad:  # e.g. more digits than int() converts
+        raise FormatError(str(bad)) from bad
+
+
 def parse_int(value) -> int:
     """Decimal string (preferred) or JSON integer."""
     if isinstance(value, bool):
@@ -83,25 +96,24 @@ def parse_int(value) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        body = value.strip()
-        digits = body[1:] if body[:1] in ("+", "-") else body
-        if digits.isdigit():
-            try:
-                return int(body)
-            except ValueError as bad:  # e.g. more digits than int() converts
-                raise FormatError(str(bad)) from bad
+        n = _int_literal(value)
+        if n is not None:
+            return n
     raise FormatError(f"expected an integer, got {value!r}")
 
 
 def parse_scalar(field: Field, value):
-    """Coerce a decimal or num/den string into the field."""
+    """Coerce a decimal or num/den string into the field: Fraction's syntax,
+    but a decimal integer skips Fraction."""
     if isinstance(value, bool):
         raise FormatError(f"not a scalar: {value!r}")
     try:
         if isinstance(value, int):
             return field.coerce(value)
         if isinstance(value, str):
-            return field.parse(value)
+            # ASCII only: "²" passes isdigit, and int's error for it is not Fraction's
+            n = _int_literal(value) if value.isascii() else None
+            return field.parse(value) if n is None else field.coerce(n)
     except (ValueError, ZeroDivisionError) as bad:
         raise FormatError(str(bad)) from bad
     raise FormatError(f"not a scalar: {value!r}")

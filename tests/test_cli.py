@@ -139,6 +139,33 @@ def test_zoo_invalid(capsys):
     assert run(capsys, "zoo", "zero-z", "--factors", "3,2")[0] == 3
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys, m2):
+    # main reuses one parser per process; a usage error, --help and check
+    # with and without --unital, one after another, each print and exit as
+    # they do on a parser of their own
+    assert algen.cli.build_parser() is algen.cli.build_parser()
+    tuple_ = '[["0","1","0","0"]]'
+    calls = [
+        ["check", m2],
+        ["--help"],
+        ["check", m2, "--tuple", tuple_, "--unital"],
+        ["check", m2, "--tuple", tuple_],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    alone = []
+    for argv in calls:
+        algen.cli.build_parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [code for code, _ in alone] == [3, 0, 1, 1]
+    assert alone[2][1] != alone[3][1]
+    algen.cli.build_parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == alone
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -54,6 +55,7 @@ from algen.ioformat import (
 )
 from algen.search import DEFAULT_BUDGET, SearchBudget, min_generators
 from algen.zoo import (
+    albert,
     canonical_matrix_generators,
     matrix_algebra,
     quaternion_algebra,
@@ -94,6 +96,102 @@ def test_scalars():
         parse_scalar(GF(5), "1/5")
     with pytest.raises(FormatError):
         parse_scalar(QQ, True)
+
+
+def _reference_parse_int(value) -> int:
+    """parse_int before its integer recognizer became _int_literal."""
+    if isinstance(value, bool):
+        raise FormatError(f"expected an integer, got {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        body = value.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if digits.isdigit():
+            try:
+                return int(body)
+            except ValueError as bad:
+                raise FormatError(str(bad)) from bad
+    raise FormatError(f"expected an integer, got {value!r}")
+
+
+def _reference_parse_scalar(field, value):
+    """parse_scalar before decimal integers took a fast path: every string
+    goes through Fraction."""
+    if isinstance(value, bool):
+        raise FormatError(f"not a scalar: {value!r}")
+    try:
+        if isinstance(value, int):
+            return field.coerce(value)
+        if isinstance(value, str):
+            return field.coerce(Fraction(value))
+    except (ValueError, ZeroDivisionError) as bad:
+        raise FormatError(str(bad)) from bad
+    raise FormatError(f"not a scalar: {value!r}")
+
+
+def _outcome(parse, *args):
+    """(type, value) of a parse, or FormatError and its message when it
+    refuses."""
+    try:
+        value = parse(*args)
+    except FormatError as bad:
+        return FormatError, str(bad)
+    return type(value), value
+
+
+# signs, ASCII and non-ASCII decimal digits, "²" (isdigit but not
+# isdecimal), fraction and decimal syntax, underscores and whitespace
+_SCALAR_CHARS = "+-0123456789٣²/._eE \t\u00a0"
+# an exponent of five digits or more makes Fraction build a huge power
+_HUGE_EXPONENT = re.compile(r"[eE][-+]?[\d_]{5}")
+_SCALAR_INPUTS = st.one_of(
+    st.text(_SCALAR_CHARS, max_size=10).filter(lambda s: not _HUGE_EXPONENT.search(s)),
+    # around 4,300 digits, Python's limit for int() of a decimal string
+    st.builds(
+        lambda sign, n, tail: sign + "9" * n + tail,
+        st.sampled_from(["", "-", "+", " ", "٣"]),
+        st.integers(4295, 4305),
+        st.sampled_from(["", "/7", ".5", "e1", " ", "٣"]),
+    ),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+)
+_SPELLINGS = ["+3", " 7 ", "2/4", "-0", "0.5", "1e1", "-1", "٣", "²", "-²", "1_0", "--1", "-", "+", "", "00", "9" * 4301]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(value=_SCALAR_INPUTS, field=st.sampled_from([QQ, GF(2), GF(3)]))
+def test_scalar_fast_path_agrees_with_fraction(value, field):
+    assert _outcome(parse_int, value) == _outcome(_reference_parse_int, value)
+    assert _outcome(parse_scalar, field, value) == _outcome(_reference_parse_scalar, field, value)
+
+
+def test_scalar_spellings_agree_with_fraction():
+    for value in _SPELLINGS:
+        assert _outcome(parse_int, value) == _outcome(_reference_parse_int, value), value
+        for field in (QQ, GF(2), GF(3)):
+            assert _outcome(parse_scalar, field, value) == _outcome(_reference_parse_scalar, field, value), value
+
+
+def test_albert_q_parse_makes_each_coefficient_a_fraction_once(monkeypatch):
+    # the parse makes each of the 342 coefficients a Fraction once; the
+    # rest come from check_roles' unit law
+    doc = _reload(serialize_algebra(albert(QQ)))
+    assert sum(len(op["entries"]) for op in doc["ops"]) == 342
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    parse_algebra(doc)
+    monkeypatch.undo()
+    assert len(made) <= 600
 
 
 # ---------------------------------------------------------------------------
