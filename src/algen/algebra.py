@@ -196,7 +196,7 @@ def check_roles(alg, dim: int, mod) -> None:
                 if x:
                     row = side.setdefault(key, {})
                     for l, c in outs:
-                        row[l] = row.get(l, 0) + x * c
+                        row[l] = row[l] + x * c if l in row else x * c
         for side in (left, right):
             # a basis vector missing from side has e.b_j = 0 or b_j.e = 0
             if len(side) != dim or any(reduced(row) != {i: 1} for i, row in side.items()):
@@ -214,7 +214,7 @@ def check_roles(alg, dim: int, mod) -> None:
             out: dict[int, object] = {}
             for idx, x in terms:
                 for l, c in tensor.get(idx, ()):
-                    out[l] = out.get(l, 0) + x * c
+                    out[l] = out[l] + x * c if l in out else x * c
             return reduced(out)
 
         for i in range(dim):
@@ -491,7 +491,8 @@ class GenerationCertificate:
     monomial_count is closure_dim minus the rank of the elements (with the
     arity-0 constants when unital): the number of operation values that
     enlarged the span.  It depends only on the closure, not on the order in
-    which the closure was computed.
+    which the closure was computed.  A random search records its seed and
+    trial, an exhaustive one its index, and an explicit test neither.
     """
 
     elements: tuple[Element, ...]
@@ -499,10 +500,19 @@ class GenerationCertificate:
     ambient_dim: int
     unital: bool
     monomial_count: int
-    method: str = "explicit"
     seed: Optional[int] = None
     trial: Optional[int] = None
     index: Optional[int] = None
+
+    def __post_init__(self):
+        if (self.seed is None) != (self.trial is None) or None not in (self.trial, self.index):
+            raise ValueError("provenance must be a seed and trial, an index, or neither")
+
+    @property
+    def method(self) -> str:
+        if self.trial is not None:
+            return "random"
+        return "explicit" if self.index is None else "exhaustive"
 
     @property
     def generates(self) -> bool:

@@ -136,16 +136,16 @@ class PartitionCell:
     """A region of primes with a witnessed prefix of the chosen elements.
 
     For every p in the region, the elements indexed by `witness` project to
-    a tuple that extends to a generating n-tuple of the fiber at p.
+    a tuple that extends to a generating n-tuple of the fiber at p.  The
+    cell's level is the length of its witness.
     """
 
     region: ConstructibleSet
-    level: int
     witness: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.level < 0 or len(self.witness) != self.level:
-            raise ValueError("witness length must equal the cell level")
+    @property
+    def level(self) -> int:
+        return len(self.witness)
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,16 @@ class LiftStep:
 
 @dataclass(frozen=True)
 class LiftCertificate:
-    """Full trace of a lift: n + 1 generators and every assertion made."""
+    """Full trace of a lift: n + 1 steps, one per generator, and every assertion made."""
 
     factors: tuple[int, ...]
     n: int
-    generators: tuple[tuple[int, ...], ...]
     steps: tuple[LiftStep, ...]
     verification: GlobalGenerationReport
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(step.element for step in self.steps)
 
 
 class HypothesisFailure(RuntimeError):
@@ -354,9 +357,9 @@ def _advance(
         if not cell.region.cofinite and not remaining.is_empty:
             raise _Breach("a finite region was not fully advanced")
         if not advanced.is_empty:
-            next_cells.append(PartitionCell(advanced, cell.level + 1, cell.witness + (new_index,)))
+            next_cells.append(PartitionCell(advanced, cell.witness + (new_index,)))
         if not remaining.is_empty:
-            next_cells.append(PartitionCell(remaining, cell.level, cell.witness))
+            next_cells.append(PartitionCell(remaining, cell.witness))
     complaint = _check_partition(next_cells, new_index + 1, n)
     if complaint:
         raise _Breach(complaint)
@@ -394,7 +397,7 @@ def forster_lift(
             raise BudgetExhausted(f"completion search at prime {p} ran out of budget")
         return res.extension
 
-    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, level=0, witness=()),)
+    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, witness=()),)
     steps: list[LiftStep] = []
     try:
         for _ in range(n + 1):
@@ -408,13 +411,7 @@ def forster_lift(
     verification = verify_global_generation(A, generators)
     if not verification.generates:
         raise RuntimeError("internal: lifted generators fail global verification")
-    return LiftCertificate(
-        factors=A.factors,
-        n=n,
-        generators=tuple(generators),
-        steps=tuple(steps),
-        verification=verification,
-    )
+    return LiftCertificate(factors=A.factors, n=n, steps=tuple(steps), verification=verification)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +447,6 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate):
     _expect(tuple(cert.factors) == A.factors, "module invariant factors differ")
     n = cert.n
     _expect(n >= 0, "negative n")
-    _expect(len(cert.generators) == n + 1, "generator count is not n + 1")
     _expect(len(cert.steps) == n + 1, "step count is not n + 1")
 
     generators: list[tuple[int, ...]] = []
@@ -466,17 +462,13 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate):
         _expect(ok, f"completion does not generate the fiber at {p}")
         return rec.extension
 
-    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, level=0, witness=()),)
+    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, witness=()),)
     for step_no, step in enumerate(cert.steps):
         recorded = iter(step.completions)
         try:
             fresh = _advance(A, n, cells, generators, extend)
             _expect(next(recorded, None) is None, "selected primes differ")
             _expect(fresh.element == tuple(step.element), "glued element differs")
-            _expect(
-                fresh.element == tuple(cert.generators[step_no]),
-                "generator differs from step element",
-            )
             for ps, rec in zip(fresh.completions, step.completions):
                 _expect(
                     ps.completed == tuple(tuple(v) for v in rec.completed),

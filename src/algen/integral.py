@@ -352,28 +352,31 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
 class BadPrimesReport:
     """Prime support of M modulo a monomial subgroup.
 
-    When the subgroup misses a free direction the quotient is infinite and
-    `generic_fail` is set; otherwise `primes` lists exactly the primes p at
-    which the projected elements fail to generate the fiber, and `exponent`
-    annihilates the quotient.
+    When the subgroup misses a free direction the quotient is infinite, no
+    `exponent` annihilates it, and `generic_fail` is set; otherwise `primes`
+    lists exactly the primes p at which the projected elements fail to
+    generate the fiber, and `exponent` annihilates the quotient.
     """
 
-    generic_fail: bool
     primes: tuple[int, ...]
     exponent: Optional[int]
+
+    @property
+    def generic_fail(self) -> bool:
+        return self.exponent is None
 
 
 def _support_of_lattice(A: IntegralAlgebra, B: IntegerLattice) -> BadPrimesReport:
     if B.rank < A.rank:
-        return BadPrimesReport(generic_fail=True, primes=(), exponent=None)
+        return BadPrimesReport(primes=(), exponent=None)
     if B.is_full():
-        return BadPrimesReport(generic_fail=False, primes=(), exponent=1)
+        return BadPrimesReport(primes=(), exponent=1)
     # a full-rank lattice other than Z^m has index, so exponent, above 1
     exponent = snf(B.rows).diag[-1]
     fac = factor(exponent)
     if not fac.complete:
         raise FactorizationIncomplete(exponent, fac.primes, fac.cofactor)
-    return BadPrimesReport(generic_fail=False, primes=fac.distinct_primes(), exponent=exponent)
+    return BadPrimesReport(primes=fac.distinct_primes(), exponent=exponent)
 
 
 def bad_primes(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> BadPrimesReport:

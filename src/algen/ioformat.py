@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 from .algebra import (
@@ -183,16 +183,18 @@ def seq(item: Codec, length: Optional[int] = None) -> Codec:
     return Codec(lambda values: [emit(x) for x in values], parse)
 
 
-def record(cls, **fields: Codec) -> Codec:
+def record(cls, **codecs: Codec) -> Codec:
     """A dataclass as a JSON object with one key per declared attribute.
 
-    DERIVED attributes are emitted only; the parsed object recomputes them.
-    Any other attribute without a parser makes the record emit-only.  A
-    ValueError from the dataclass, or from a field, is raised as a
-    FormatError.
+    A key that is not a dataclass field names a derived property: it is
+    emitted and never parsed, the parsed object recomputes it, and the
+    re-emission in verify_certificate refuses an edited value.  A dataclass
+    field without a parser makes the record emit-only.  A ValueError from
+    the dataclass, or from a field, is raised as a FormatError.
     """
-    emitters = tuple((key, codec.emit) for key, codec in fields.items())
-    parsers = tuple((key, codec.parse) for key, codec in fields.items() if codec.parse)
+    stored = {f.name for f in fields(cls)}
+    emitters = tuple((key, codec.emit) for key, codec in codecs.items())
+    parsers = tuple((key, codec.parse) for key, codec in codecs.items() if key in stored)
 
     def emit(value) -> dict:
         return {key: emit_field(getattr(value, key)) for key, emit_field in emitters}
@@ -211,7 +213,7 @@ def record(cls, **fields: Codec) -> Codec:
         except ValueError as bad:
             raise FormatError(f"{cls.__name__}: {bad}") from bad
 
-    emit_only = any(codec.parse is None and codec is not DERIVED for codec in fields.values())
+    emit_only = any(parse_field is None for _, parse_field in parsers)
     return Codec(emit, None if emit_only else parse)
 
 
@@ -219,9 +221,6 @@ INT = Codec(int_str, parse_int)
 OPT_INT = optional(INT)
 BOOL = _typed(bool, "a boolean")
 STR = _typed(str, "a string")
-# emitted from the record's attribute and never parsed: the parsed record
-# recomputes it, and the re-emission in verify_certificate refuses an edit
-DERIVED = Codec(_same, None)
 INT_VECTOR = seq(INT)
 
 
@@ -463,7 +462,7 @@ def _global_report(rank: int) -> Codec:
     rows = seq(seq(INT, rank))
     return record(
         GlobalGenerationReport,
-        generates=DERIVED,
+        generates=BOOL,
         subgroup=Codec(
             lambda lattice: rows.emit(lattice.rows),
             lambda doc: lattice_from_vectors(rows.parse(doc), rank),

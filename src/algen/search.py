@@ -78,11 +78,20 @@ class SizeAttempt:
 
 @dataclass(frozen=True)
 class MinGenReport:
-    n_upper: Optional[int]
+    """The attempts of a search by size, and the certificate of its first hit."""
+
     certificate: Optional[GenerationCertificate]
-    lower_bound_certified: bool
     attempts: tuple[SizeAttempt, ...]
     unital: bool
+
+    @property
+    def n_upper(self) -> Optional[int]:
+        return None if self.certificate is None else len(self.certificate.elements)
+
+    @property
+    def lower_bound_certified(self) -> bool:
+        """A tuple was found and every smaller size was searched exhaustively."""
+        return self.certificate is not None and all(a.exhaustive for a in self.attempts[:-1])
 
 
 def min_generators(
@@ -99,29 +108,14 @@ def min_generators(
     """
     field = _require_prime_field(alg)
     attempts: list[SizeAttempt] = []
-    all_below_exhausted = True
     for n in range(alg.dim + 1):
         total = field.p ** (alg.dim * n)
-        exhaustive = total <= budget.max_exhaustive
         res = completable(alg, [], n, budget, unital)
         found = res.status == "found"
-        attempts.append(SizeAttempt(n, total, exhaustive, res.tested, found))
+        attempts.append(SizeAttempt(n, total, total <= budget.max_exhaustive, res.tested, found))
         if found:
-            return MinGenReport(
-                n_upper=n,
-                certificate=res.certificate,
-                lower_bound_certified=all_below_exhausted,
-                attempts=tuple(attempts),
-                unital=unital,
-            )
-        all_below_exhausted = all_below_exhausted and exhaustive
-    return MinGenReport(
-        n_upper=None,
-        certificate=None,
-        lower_bound_certified=False,
-        attempts=tuple(attempts),
-        unital=unital,
-    )
+            break
+    return MinGenReport(certificate=res.certificate, attempts=tuple(attempts), unital=unital)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +148,7 @@ def _random_completion(
         )
         ok, cert = is_generating(alg, fixed + list(extension), unital=unital)
         if ok:
-            cert = replace(cert, method="random", seed=budget.seed, trial=trial)
+            cert = replace(cert, seed=budget.seed, trial=trial)
             return CompletionResult("found", extension, cert, trial + 1)
     return CompletionResult("inconclusive", None, None, budget.random_trials)
 
@@ -255,7 +249,7 @@ def _walk(
         ok, cert = is_generating(alg, fixed + chosen, unital=unital, span=reducer)
         if not ok:
             return None
-        cert = replace(cert, method="exhaustive", index=index)
+        cert = replace(cert, index=index)
         return CompletionResult("found", tuple(chosen), cert, index + 1)
     below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
     # product() varies the last coordinate fastest: lexicographic order

@@ -118,12 +118,9 @@ def test_constructible_set_algebra_matches_membership():
 
 
 def test_partition_cell_validation():
-    cell = PartitionCell(ALL_PRIMES, 2, (0, 1))
-    assert cell.level == 2
-    with pytest.raises(ValueError):
-        PartitionCell(ALL_PRIMES, 1, ())
-    with pytest.raises(ValueError):
-        PartitionCell(ALL_PRIMES, -1, ())
+    # the level is the witness length, so no cell can disagree with it
+    assert PartitionCell(ALL_PRIMES, (0, 1)).level == 2
+    assert PartitionCell(ALL_PRIMES, ()).level == 0
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +253,20 @@ def test_lift_with_partition_split():
     assert [ps.prime for ps in s0.completions] == [2]
     assert s0.completions[0].excluded == (3,)
     assert s0.partition == (
-        PartitionCell(cofinite_set((3,)), 1, (0,)),
-        PartitionCell(finite_set((3,)), 0, ()),
+        PartitionCell(cofinite_set((3,)), (0,)),
+        PartitionCell(finite_set((3,)), ()),
     )
     # the stranded prime joins the next round, glued with 2 by remainders
     assert [ps.prime for ps in s1.completions] == [2, 3]
     assert s1.element == (0, 1)
     assert s1.partition == (
-        PartitionCell(cofinite_set((3,)), 2, (0, 1)),
-        PartitionCell(finite_set((3,)), 1, (1,)),
+        PartitionCell(cofinite_set((3,)), (0, 1)),
+        PartitionCell(finite_set((3,)), (1,)),
     )
     assert [ps.prime for ps in s2.completions] == [3]
     assert s2.partition == (
-        PartitionCell(cofinite_set((3,)), 2, (0, 1)),
-        PartitionCell(finite_set((3,)), 2, (1, 2)),
+        PartitionCell(cofinite_set((3,)), (0, 1)),
+        PartitionCell(finite_set((3,)), (1, 2)),
     )
     assert replay_lift(A, cert) == (True, "ok")
 
@@ -338,11 +335,11 @@ def test_partition_invariants_every_step():
 def test_partition_check_leaves_no_cell_below_level_n_after_step_n_plus_one():
     # the lift and the replay end with every cell at level n because step
     # n + 1 of this check allows no other partition
-    top = PartitionCell(cofinite_set((3,)), 2, (0, 1))
-    late = PartitionCell(finite_set((3,)), 1, (1,))
+    top = PartitionCell(cofinite_set((3,)), (0, 1))
+    late = PartitionCell(finite_set((3,)), (1,))
     assert _check_partition((top, late), 2, 2) is None
     assert "dimension bound" in _check_partition((top, late), 3, 2)
-    assert _check_partition((top, PartitionCell(finite_set((3,)), 2, (1, 2))), 3, 2) is None
+    assert _check_partition((top, PartitionCell(finite_set((3,)), (1, 2))), 3, 2) is None
 
 
 def test_recorded_witnesses_are_completable():
@@ -449,10 +446,6 @@ def test_replay_rejects_tampering():
     assert "factors" in refused(dataclasses.replace(cert, factors=(9, 0)))
     assert "count" in refused(dataclasses.replace(cert, n=1))
 
-    gens = list(cert.generators)
-    gens[2] = (1, 1)
-    assert "generator" in refused(dataclasses.replace(cert, generators=tuple(gens)))
-
     assert "element" in refused(_replace_step(cert, 0, element=(1, 0)))
     assert "primes" in refused(_replace_completion(cert, 0, 0, prime=5))
     assert "witness" in refused(_replace_completion(cert, 1, 1, witness=(0,)))
@@ -469,7 +462,7 @@ def test_replay_rejects_tampering():
     assert "bad primes" in refused(_replace_completion(cert, 0, 0, excluded=(5,)))
 
     cells = list(cert.steps[0].partition)
-    cells[0] = PartitionCell(cofinite_set((5,)), cells[0].level, cells[0].witness)
+    cells[0] = PartitionCell(cofinite_set((5,)), cells[0].witness)
     assert "partition" in refused(_replace_step(cert, 0, partition=tuple(cells)))
 
     # the generation flags derive from the lattice, so tamper with the support

@@ -456,12 +456,10 @@ def _subgroup_by_rounds(A, elements):
 def _support_by_snf(A, B):
     """The prime support read off an SNF of every full-rank lattice."""
     if B.rank < A.rank:
-        return BadPrimesReport(generic_fail=True, primes=(), exponent=None)
+        return BadPrimesReport(primes=(), exponent=None)
     diag = snf(B.rows).diag if B.rows else ()
     exponent = diag[-1] if diag else 1
-    return BadPrimesReport(
-        generic_fail=False, primes=factor(exponent).distinct_primes(), exponent=exponent
-    )
+    return BadPrimesReport(primes=factor(exponent).distinct_primes(), exponent=exponent)
 
 
 def _torsion_ring():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import os
@@ -15,10 +16,12 @@ from hypothesis import strategies as st
 import algen.forster
 import algen.integral
 import algen.ioformat
-from algen.algebra import is_generating
+from algen.algebra import GenerationCertificate, is_generating
 from algen.fields import GF, QQ
-from algen.forster import ConstructibleSet, forster_lift
+from algen.forster import ConstructibleSet, LiftCertificate, PartitionCell, forster_lift
 from algen.integral import (
+    BadPrimesReport,
+    GlobalGenerationReport,
     bad_primes,
     integral_matrix_algebra,
     integral_split_etale,
@@ -53,7 +56,7 @@ from algen.ioformat import (
     serialize_algebra,
     verify_certificate,
 )
-from algen.search import DEFAULT_BUDGET, SearchBudget, min_generators
+from algen.search import DEFAULT_BUDGET, MinGenReport, SearchBudget, min_generators
 from algen.zoo import (
     albert,
     canonical_matrix_generators,
@@ -178,7 +181,7 @@ def test_scalar_spellings_agree_with_fraction():
 
 def test_albert_q_parse_makes_each_coefficient_a_fraction_once(monkeypatch):
     # the parse makes each of the 342 coefficients a Fraction once; the
-    # rest come from check_roles' unit law
+    # rest come from check_roles' unit law, which adds no 0 + v at a first entry
     doc = _reload(serialize_algebra(albert(QQ)))
     assert sum(len(op["entries"]) for op in doc["ops"]) == 342
     made = []
@@ -191,7 +194,7 @@ def test_albert_q_parse_makes_each_coefficient_a_fraction_once(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting)
     parse_algebra(doc)
     monkeypatch.undo()
-    assert len(made) <= 600
+    assert len(made) <= 500
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,9 @@ def test_codec_declarations():
         REGION.parse({"cofinite": "yes", "primes": []})
     with pytest.raises(FormatError, match="not a proven prime"):
         REGION.parse({"cofinite": False, "primes": ["4"]})
-    with pytest.raises(FormatError, match="^PartitionCell: witness length"):
-        PARTITION_CELL.parse({"region": doc, "level": "2", "witness": ["0"]})
+    # a cell's level is its witness length: emitted, and never parsed
+    cell = PARTITION_CELL.parse({"region": doc, "level": "2", "witness": ["0"]})
+    assert cell.level == 1 and PARTITION_CELL.emit(cell)["level"] == "1"
     # a hypothesis-failure report is a summary: its record is emit-only
     assert LOCAL_REPORT.parse is None
     assert OPT_INT.emit(None) is None and OPT_INT.parse("-7") == -7
@@ -654,6 +658,82 @@ def test_verify_refuses_edited_derived_flags():
             edit(bad[key])
             ok, detail = verify_certificate(parsed, bad)
             assert not ok and ("match" in detail or "canonical" in detail), (key, detail)
+
+
+def test_derived_keys_are_properties():
+    # a record stores each fact once: these keys are computed from its fields
+    derived = [
+        (BadPrimesReport, "generic_fail"),
+        (GlobalGenerationReport, "generates"),
+        (MinGenReport, "n_upper"),
+        (MinGenReport, "lower_bound_certified"),
+        (PartitionCell, "level"),
+        (LiftCertificate, "generators"),
+        (GenerationCertificate, "method"),
+    ]
+    for cls, name in derived:
+        assert isinstance(getattr(cls, name), property), name
+        assert name not in {f.name for f in dataclasses.fields(cls)}, name
+    assert not hasattr(algen.ioformat, "DERIVED")
+
+
+def test_verify_refuses_edited_derived_keys():
+    # each key restates other fields of its record: it is emitted, never
+    # parsed, and the re-emission refuses any value but the derived one
+    A = integral_zero_module((3, 0))
+    lift = lift_certificate_doc(A, forster_lift(A, 2))
+    gf2 = split_etale(GF(2), 3)
+    mingen = mingen_report_doc(gf2, min_generators(gf2), DEFAULT_BUDGET)
+    Z3 = integral_split_etale(3)
+    x = ((1, 2, 3),)
+    support = bad_primes_doc(Z3, x, bad_primes(Z3, x))
+    global_ = global_generation_doc(Z3, x, verify_global_generation(Z3, x))
+    m2 = matrix_algebra(GF(2), 2)
+    ok, cert = is_generating(m2, canonical_matrix_generators(GF(2), 2))
+    check = generation_certificate_doc(m2, cert)
+    cases = [
+        (A, lift, ("generators", 2), ["1", "1"]),
+        (A, lift, ("generators",), lift["generators"][:2]),
+        (A, lift, ("steps", 0, "partition", 0, "level"), "2"),
+        (A, lift, ("verification", "support", "generic_fail"), True),
+        (gf2, mingen, ("n_upper",), "3"),
+        (gf2, mingen, ("lower_bound_certified",), False),
+        (Z3, support, ("report", "generic_fail"), True),
+        (Z3, global_, ("report", "support", "generic_fail"), True),
+        (m2, check, ("method",), "random"),
+    ]
+    for alg, doc, path, value in cases:
+        parsed = ParsedAlgebra(alg)
+        assert verify_certificate(parsed, _reload(doc)) == (True, "ok"), path
+        bad = _reload(doc)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        assert node[path[-1]] != value, path
+        node[path[-1]] = value
+        ok, detail = verify_certificate(parsed, bad)
+        assert ok is False, (path, detail)
+
+
+def test_verify_refuses_provenance_no_search_writes():
+    # method derives from the seed, trial and index a search records; a
+    # document naming another method, or recording a shape no search
+    # writes, is refused
+    alg = matrix_algebra(GF(2), 2)
+    parsed = ParsedAlgebra(alg)
+    ok, cert = is_generating(alg, canonical_matrix_generators(GF(2), 2))
+    doc = generation_certificate_doc(alg, cert)
+    assert verify_certificate(parsed, _reload(doc)) == (True, "ok")
+    edits = [
+        ({"method": "banana"}, "canonical"),
+        ({"method": "exhaustive"}, "canonical"),
+        ({"method": "random", "index": "0"}, "canonical"),
+        ({"method": "explicit", "seed": "1"}, "malformed"),
+        ({"method": "random", "seed": "1", "trial": "0", "index": "0"}, "malformed"),
+    ]
+    for edit, refusal in edits:
+        ok, detail = verify_certificate(parsed, {**_reload(doc), **edit})
+        assert not ok and refusal in detail, (edit, detail)
 
 
 def test_lift_round_trip_and_verify():

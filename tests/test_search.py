@@ -188,7 +188,7 @@ def _brute_completion(alg, fixed, n, budget, unital):
         for index, ext in enumerate(itertools.product(vectors, repeat=slots)):
             ok, cert = is_generating(alg, list(fixed) + list(ext), unital=unital)
             if ok:
-                cert = dataclasses.replace(cert, method="exhaustive", index=index)
+                cert = dataclasses.replace(cert, index=index)
                 return CompletionResult("found", ext, cert, index + 1)
         return CompletionResult("certified_none", None, None, total)
     h = budget.coeff_height
@@ -199,23 +199,29 @@ def _brute_completion(alg, fixed, n, budget, unital):
         )
         ok, cert = is_generating(alg, list(fixed) + list(ext), unital=unital)
         if ok:
-            cert = dataclasses.replace(cert, method="random", seed=budget.seed, trial=trial)
+            cert = dataclasses.replace(cert, seed=budget.seed, trial=trial)
             return CompletionResult("found", ext, cert, trial + 1)
     return CompletionResult("inconclusive", None, None, budget.random_trials)
 
 
 def _brute_min_generators(alg, budget, unital):
+    """Reference report.  It computes the minimum and its certification
+    itself, and checks them against the ones MinGenReport derives."""
     attempts = []
-    certified = True
-    for n in range(alg.dim + 1):
-        total = alg.field.p ** (alg.dim * n)
-        res = _brute_completion(alg, (), n, budget, unital)
+    n, certificate, certified = None, None, False
+    all_below_exhausted = True
+    for size in range(alg.dim + 1):
+        total = alg.field.p ** (alg.dim * size)
+        res = _brute_completion(alg, (), size, budget, unital)
         found = res.status == "found"
-        attempts.append(SizeAttempt(n, total, total <= budget.max_exhaustive, res.tested, found))
+        attempts.append(SizeAttempt(size, total, total <= budget.max_exhaustive, res.tested, found))
         if found:
-            return MinGenReport(n, res.certificate, certified, tuple(attempts), unital)
-        certified = certified and total <= budget.max_exhaustive
-    return MinGenReport(None, None, False, tuple(attempts), unital)
+            n, certificate, certified = size, res.certificate, all_below_exhausted
+            break
+        all_below_exhausted = all_below_exhausted and total <= budget.max_exhaustive
+    report = MinGenReport(certificate, tuple(attempts), unital)
+    assert (report.n_upper, report.lower_bound_certified) == (n, certified)
+    return report
 
 
 @st.composite
