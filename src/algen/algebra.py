@@ -43,6 +43,16 @@ class OperationTensor:
     arity: int
     entries: tuple[tuple[tuple[int, ...], tuple[tuple[int, Scalar], ...]], ...]
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """Binary with op(b_i, b_j) = op(b_j, b_i) for every basis pair, so
+        by bilinearity op(x, y) = op(y, x) for all x, y.  Canonical entries
+        make this one pass that compares each entry with its transpose."""
+        if self.arity != 2:
+            return False
+        table = dict(self.entries)
+        return all(table.get((j, i)) == outs for (i, j), outs in self.entries)
+
 
 def canonical_tensor(
     dim: int,
@@ -306,12 +316,14 @@ def _closure_reducer(
     vector, and grows span in place.  One straight-line loop keeps a list of
     generators: first the rows of the starting span and the seed vectors
     that enlarged it, then every operation value that enlarged it.
-    Generator j is combined with the index tuples that contain j and
-    earlier generators only.  The loop stops at full dimension or when
-    the list runs out; then every operation on every tuple of generators
-    lies in their span, which is therefore closed (by multilinearity it is
-    the closure), and its dimension is the number of generators.  The
-    monomial count is the final dimension minus the rank of the seed.
+    _new_tuples hands the loop every tuple of generators exactly once, the
+    tuples of each new generator with the seed before those with the other
+    new generators.  The loop stops at full dimension or when the tuples
+    run out.  Below full dimension every operation on every tuple of
+    generators has then been evaluated and lies in their span, which is
+    therefore closed (by multilinearity it is the closure), and its
+    dimension is the number of generators.  The monomial count is the final
+    dimension minus the rank of the seed.
 
     Over F_p each generator is an RREF row: one of the starting span, or
     the row that RowReducer.insert returns when it adds one.
@@ -355,7 +367,8 @@ def _closure_reducer(
             gens.append(g)
         elif pending is not None:
             pending.append(v)
-    seed_rank = len(gens)
+    # generators below base come from the seed
+    base = seed_rank = len(gens)
     if pending and seed_rank < r:
         # a seed vector inside the span mod P may still be new over Q
         exact = _RationalSpan(r)
@@ -363,7 +376,7 @@ def _closure_reducer(
     ops = [op for op in ops if op.arity and op.entries]
     start = 0
     while len(gens) < r:
-        for op, args in _new_tuples(ops, gens, start):
+        for op, args in _new_tuples(ops, gens, base, start):
             value = eval_tensor(op, r, args)
             g = grow(value)
             if g:
@@ -374,8 +387,9 @@ def _closure_reducer(
                 pending.append(value)
         if pending is None or len(gens) == r:
             break
-        # the mod-P generators ran out: decide the pending values exactly
-        start = len(gens)
+        # the mod-P generators ran out: decide the pending values exactly;
+        # the tuples of the generators so far are done, as for a seed
+        base = start = len(gens)
         span = _RationalSpan(r)
         grow = span.insert
         for g in gens:
@@ -386,17 +400,53 @@ def _closure_reducer(
     return span, len(gens) - seed_rank
 
 
-def _new_tuples(ops, gens: list, start: int):
-    """(op, arguments) for each op and each tuple of generators whose
-    highest index j is at least start; reads gens as it grows, so the
-    generators appended meanwhile are combined too."""
-    j = start
-    while j < len(gens):
+def _new_tuples(ops, gens: list, base: int, start: int):
+    """(op, arguments) for each op and each tuple of generators with an
+    index at least start, each tuple once.  gens[:base] are the seed's
+    generators and start is 0 or base.  Reads gens as it grows, so the
+    generators appended meanwhile are combined too.
+
+    Two cursors walk gens.  The first takes generator j to the tuples of j
+    and indices below min(j, base): a seed generator meets the seed
+    generators before it, a later one the seed.  The second takes generator
+    k >= base to its tuples with indices up to k that include one in
+    [base, k), and moves only when the first has no generator left, so
+    each new generator meets the seed before the other new generators.  A
+    tuple whose highest index is m comes from the first cursor at m when
+    its other indices lie below min(m, base), else from the second at m.
+    So when both cursors reach the end of gens, every tuple of generators
+    has been yielded exactly once.
+
+    A symmetric binary op takes each unordered pair once, since op(x, y) =
+    op(y, x).  Binary tuples are built directly; other arities filter the
+    tuples over range(m + 1).
+    """
+    j, k = start, base
+    while True:
+        if j < len(gens):
+            new, partners, first = j, range(min(j, base)), True
+            j += 1
+        elif k < len(gens):
+            new, partners, first = k, range(base, k), False
+            k += 1
+        else:
+            return
+        g = gens[new]
         for op in ops:
-            for idx in itertools.product(range(j + 1), repeat=op.arity):
-                if j in idx:
+            if op.arity == 2:
+                both = not op.symmetric
+                for a in partners:
+                    h = gens[a]
+                    yield op, (h, g)
+                    if both:
+                        yield op, (g, h)
+                if first:
+                    yield op, (g, g)
+                continue
+            for idx in itertools.product(range(new + 1), repeat=op.arity):
+                # the first cursor's tuples are those whose other indices lie below base
+                if new in idx and all(a < base or a == new for a in idx) == first:
                     yield op, [gens[a] for a in idx]
-        j += 1
 
 
 def integral_row(v: Sequence[Scalar]) -> list[int]:

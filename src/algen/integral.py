@@ -323,8 +323,10 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
     Closure under an arity-0 operation means containing its constant, so any
     designated unit is always a member.  Returned as the canonical lattice in
     Z^m that contains the relation rows, so two element lists span the same
-    subgroup of M exactly when the canonical rows coincide.  Termination:
-    the lattices ascend in Z^m.
+    subgroup of M exactly when the canonical rows coincide.  Each round
+    evaluates every op on every tuple of the current rows, a symmetric
+    binary op (op(x, y) = op(y, x)) on each unordered pair once.
+    Termination: the lattices ascend in Z^m.
     """
     m = A.rank
     rows = A.relation_rows()
@@ -339,7 +341,11 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
         for op in A.ops:
             if op.arity == 0 or not op.entries:
                 continue
-            for args in itertools.product(current.rows, repeat=op.arity):
+            if op.symmetric:
+                tuples = itertools.combinations_with_replacement(current.rows, 2)
+            else:
+                tuples = itertools.product(current.rows, repeat=op.arity)
+            for args in tuples:
                 produced.append(eval_tensor(op, m, args))
         refreshed = lattice_from_vectors(produced, m)
         if refreshed.rows == current.rows:

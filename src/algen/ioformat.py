@@ -541,6 +541,10 @@ class _Refused(Exception):
 def _replay_generation(alg: Multialgebra, doc: dict) -> dict:
     codec = _generation(alg)
     cert = codec.parse(doc)
+    # check writes only explicit certificates; a search's certificate sits
+    # in a mingen report, which its rerun search re-emits
+    if cert.method != "explicit":
+        raise _Refused(f"a standalone generation certificate has method explicit, not {cert.method}")
     if not replay_certificate(alg, cert):
         raise _Refused("closure replay does not match the certificate")
     return codec.emit(cert)

@@ -419,6 +419,9 @@ ENTRY_POINT_COMMANDS = [
     "algen zoo matrix --field F2 --n 2 > m2.json",
     "algen mingen m2.json --unital > mingen.json",
     "algen verify-cert m2.json mingen.json",
+    "algen zoo split-etale --field F2 --n 5 > e5.json",
+    "algen mingen e5.json --unital > e5-mingen.json",
+    "algen verify-cert e5.json e5-mingen.json",
     "algen zoo octonion --field Q > oq.json",
     "algen zoo octonion --field Q --emit generators > oq-gens.json",
     "algen check oq.json --tuple @oq-gens.json > oq-check.json",

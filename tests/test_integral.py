@@ -557,6 +557,33 @@ def random_integral_algebra(rng):
     return IntegralAlgebra(factors=factors, ops=tuple(ops), product_index=0)
 
 
+def _symmetrized(A):
+    """A with its product replaced by x y + y x, which descends to the
+    module when x y does: each entry keeps the factors of its slots."""
+    prod = A.ops[A.product_index]
+    triples = [(idx, l, c) for idx, outs in prod.entries for l, c in outs]
+    triples += [((j, i), l, c) for (i, j), l, c in triples]
+    ops = list(A.ops)
+    ops[A.product_index] = make_z_tensor(A.factors, 2, triples)
+    return IntegralAlgebra(factors=A.factors, ops=tuple(ops), product_index=A.product_index)
+
+
+def test_subgroup_matches_ordered_round_loop_on_random_forms():
+    # a symmetric product takes each unordered pair of lattice rows once;
+    # the plain round loop takes every ordered pair
+    rng = random.Random(23)
+    symmetric = 0
+    for trial in range(600):
+        A = random_integral_algebra(rng)
+        if trial % 2:
+            A = _symmetrized(A)
+            assert A.ops[A.product_index].symmetric
+        symmetric += A.ops[A.product_index].symmetric
+        S = [tuple(rng.randint(-4, 4) for _ in range(A.rank)) for _ in range(rng.randrange(4))]
+        assert monomial_subgroup(A, S) == _subgroup_by_rounds(A, S), (A, S)
+    assert 300 <= symmetric < 600
+
+
 def test_fiber_coherence_randomized():
     rng = random.Random(7)
     for _ in range(50):

@@ -717,8 +717,8 @@ def test_verify_refuses_edited_derived_keys():
 
 def test_verify_refuses_provenance_no_search_writes():
     # method derives from the seed, trial and index a search records; a
-    # document naming another method, or recording a shape no search
-    # writes, is refused
+    # document naming another method, recording a shape no search writes,
+    # or claiming a search's provenance outside a mingen report, is refused
     alg = matrix_algebra(GF(2), 2)
     parsed = ParsedAlgebra(alg)
     ok, cert = is_generating(alg, canonical_matrix_generators(GF(2), 2))
@@ -727,9 +727,14 @@ def test_verify_refuses_provenance_no_search_writes():
     edits = [
         ({"method": "banana"}, "canonical"),
         ({"method": "exhaustive"}, "canonical"),
-        ({"method": "random", "index": "0"}, "canonical"),
+        # an index makes the method exhaustive, which no standalone
+        # certificate has, before its label is compared
+        ({"method": "random", "index": "0"}, "explicit"),
         ({"method": "explicit", "seed": "1"}, "malformed"),
         ({"method": "random", "seed": "1", "trial": "0", "index": "0"}, "malformed"),
+        # well-formed search provenance, but check writes explicit ones only
+        ({"method": "exhaustive", "index": "-7"}, "explicit"),
+        ({"method": "random", "seed": "-3", "trial": "123456789"}, "explicit"),
     ]
     for edit, refusal in edits:
         ok, detail = verify_certificate(parsed, {**_reload(doc), **edit})
