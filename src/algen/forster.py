@@ -395,7 +395,7 @@ def forster_lift(
             raise RuntimeError(f"internal: witnessed prefix not completable at prime {p}")
         if res.status == "inconclusive":
             raise BudgetExhausted(f"completion search at prime {p} ran out of budget")
-        return res.extension
+        return res.certificate.elements[len(partial) :]
 
     cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, witness=()),)
     steps: list[LiftStep] = []

@@ -378,7 +378,7 @@ def _support_of_lattice(A: IntegralAlgebra, B: IntegerLattice) -> BadPrimesRepor
     if B.is_full():
         return BadPrimesReport(primes=(), exponent=1)
     # a full-rank lattice other than Z^m has index, so exponent, above 1
-    exponent = snf(B.rows).diag[-1]
+    exponent = B.exponent()
     fac = factor(exponent)
     if not fac.complete:
         raise FactorizationIncomplete(exponent, fac.primes, fac.cofactor)

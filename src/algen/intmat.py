@@ -9,7 +9,8 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import proved_prime
@@ -57,6 +58,28 @@ class IntegerLattice:
         return self.rank == self.ambient and all(
             row[c] == 1 for row, c in zip(self.rows, self.pivots)
         )
+
+    def exponent(self) -> int:
+        """The exponent of Z^ambient / self, the least e > 0 with e Z^ambient
+        inside self; the lattice must have full rank.
+
+        A pivot-1 column is a unit column, since the entries above it are
+        reduced into [0, 1), so the quotient is presented by the block of
+        rows and columns whose pivot exceeds 1.  Its exponent is the lcm of
+        the denominators of that block's inverse, by back substitution.
+        """
+        if self.rank != self.ambient:
+            raise ValueError("a lattice below full rank has an infinite quotient")
+        big = [c for c in range(self.ambient) if self.rows[c][c] > 1]
+        block = [[self.rows[i][j] for j in big] for i in big]
+        inverse: list[list[Fraction]] = [[]] * len(big)
+        for i in reversed(range(len(big))):
+            row = [Fraction(int(i == j)) for j in range(len(big))]
+            for k in range(i + 1, len(big)):
+                if block[i][k]:
+                    row = [a - block[i][k] * b for a, b in zip(row, inverse[k])]
+            inverse[i] = [a / block[i][i] for a in row]
+        return lcm(*(x.denominator for row in inverse for x in row))
 
 
 def _hnf_rows(vectors: Iterable[Sequence[int]], ambient: int):

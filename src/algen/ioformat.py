@@ -49,7 +49,7 @@ from .integral import (
     verify_global_generation,
 )
 from .intmat import FactorizationIncomplete, lattice_from_vectors
-from .search import DEFAULT_BUDGET, MinGenReport, SearchBudget, SizeAttempt, min_generators
+from .search import DEFAULT_BUDGET, MinGenReport, SearchBudget, min_generators
 
 ALGEBRA_FORMAT = "algen-algebra"
 CERTIFICATE_FORMAT = "algen-certificate"
@@ -382,7 +382,6 @@ def _parse_integral(doc: dict) -> ParsedAlgebra:
 
 
 BUDGET = record(SearchBudget, max_exhaustive=INT, random_trials=INT, seed=INT, coeff_height=INT)
-SIZE_ATTEMPT = record(SizeAttempt, n=INT, total=INT, exhaustive=BOOL, tested=INT, found=BOOL)
 SUPPORT = record(BadPrimesReport, generic_fail=BOOL, primes=INT_VECTOR, exponent=OPT_INT)
 # region primes are written sorted as decimal strings
 REGION = record(
@@ -447,12 +446,24 @@ def _generation(alg: Multialgebra) -> Codec:
 
 
 def _mingen(alg: Multialgebra) -> Codec:
+    def attempts(results) -> list:
+        return [
+            {
+                "n": int_str(n),
+                "total": int_str(alg.field.order ** (alg.dim * n)),
+                "exhaustive": res.exhaustive,
+                "tested": int_str(res.tested),
+                "found": res.status == "found",
+            }
+            for n, res in enumerate(results)
+        ]
+
     return record(
         MinGenReport,
         unital=BOOL,
         n_upper=OPT_INT,
         lower_bound_certified=BOOL,
-        attempts=seq(SIZE_ATTEMPT),
+        attempts=Codec(attempts, None),
         certificate=optional(_generation(alg)),
     )
 

@@ -66,23 +66,15 @@ def _require_prime_field(alg: Multialgebra) -> PrimeField:
 
 
 @dataclass(frozen=True)
-class SizeAttempt:
-    """What happened at one tuple size."""
-
-    n: int
-    total: int
-    exhaustive: bool
-    tested: int
-    found: bool
-
-
-@dataclass(frozen=True)
 class MinGenReport:
-    """The attempts of a search by size, and the certificate of its first hit."""
+    """The completability search of each size, from 0 up to the first hit."""
 
-    certificate: Optional[GenerationCertificate]
-    attempts: tuple[SizeAttempt, ...]
+    attempts: tuple[CompletionResult, ...]
     unital: bool
+
+    @property
+    def certificate(self) -> Optional[GenerationCertificate]:
+        return self.attempts[-1].certificate
 
     @property
     def n_upper(self) -> Optional[int]:
@@ -99,23 +91,16 @@ def min_generators(
 ) -> MinGenReport:
     """Smallest generating tuple size, iterating n = 0, 1, 2, ...
 
-    Each size is a completability search from the empty tuple.  Sizes whose
-    full candidate space fits max_exhaustive are enumerated completely
-    (certifying the lower bound); larger sizes fall back to seeded random
-    sampling.  The iteration stops at the first size that yields a
-    generating tuple, and never needs to pass n = dim since the basis
-    itself generates.
+    Each size is a completability search from the empty tuple.  The
+    iteration stops at the first size that yields a generating tuple, and
+    never needs to pass n = dim since the basis itself generates.
     """
-    field = _require_prime_field(alg)
-    attempts: list[SizeAttempt] = []
+    attempts: list[CompletionResult] = []
     for n in range(alg.dim + 1):
-        total = field.p ** (alg.dim * n)
-        res = completable(alg, [], n, budget, unital)
-        found = res.status == "found"
-        attempts.append(SizeAttempt(n, total, total <= budget.max_exhaustive, res.tested, found))
-        if found:
+        attempts.append(completable(alg, [], n, budget, unital))
+        if attempts[-1].status == "found":
             break
-    return MinGenReport(certificate=res.certificate, attempts=tuple(attempts), unital=unital)
+    return MinGenReport(attempts=tuple(attempts), unital=unital)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +128,12 @@ def _random_completion(
     """First generating extension of fixed by slots seeded random elements."""
     for trial in range(budget.random_trials):
         rng = _trial_rng(budget.seed, trial)
-        extension = tuple(
-            _random_element(rng, alg.field, alg.dim, budget.coeff_height) for _ in range(slots)
-        )
-        ok, cert = is_generating(alg, fixed + list(extension), unital=unital)
+        ext = [_random_element(rng, alg.field, alg.dim, budget.coeff_height) for _ in range(slots)]
+        ok, cert = is_generating(alg, fixed + ext, unital=unital)
         if ok:
             cert = replace(cert, seed=budget.seed, trial=trial)
-            return CompletionResult("found", extension, cert, trial + 1)
-    return CompletionResult("inconclusive", None, None, budget.random_trials)
+            return CompletionResult("found", cert, trial + 1)
+    return CompletionResult("inconclusive", None, budget.random_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +145,19 @@ def _random_completion(
 class CompletionResult:
     """Outcome of searching for an extension of a partial tuple.
 
-    status is "found" (extension generates; certificate attached),
-    "certified_none" (full extension space enumerated, nothing generates),
-    or "inconclusive" (budget exceeded before an answer).
+    status is "found" (certificate attached, its elements ending with the
+    extension), "certified_none" (full extension space enumerated, nothing
+    generates), or "inconclusive" (budget exceeded before an answer).
     """
 
     status: str
-    extension: Optional[tuple[Element, ...]]
     certificate: Optional[GenerationCertificate]
     tested: int
+
+    @property
+    def exhaustive(self) -> bool:
+        cert = self.certificate  # enumerated: a refutation, or a hit at an index
+        return self.status == "certified_none" or (cert is not None and cert.index is not None)
 
 
 def completable(
@@ -196,7 +183,7 @@ def completable(
     total = p ** (r * slots)
     if total <= budget.max_exhaustive:
         found = _exhaustive_completion(alg, fixed, slots, unital)
-        return found or CompletionResult("certified_none", None, None, total)
+        return found or CompletionResult("certified_none", None, total)
     return _random_completion(alg, fixed, slots, budget, unital)
 
 
@@ -250,7 +237,7 @@ def _walk(
         if not ok:
             return None
         cert = replace(cert, index=index)
-        return CompletionResult("found", tuple(chosen), cert, index + 1)
+        return CompletionResult("found", cert, index + 1)
     below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
     # product() varies the last coordinate fastest: lexicographic order
     for t, v in enumerate(itertools.product(range(p), repeat=r)):

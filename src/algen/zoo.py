@@ -4,8 +4,8 @@ Families: zero-product modules, full matrix algebras Mat_n, split etale
 algebras F^n, Cayley-Dickson doublings (quaternions, split octonions), and
 the 27-dimensional Albert algebra of octonion-Hermitian 3x3 matrices under
 the Jordan product.  Each constructor fixes a basis and emits exact structure
-constants; Mat_n, F^n, the quaternions and the split octonions are the base
-changes of their Z forms in algen.integral, the latter two built by
+constants; every family but the Albert algebra is the base change of its
+Z form in algen.integral, the quaternions and split octonions built by
 integral.cayley_dickson.  Generator tuples come with the construction where
 a closed form exists, and by seeded search for the Albert algebra.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, Multialgebra, OperationTensor, eval_tensor, make_tensor
+from .algebra import Element, Multialgebra, eval_tensor, make_tensor
 from .fields import Field, GF, QQ
 from .integral import (
     cayley_dickson,
@@ -23,6 +23,7 @@ from .integral import (
     integral_ground,
     integral_matrix_algebra,
     integral_split_etale,
+    integral_zero_module,
 )
 
 
@@ -62,11 +63,11 @@ def canonical_matrix_generators(field: Field, n: int) -> tuple[Element, Element]
 
 
 def zero_algebra(field: Field, r: int) -> Multialgebra:
-    """Module with identically zero product; closure equals linear span."""
+    """Module with identically zero product, closure equals linear span: the
+    base change of integral_zero_module((0,) * r)."""
     if r < 0:
         raise ValueError("dimension must be nonnegative")
-    product = OperationTensor(arity=2, entries=())
-    return Multialgebra(field=field, dim=r, ops=(product,), product_index=0)
+    return _base_change(integral_zero_module((0,) * r), field)
 
 
 def split_etale(field: Field, n: int) -> Multialgebra:

@@ -1,8 +1,11 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+import textwrap
+import time
 
 import pytest
 
@@ -274,6 +277,23 @@ def test_bad_primes(capsys, e3z, tmp_path):
     assert run(capsys, "bad-primes", e3z, "--tuple", '[["1","2"]]')[0] == 3
 
 
+def test_bad_primes_with_thousand_digit_coordinates(capsys, e3z, tmp_path):
+    # the exponent of M/B is read off the HNF: with an SNF and its dense
+    # transforms, each command took about 26 s on a 2-CPU host, now under 1 s
+    rng = random.Random(1)
+    element = [str(rng.randrange(10**999, 10**1000)) for _ in range(3)]
+    start = time.perf_counter()
+    code, doc = run(capsys, "bad-primes", e3z, "--tuple", json.dumps([element]))
+    assert time.perf_counter() - start < 10
+    assert code == 2 and doc["error"] == "factorization-incomplete"
+    code, doc = run(capsys, "bad-primes", e3z, "--tuple", '[["1","2","3"]]')
+    doc["elements"] = [element]
+    start = time.perf_counter()
+    code, verdict = run(capsys, "verify-cert", e3z, write(tmp_path, "big.json", doc))
+    assert time.perf_counter() - start < 10
+    assert code == 2 and verdict["detail"].startswith("inconclusive: could not factor")
+
+
 def test_bad_primes_needs_z(capsys, m2):
     assert run(capsys, "bad-primes", m2, "--tuple", '[["1","0","0","0"]]')[0] == 3
 
@@ -398,64 +418,35 @@ def test_internal_error_exits_4(capsys, e3z, monkeypatch):
     assert doc == {"error": "internal", "detail": "RuntimeError('internal: lift step lost its prime')"}
 
 
-# The commands of the CI workflow's "algen entry point" step, in order; the
-# test checks that the workflow lists the same ones
-ENTRY_POINT_COMMANDS = [
-    "algen zoo split-etale-z --n 3 > e3z.json",
-    """algen check e3z.json --tuple '[["1","2","3"],["0","0","1"]]' > e3z-check.json""",
-    "algen verify-cert e3z.json e3z-check.json",
-    """algen bad-primes e3z.json --tuple '[["1","2","3"]]' > bad-primes.json""",
-    "algen verify-cert e3z.json bad-primes.json",
-    "algen forster-lift e3z.json --n 2 > lift.json",
-    "algen verify-cert e3z.json lift.json",
-    "algen zoo matrix-z --n 2 > m2z.json",
-    "algen forster-lift m2z.json --n 2 > m2z-lift.json",
-    "algen verify-cert m2z.json m2z-lift.json",
-    "algen zoo albert --field F3 > albert3.json",
-    "algen zoo albert --field F3 --emit generators > albert3-gens.json",
-    "algen check albert3.json --tuple @albert3-gens.json > albert3-check.json",
-    "algen verify-cert albert3.json albert3-check.json",
-    "algen zoo split-etale --field F2 --n 0 > e0.json",
-    "algen zoo matrix --field F2 --n 2 > m2.json",
-    "algen mingen m2.json --unital > mingen.json",
-    "algen verify-cert m2.json mingen.json",
-    "algen zoo split-etale --field F2 --n 5 > e5.json",
-    "algen mingen e5.json --unital > e5-mingen.json",
-    "algen verify-cert e5.json e5-mingen.json",
-    "algen zoo octonion --field Q > oq.json",
-    "algen zoo octonion --field Q --emit generators > oq-gens.json",
-    "algen check oq.json --tuple @oq-gens.json > oq-check.json",
-    "algen verify-cert oq.json oq-check.json",
-    "algen zoo quaternion --field F3 > h3.json",
-    """algen check h3.json --tuple '[["0","1","0","0"],["0","0","1","0"]]' > h3-check.json""",
-    "algen verify-cert h3.json h3-check.json",
-    "algen zoo quaternion --field Q > hq.json",
-    """algen check hq.json --tuple '[["0","1","0","0"],["0","0","1","0"]]' > hq-check.json""",
-    "algen verify-cert hq.json hq-check.json",
-    "algen zoo octonion --field F5 > o5.json",
-    "algen zoo octonion --field F5 --emit generators > o5-gens.json",
-    "algen check o5.json --tuple @o5-gens.json > o5-check.json",
-    "algen verify-cert o5.json o5-check.json",
-    """algen check ring.json --tuple '[["0","1"]]' > ring-check.json""",
-    "algen verify-cert ring.json ring-check.json",
-    """algen bad-primes ring.json --tuple '[["0","1"]]' > ring-bad-primes.json""",
-    "algen verify-cert ring.json ring-bad-primes.json",
-]
+def _workflow_step_script(name: str) -> str:
+    """The run block of the CI workflow step with this name, dedented."""
+    workflow = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tests.yml")
+    with open(workflow, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    step = lines.index(f"      - name: {name}")
+    run = next(i for i in range(step + 1, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)) + "\n"
 
 
 def test_ci_entry_point_commands(tmp_path):
-    workflow = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tests.yml")
-    with open(workflow, encoding="utf-8") as handle:
-        listed = [line.strip() for line in handle if line.strip().startswith("algen ")]
-    assert listed == ENTRY_POINT_COMMANDS
-    (tmp_path / "ring.json").write_text(json.dumps(RING_PRESENTATION), encoding="utf-8")
-    # each line runs in a POSIX shell, with algen standing for python -m algen.cli
-    prelude = 'algen() { "$ALGEN_PYTHON" -m algen.cli "$@"; }\n'
+    # the workflow's "algen entry point" block as it stands, heredoc
+    # included, in a POSIX shell under set -e, with algen standing for
+    # python -m algen.cli; every verify-cert it runs must accept
+    script = _workflow_step_script("algen entry point")
+    prelude = 'set -e\nalgen() { "$ALGEN_PYTHON" -m algen.cli "$@"; }\n'
     env = dict(src_env(), ALGEN_PYTHON=sys.executable)
-    for command in ENTRY_POINT_COMMANDS:
-        done = subprocess.run(
-            prelude + command, shell=True, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, (command, done.stderr[-500:])
-        if command.startswith("algen verify-cert"):
-            assert json.loads(done.stdout)["ok"] is True, command
+    done = subprocess.run(
+        prelude + script, shell=True, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    verdicts = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(verdicts) == script.count("algen verify-cert ")
+    assert all(v["ok"] is True for v in verdicts), verdicts
+    kinds = {v["kind"] for v in verdicts}
+    assert kinds >= {"generation", "mingen", "bad-primes", "global-generation", "lift"}, kinds

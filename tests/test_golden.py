@@ -324,3 +324,47 @@ def test_scalar_spellings_parse_as_pinned(base, tmp_path, capsys):
     code, out = run(capsys, "check", str(path), "--tuple", json.dumps(SPELLED_TUPLE))
     digests = (hashlib.sha256(serialized.encode()).hexdigest(), hashlib.sha256(out.encode()).hexdigest())
     assert digests == SPELLED_DIGESTS[base]
+
+
+# mingen searches whose attempts mix exhaustive and random sizes, under a
+# small budget: (zoo arguments, mingen arguments, exit code, sha256 of stdout).
+# Pinned before the report stopped keeping a per-size record of its own.
+MINGEN_BUDGET_CASES = {
+    # sizes 0 and 1 refuted exhaustively, then a random hit: certified
+    "mat2-f2-random-hit": (
+        ("matrix", "--field", "F2", "--n", "2"),
+        ("--max-exhaustive", "16", "--trials", "50"),
+        0,
+        "fffca8d4021dbe6cb8a3ee930ab5afecec41592ae19998c166dcf8aa0ca2932c",
+    ),
+    # size 1 sampled at random without a hit: not certified
+    "mat2-f2-random-miss": (
+        ("matrix", "--field", "F2", "--n", "2"),
+        ("--max-exhaustive", "1", "--trials", "1"),
+        2,
+        "5dd402e84ec4cb96d65338b45dacda3e265c5b96618a49ca8ee47bb851d0cf1a",
+    ),
+    # no size yields a tuple: no certificate and no upper bound
+    "zero3-f2-none": (
+        ("zero", "--field", "F2", "--r", "3"),
+        ("--max-exhaustive", "1", "--trials", "1", "--seed", "1"),
+        2,
+        "7b1e88e15065be01cf9bd40fe86660cad078e3a195ee408387a7f69abbcb6745",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MINGEN_BUDGET_CASES))
+def test_mingen_budget_output_is_byte_identical(case, tmp_path, capsys):
+    zoo_args, args, expected, digest = MINGEN_BUDGET_CASES[case]
+    code, out = run(capsys, "zoo", *zoo_args)
+    path = tmp_path / "algebra.json"
+    path.write_text(out, encoding="utf-8")
+    code = main(["mingen", str(path), *args])
+    out, err = capsys.readouterr()
+    assert code == expected, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    cert = tmp_path / "mingen.json"
+    cert.write_text(out, encoding="utf-8")
+    assert main(["verify-cert", str(path), str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"detail": "ok", "kind": "mingen", "ok": True}

@@ -288,6 +288,27 @@ def test_snf_matches_sympy():
         assert ours == [abs(theirs[i, i]) for i in range(min(theirs.shape)) if theirs[i, i]]
 
 
+def test_lattice_exponent_matches_sympy_smith_form():
+    # the exponent of Z^m / B, read off the HNF, is the last invariant
+    # factor; some draws add unit rows, so that pivot-1 columns mix with
+    # larger pivots
+    rng = random.Random(11)
+    checked = 0
+    while checked < 300:
+        m = rng.randint(1, 5)
+        vectors = _random_matrix(rng, rng.randint(m, m + 2), m, height=rng.choice((2, 9, 30)))
+        if rng.random() < 0.5:
+            vectors += [[int(i == j) for j in range(m)] for i in rng.sample(range(m), rng.randint(1, m))]
+        lattice = lattice_from_vectors(vectors, m)
+        if lattice.rank < m:
+            with pytest.raises(ValueError):
+                lattice.exponent()
+            continue
+        theirs = smith_normal_form(sympy.Matrix(lattice.rows), domain=sympy.ZZ)
+        assert lattice.exponent() == abs(theirs[m - 1, m - 1]), lattice
+        checked += 1
+
+
 def _assert_sympy_hnf_lattice(vectors, m):
     """Our HNF against sympy's, compared as lattices: sympy's HNF is
     column-style, so its basis must lie in ours with the same rank and volume."""

@@ -665,6 +665,7 @@ def test_derived_keys_are_properties():
     derived = [
         (BadPrimesReport, "generic_fail"),
         (GlobalGenerationReport, "generates"),
+        (MinGenReport, "certificate"),
         (MinGenReport, "n_upper"),
         (MinGenReport, "lower_bound_certified"),
         (PartitionCell, "level"),

@@ -17,7 +17,6 @@ from algen.search import (
     CompletionResult,
     MinGenReport,
     SearchBudget,
-    SizeAttempt,
     completable,
     min_generators,
     random_probe,
@@ -36,12 +35,15 @@ def test_budget_validation():
 
 
 def test_min_generators_zero_algebra():
-    rep = min_generators(zero_algebra(GF(2), 2))
+    A = zero_algebra(GF(2), 2)
+    rep = min_generators(A)
     assert rep.n_upper == 2
     assert rep.lower_bound_certified
-    assert [a.n for a in rep.attempts] == [0, 1, 2]
-    assert all(a.exhaustive for a in rep.attempts)
-    assert replay_certificate(zero_algebra(GF(2), 2), rep.certificate)
+    assert [a.status for a in rep.attempts] == ["certified_none", "certified_none", "found"]
+    attempts = mingen_report_doc(A, rep, DEFAULT_BUDGET)["attempts"]
+    assert [a["n"] for a in attempts] == ["0", "1", "2"]
+    assert all(a["exhaustive"] for a in attempts)
+    assert replay_certificate(A, rep.certificate)
 
 
 def test_min_generators_etale_f2_cubed():
@@ -49,15 +51,16 @@ def test_min_generators_etale_f2_cubed():
     rep = min_generators(A)
     assert rep.n_upper == 2 and rep.lower_bound_certified
     # lower bound came from exhausting all 8 singletons
-    assert rep.attempts[1].total == 8 and rep.attempts[1].tested == 8
-    assert not rep.attempts[1].found
+    assert rep.attempts[1].status == "certified_none" and rep.attempts[1].tested == 8
+    assert mingen_report_doc(A, rep, DEFAULT_BUDGET)["attempts"][1]["total"] == "8"
 
 
 def test_min_generators_mat2_f2():
     A = matrix_algebra(GF(2), 2)
     rep = min_generators(A)
     assert rep.n_upper == 2 and rep.lower_bound_certified
-    assert rep.attempts[1].total == 16 and not rep.attempts[1].found
+    assert rep.attempts[1].status == "certified_none"
+    assert mingen_report_doc(A, rep, DEFAULT_BUDGET)["attempts"][1]["total"] == "16"
     assert rep.certificate.method == "exhaustive"
     assert is_generating(A, rep.certificate.elements)[0]
 
@@ -110,17 +113,18 @@ def test_completable_empty_partial():
     A = matrix_algebra(GF(2), 2)
     res = completable(A, [], 2)
     assert res.status == "found"
-    assert len(res.extension) == 2
+    assert len(res.certificate.elements) == 2
     assert res.certificate.generates
-    assert is_generating(A, res.extension)[0]
+    assert is_generating(A, res.certificate.elements)[0]
 
 
 def test_completable_with_partial():
     A = matrix_algebra(GF(2), 2)
     res = completable(A, [(1, 0, 0, 0)], 2)
     assert res.status == "found"
-    assert len(res.extension) == 1
-    assert is_generating(A, [(1, 0, 0, 0), res.extension[0]])[0]
+    assert len(res.certificate.elements) == 2
+    assert res.certificate.elements[0] == (1, 0, 0, 0)
+    assert is_generating(A, res.certificate.elements)[0]
 
 
 def test_completable_certified_none():
@@ -189,8 +193,8 @@ def _brute_completion(alg, fixed, n, budget, unital):
             ok, cert = is_generating(alg, list(fixed) + list(ext), unital=unital)
             if ok:
                 cert = dataclasses.replace(cert, index=index)
-                return CompletionResult("found", ext, cert, index + 1)
-        return CompletionResult("certified_none", None, None, total)
+                return CompletionResult("found", cert, index + 1)
+        return CompletionResult("certified_none", None, total)
     h = budget.coeff_height
     for trial in range(budget.random_trials):
         rng = random.Random(budget.seed * (1 << 64) + trial)
@@ -200,27 +204,39 @@ def _brute_completion(alg, fixed, n, budget, unital):
         ok, cert = is_generating(alg, list(fixed) + list(ext), unital=unital)
         if ok:
             cert = dataclasses.replace(cert, seed=budget.seed, trial=trial)
-            return CompletionResult("found", ext, cert, trial + 1)
-    return CompletionResult("inconclusive", None, None, budget.random_trials)
+            return CompletionResult("found", cert, trial + 1)
+    return CompletionResult("inconclusive", None, budget.random_trials)
 
 
 def _brute_min_generators(alg, budget, unital):
-    """Reference report.  It computes the minimum and its certification
-    itself, and checks them against the ones MinGenReport derives."""
-    attempts = []
-    n, certificate, certified = None, None, False
+    """Reference report.  It computes the minimum, its certification and
+    the attempt documents itself, and checks them against the ones
+    MinGenReport derives and the mingen document writes."""
+    attempts, docs = [], []
+    n, certified = None, False
     all_below_exhausted = True
     for size in range(alg.dim + 1):
         total = alg.field.p ** (alg.dim * size)
         res = _brute_completion(alg, (), size, budget, unital)
+        attempts.append(res)
         found = res.status == "found"
-        attempts.append(SizeAttempt(size, total, total <= budget.max_exhaustive, res.tested, found))
+        exhaustive = total <= budget.max_exhaustive
+        docs.append(
+            {
+                "n": str(size),
+                "total": str(total),
+                "exhaustive": exhaustive,
+                "tested": str(res.tested),
+                "found": found,
+            }
+        )
         if found:
-            n, certificate, certified = size, res.certificate, all_below_exhausted
+            n, certified = size, all_below_exhausted
             break
-        all_below_exhausted = all_below_exhausted and total <= budget.max_exhaustive
-    report = MinGenReport(certificate, tuple(attempts), unital)
+        all_below_exhausted = all_below_exhausted and exhaustive
+    report = MinGenReport(tuple(attempts), unital)
     assert (report.n_upper, report.lower_bound_certified) == (n, certified)
+    assert mingen_report_doc(alg, report, budget)["attempts"] == docs
     return report
 
 
@@ -329,7 +345,8 @@ def test_repeated_span_is_closed_once(monkeypatch):
     calls.clear()
     # after the prefix (0, 1), the extensions (0, 0) and (0, 1) span alike
     res = completable(zero_algebra(GF(2), 2), [(0, 1)], 2)
-    assert res.status == "found" and res.extension == ((1, 0),) and res.tested == 3
+    assert res.status == "found" and res.certificate.elements == ((0, 1), (1, 0))
+    assert res.tested == 3
     assert [c[1][1] for c in calls] == [(0, 0), (1, 0)]
 
 
