@@ -9,7 +9,6 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -66,20 +65,29 @@ class IntegerLattice:
         A pivot-1 column is a unit column, since the entries above it are
         reduced into [0, 1), so the quotient is presented by the block of
         rows and columns whose pivot exceeds 1.  Its exponent is the lcm of
-        the denominators of that block's inverse, by back substitution.
+        the denominators of that block's inverse, found by back substitution
+        in integers: each row of the inverse is kept as an integer row over
+        one denominator, in lowest terms.
         """
         if self.rank != self.ambient:
             raise ValueError("a lattice below full rank has an infinite quotient")
+        # full rank: row c has its pivot in column c
         big = [c for c in range(self.ambient) if self.rows[c][c] > 1]
         block = [[self.rows[i][j] for j in big] for i in big]
-        inverse: list[list[Fraction]] = [[]] * len(big)
-        for i in reversed(range(len(big))):
-            row = [Fraction(int(i == j)) for j in range(len(big))]
-            for k in range(i + 1, len(big)):
+        s = len(big)
+        numerators: list[list[int]] = [[] for _ in range(s)]
+        denominators = [1] * s
+        for i in reversed(range(s)):
+            common = lcm(*(denominators[k] for k in range(i + 1, s) if block[i][k]))
+            row = [common * (i == j) for j in range(s)]
+            for k in range(i + 1, s):
                 if block[i][k]:
-                    row = [a - block[i][k] * b for a, b in zip(row, inverse[k])]
-            inverse[i] = [a / block[i][i] for a in row]
-        return lcm(*(x.denominator for row in inverse for x in row))
+                    q = block[i][k] * (common // denominators[k])
+                    row = [a - q * b for a, b in zip(row, numerators[k])]
+            den = common * block[i][i]
+            g = gcd(den, *row)
+            numerators[i], denominators[i] = [a // g for a in row], den // g
+        return lcm(*denominators)
 
 
 def _hnf_rows(vectors: Iterable[Sequence[int]], ambient: int):
