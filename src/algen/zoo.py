@@ -63,8 +63,7 @@ def canonical_matrix_generators(field: Field, n: int) -> tuple[Element, Element]
 
 
 def zero_algebra(field: Field, r: int) -> Multialgebra:
-    """Module with identically zero product, closure equals linear span: the
-    base change of integral_zero_module((0,) * r)."""
+    """Zero product, so closure is linear span: integral_zero_module((0,) * r) base-changed."""
     if r < 0:
         raise ValueError("dimension must be nonnegative")
     return _base_change(integral_zero_module((0,) * r), field)

@@ -279,7 +279,8 @@ def test_bad_primes(capsys, e3z, tmp_path):
 
 def test_bad_primes_with_thousand_digit_coordinates(capsys, e3z, tmp_path):
     # the exponent of M/B is read off the HNF: with an SNF and its dense
-    # transforms, each command took about 26 s on a 2-CPU host, now under 1 s
+    # transforms each command took about 28 s on a 2-CPU host, now about
+    # 1 s, nearly all of it factoring; the bound leaves room for slow hosts
     rng = random.Random(1)
     element = [str(rng.randrange(10**999, 10**1000)) for _ in range(3)]
     start = time.perf_counter()
