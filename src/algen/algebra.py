@@ -577,10 +577,15 @@ def is_generating(
 ) -> tuple[bool, GenerationCertificate]:
     """Decide whether the tuple generates; always returns a certificate, of method "explicit".
 
+    Without span the elements are validated and coerced into the field.
     span, over F_p only, is a RowReducer holding the RREF of the elements
-    (with the constants when unital); the closure starts from it and grows
-    it in place (see _closure_reducer)."""
-    rows = tuple(validate_vector(alg.field, v, alg.dim) for v in elements)
+    (with the constants when unital); the elements must then be tuples of
+    length dim with coordinates in [0, p), and are taken as they are.  The
+    closure starts from span and grows it in place (see _closure_reducer)."""
+    if span is None:
+        rows = tuple(validate_vector(alg.field, v, alg.dim) for v in elements)
+    else:
+        rows = tuple(elements)
     span, monomials = _closure_reducer(alg, rows, unital, span)
     cert = GenerationCertificate(
         elements=rows,

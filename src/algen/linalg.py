@@ -9,6 +9,11 @@ Over F_2 each row is held as one int, coordinate i at bit width - 1 - i, so
 a row's pivot column is width - bit_length, rows in RREF order are
 descending ints, and reduction is XOR.  Over odd p a row is a list of
 coordinates in [0, p).  Either way rows read as coordinate lists.
+
+residue reduces a vector modulo the span, and insert adds the residue as a
+new row; that reduction is the only one in either field.  Equal residues
+mean equal spans after the insert, so a caller can tell apart the spans of
+many one-vector extensions without building them.
 """
 
 from __future__ import annotations
@@ -53,53 +58,67 @@ class RowReducer:
     def _coordinates(self, m: int) -> list[int]:
         return [m >> s & 1 for s in range(self.width - 1, -1, -1)]
 
-    def insert(self, v: Sequence[int]) -> list[int] | None:
-        """Add v to the span.  v may hold any integers (unreduced evaluator
-        output).  Returns the new RREF row as a coordinate list when the
-        dimension grew, else None.  Later inserts replace rows rather than
-        edit them, so the returned list keeps its value."""
+    def residue(self, v: Sequence[int]) -> int | tuple[int, ...]:
+        """v reduced modulo the span, with a zero in every pivot column: over
+        F_2 a mask, 0 when v lies in the span; over odd p a tuple of
+        coordinates in [0, p) scaled to leading coordinate 1, all zero when v
+        lies in the span.  v may hold any integers.  Reduction is linear, so
+        two vectors have equal residues iff adding either one gives the same
+        span."""
         if len(v) != self.width:
             raise ValueError(f"vector length {len(v)} != ambient {self.width}")
-        rows = self._rows
         p = self.p
         if p == 2:
             m = 0
             for x in v:
                 m = m << 1 | x & 1
             # a row's leading bit is set in m iff XOR with the row lowers m
-            for row in rows:
+            for row in self._rows:
                 low = m ^ row
                 if low < m:
                     m = low
-            if not m:
-                return None
-            # clear the new pivot bit from the rows above it, the only rows
-            # that can hold it; they stay above m
-            lead = 1 << m.bit_length() - 1
-            at = 0
-            for k, row in enumerate(rows):
-                if row < m:
-                    break
-                if row & lead:
-                    rows[k] = row ^ m
-                at = k + 1
-            rows.insert(at, m)
-            return self._coordinates(m)
+            return m
         # eliminate the pivot columns; a pivot coefficient is reduced when
         # read and every coordinate once at the end
         work = list(v)
-        for row, c in zip(rows, self._pivots):
+        for row, c in zip(self._rows, self._pivots):
             coeff = work[c] % p
             if coeff:
                 work = [x - coeff * y for x, y in zip(work, row)]
         work = [x % p for x in work]
-        col = next((i for i, x in enumerate(work) if x), None)
-        if col is None:
-            return None
-        lead = work[col]
+        lead = next((x for x in work if x), 1)
         if lead != 1:
             inv = self.field.inv(lead)
             work = [inv * x % p for x in work]
+        return tuple(work)
+
+    def insert(self, v: Sequence[int]) -> list[int] | None:
+        """Add v to the span.  v may hold any integers (unreduced evaluator
+        output).  Returns the new RREF row as a coordinate list when the
+        dimension grew, else None.  Later inserts replace rows rather than
+        edit them, so the returned list keeps its value."""
+        res = self.residue(v)
+        rows = self._rows
+        if self.p == 2:
+            if not res:
+                return None
+            # clear the new pivot bit from the rows above it, the only rows
+            # that can hold it; they stay above res
+            lead = 1 << res.bit_length() - 1
+            at = 0
+            for k, row in enumerate(rows):
+                if row < res:
+                    break
+                if row & lead:
+                    rows[k] = row ^ res
+                at = k + 1
+            rows.insert(at, res)
+            return self._coordinates(res)
+        if 1 not in res:  # a nonzero residue leads with 1
+            return None
+        col = res.index(1)
+        work = list(res)
+        p = self.p
         # eliminate the new pivot column from the existing rows
         for k, row in enumerate(rows):
             coeff = row[col]

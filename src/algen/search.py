@@ -7,7 +7,11 @@ one.  The subalgebra a tuple generates depends only on its linear span (with
 the constants adjoined when unital), so each distinct span is closed once:
 a tuple whose span already appeared earlier at the same size was refuted
 then and is skipped, and so is every extension of a prefix whose span
-already appeared at the same length.  `tested` still counts tuples.
+already appeared at the same length.  Each node of the walk builds each
+distinct child span once: a candidate whose residue modulo the node's span
+repeats an earlier candidate's gives that candidate's span, and is skipped
+before any copy.  A leaf trusts the walk's own tuples, which need no
+validation.  `tested` still counts tuples.
 Otherwise seeded random sampling gives upper bounds only.  Every random
 draw uses a per-trial generator derived from (seed, trial index), so
 results are reproducible regardless of how the work is scheduled.
@@ -224,11 +228,16 @@ def _walk(
 
     reducer holds the RREF of fixed + chosen, with the constants when
     unital; a leaf hands it to is_generating as the closure's starting
-    span, which grows it.  index is the position of the first tuple below
-    this node.  seen[d] holds the keys of the RREFs met at prefix length
-    d + 1.  This is a module-level function rather than a nested one
-    because a recursive closure is a reference cycle, which would keep seen
-    alive until a full collection.
+    span, which grows it, with fixed + chosen as they are: completable
+    validated fixed, and chosen comes from product(range(p)).  index is the
+    position of the first tuple below this node.  seen[d] holds the keys of
+    the RREFs met at prefix length d + 1.  A child v is built only when its
+    residue modulo reducer is new at this node: span(reducer + v) depends
+    only on that residue, so a repeat has the span of an earlier child,
+    whose key is in seen[depth] already, and each distinct child span is
+    copied and inserted once.  This is a module-level function rather than
+    a nested one because a recursive closure is a reference cycle, which
+    would keep seen alive until a full collection.
     """
     p, r = alg.field.p, alg.dim
     depth = len(chosen)
@@ -239,8 +248,13 @@ def _walk(
         cert = replace(cert, index=index)
         return CompletionResult("found", cert, index + 1)
     below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
+    tried = set()  # residues modulo reducer of the children met so far
     # product() varies the last coordinate fastest: lexicographic order
     for t, v in enumerate(itertools.product(range(p), repeat=r)):
+        residue = reducer.residue(v)
+        if residue in tried:
+            continue  # an earlier child with this span was refuted or skipped
+        tried.add(residue)
         child = reducer.copy()
         child.insert(v)
         key = child.key()

@@ -21,7 +21,9 @@ over Q and F5, Mat_3 over F5, Mat_3(Z) and Z^4) were taken before tensors
 were canonicalized only where they are made and base changes mapped their
 entries.  The scalar spelling pins (`check` and the re-serialized algebra
 of documents that spell their scalars in every accepted way) were taken
-before plain decimal integers stopped going through Fraction.
+before plain decimal integers stopped going through Fraction.  The `mingen`
+pins of Mat_2(F3), F2^5 and unital F3^3 were taken before the exhaustive
+walk skipped a child whose residue modulo the parent span repeats.
 """
 
 import hashlib
@@ -234,6 +236,11 @@ def test_zoo_generators_output_is_byte_identical(zoo_args, capsys):
 KIND_CASES = {
     "mingen-mat2-f2-unital": (("matrix", "--field", "F2", "--n", "2"), "mingen", ("--unital",)),
     "mingen-etale4-f3": (("split-etale", "--field", "F3", "--n", "4"), "mingen", ()),
+    # the odd-p walk with a hit at a nonzero index, F_2^5 refuting n = 2
+    # over many spans before its hit at n = 3, and a unital odd-p walk
+    "mingen-mat2-f3": (("matrix", "--field", "F3", "--n", "2"), "mingen", ()),
+    "mingen-etale5-f2": (("split-etale", "--field", "F2", "--n", "5"), "mingen", ()),
+    "mingen-etale3-f3-unital": (("split-etale", "--field", "F3", "--n", "3"), "mingen", ("--unital",)),
     "bad-primes-etale3-z": (("split-etale-z", "--n", "3"), "bad-primes", ("--tuple", '[["1","2","3"]]')),
     "check-etale3-z-ref": (("split-etale-z", "--n", "3"), "check", ("--tuple", '[["1","2","3"]]')),
     "check-etale3-z-gen": (
@@ -262,7 +269,10 @@ KIND_DIGESTS = {
     "lift-mat3-z": "91aa86d498d5fae6fb83eb92a3478d337a2d43b852e8cf0749c0b2ca78736ea4",
     "lift-zero-z-2-2-failure": "2bddfa1209eddc5d99c5125948b9100215a32487af1bb779ce8eb433ab8b8fc4",
     "lift-zero-z-3-0": "129e8af23a4e4c5b9a52445e7a2e064aa21607d37538b7d42405f8db80e58562",
+    "mingen-etale3-f3-unital": "a0406c0b59819d5766126941b483d58193dd5bab62d9b97884038f31b581f0e0",
     "mingen-etale4-f3": "bd78bc90a490185cc46e5940e2ef14b3a4ccef62da55332d0a22095543fad544",
+    "mingen-etale5-f2": "516da10548a7f3472fd6ff1b6d3c1336530f1705c5f8d2012fc348823f6823c1",
+    "mingen-mat2-f3": "f96a4eeecc78a4a1535eb8e677fe38992f8306664bac47f03dbf00ac847392a2",
     "mingen-mat2-f2-unital": "d2695b23de639d1a35fec7a21d49f0a79f6442498a5d059714dfa31d3e689ae9",
 }
 

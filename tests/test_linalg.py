@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algen.algebra import _RationalSpan
 from algen.fields import GF, QQ
@@ -124,6 +126,38 @@ def test_row_reducer_incremental():
     assert first == [1, 1, 0]
     assert r.insert((0, 2, 2)) == [0, 1, 1]
     assert first == [1, 1, 0] and r.rows[0] == [1, 0, 2]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_residue_decides_the_span_of_one_more_vector(data):
+    # equal residues iff span + u and span + v are the same span, and a zero
+    # residue iff insert adds nothing; v is often u times a scalar plus a
+    # combination of the span, which has u's residue unless the scalar is 0
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    width = data.draw(st.integers(1, 6), label="width")
+    vectors = st.lists(st.integers(-2 * p, 2 * p), min_size=width, max_size=width)
+    start = data.draw(st.lists(vectors, max_size=width), label="start")
+    u = data.draw(vectors, label="u")
+    if data.draw(st.booleans(), label="related"):
+        c = data.draw(st.integers(-p, p), label="scalar")
+        coeffs = data.draw(st.lists(st.integers(-p, p), min_size=len(start), max_size=len(start)))
+        v = [c * x + sum(a * row[k] for a, row in zip(coeffs, start)) for k, x in enumerate(u)]
+    else:
+        v = data.draw(vectors, label="v")
+    span = reduced(GF(p), start, width)
+    before = span.key()
+    keys = []
+    for w in (u, v):
+        res = span.residue(w)
+        twin = span.copy()
+        grew = twin.insert(w)
+        assert (not res if p == 2 else not any(res)) == (grew is None)
+        if p != 2:
+            assert all(0 <= x < p for x in res) and next((x for x in res if x), 1) == 1
+        keys.append(twin.key())
+    assert span.key() == before
+    assert (span.residue(u) == span.residue(v)) == (keys[0] == keys[1])
 
 
 def test_row_reducer_copy_is_independent():

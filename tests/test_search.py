@@ -414,3 +414,25 @@ def test_exhaustive_leaves_insert_no_seed_vectors(monkeypatch):
         assert min_generators(alg, unital=unital).lower_bound_certified
     assert counts["leaves"] > 0
     assert counts["inserts"] == counts["evaluations"] > 0
+
+
+def test_exhaustive_walk_builds_each_child_span_once(monkeypatch):
+    # a node copies its span only for a candidate whose residue modulo that
+    # span is new there, and the leaves validate no element.  Pinned when
+    # the walk began to skip repeated residues; it copied 3,303 and 177
+    # times before, once per candidate at every inner node
+    counts = {"copies": 0, "validations": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(RowReducer, "copy", counting("copies", RowReducer.copy))
+    monkeypatch.setattr(algen.algebra, "validate_vector", counting("validations", algen.algebra.validate_vector))
+    for alg, copies in ((split_etale(GF(2), 5), 1467), (matrix_algebra(GF(3), 2), 88)):
+        counts.update(copies=0, validations=0)
+        assert min_generators(alg).lower_bound_certified
+        assert counts == {"copies": copies, "validations": 0}
