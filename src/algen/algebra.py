@@ -598,12 +598,10 @@ def is_generating(
 
 
 def replay_certificate(alg: Multialgebra, cert: GenerationCertificate) -> bool:
-    """Recompute the closure recorded in a certificate and compare."""
-    if cert.ambient_dim != alg.dim:
-        return False
+    """Rerun is_generating on the recorded elements and compare the closure."""
     try:
-        rows = tuple(validate_vector(alg.field, v, alg.dim) for v in cert.elements)
+        _, fresh = is_generating(alg, cert.elements, unital=cert.unital)
     except ValueError:
         return False
-    span, monomials = _closure_reducer(alg, rows, cert.unital)
-    return span.dim == cert.closure_dim and monomials == cert.monomial_count
+    recount = (fresh.ambient_dim, fresh.closure_dim, fresh.monomial_count)
+    return recount == (cert.ambient_dim, cert.closure_dim, cert.monomial_count)

@@ -28,7 +28,7 @@ from .integral import (
     integral_zero_module,
     verify_global_generation,
 )
-from .intmat import FactorizationIncomplete
+from .intmat import FactorizationIncomplete, decimal_str
 from .ioformat import (
     FormatError,
     ParsedAlgebra,
@@ -320,9 +320,9 @@ def main(argv=None) -> int:
     except FactorizationIncomplete as stuck:
         doc = {
             "error": "factorization-incomplete",
-            "n": str(stuck.n),
-            "primes": [str(p) for p in stuck.primes],
-            "cofactor": str(stuck.cofactor),
+            "n": decimal_str(stuck.n),
+            "primes": [decimal_str(p) for p in stuck.primes],
+            "cofactor": decimal_str(stuck.cofactor),
         }
         _emit(doc, f"factorization incomplete: {stuck}")
         return 2

@@ -10,13 +10,14 @@ primes, glues the first new local element across those primes by the Chinese
 remainder theorem, and advances every region on the open locus (a bad-prime
 complement) where the lengthened prefix keeps extending.  After n + 1 steps
 every region carries a full witness and a subgroup computation certifies
-global generation; the whole trace is recorded so a verifier can replay
-every assertion without searching.
+global generation.  The whole trace is recorded: replay_lift runs the
+prover's own loop on the recorded local extensions, without searching, and
+compares the certificate it rebuilds with the recorded one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 from .algebra import integral_row, is_generating
@@ -397,20 +398,26 @@ def forster_lift(
             raise BudgetExhausted(f"completion search at prime {p} ran out of budget")
         return res.certificate.elements[len(partial) :]
 
-    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, witness=()),)
-    steps: list[LiftStep] = []
     try:
-        for _ in range(n + 1):
-            step = _advance(A, n, cells, generators, extend)
-            generators.append(step.element)
-            cells = step.partition
-            steps.append(step)
+        return _lift(A, n, generators, extend)
     except _Breach as bad:
         raise RuntimeError(f"internal: {bad}") from bad
 
+
+def _lift(A: IntegralAlgebra, n: int, generators: list, extend: Callable) -> LiftCertificate:
+    """The lift loop of forster_lift and replay_lift: n + 1 steps of _advance
+    from the all-primes cell, appending each element to generators, then the
+    global verification.  Raises _Breach when an invariant fails."""
+    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, witness=()),)
+    steps: list[LiftStep] = []
+    for _ in range(n + 1):
+        step = _advance(A, n, cells, generators, extend)
+        generators.append(step.element)
+        cells = step.partition
+        steps.append(step)
     verification = verify_global_generation(A, generators)
     if not verification.generates:
-        raise RuntimeError("internal: lifted generators fail global verification")
+        raise _Breach("lifted generators fail global verification")
     return LiftCertificate(factors=A.factors, n=n, steps=tuple(steps), verification=verification)
 
 
@@ -427,10 +434,12 @@ def _expect(condition: bool, message: str):
 def replay_lift(A: IntegralAlgebra, cert: LiftCertificate) -> tuple[bool, str]:
     """Re-derive every assertion of a lift certificate without searching.
 
-    The recorded local extensions are the only search-derived data; each is
-    checked to generate its fiber, and prime selection, CRT gluing, bad-prime
-    sets, partitions, and the final verification are recomputed by the
-    prover's own step and compared.  Returns (ok, detail).
+    Runs the prover's loop on the recorded extensions and compares the
+    certificate it rebuilds.  The recorded local extensions are the only
+    search-derived data: each is checked to generate its fiber, and prime
+    selection, CRT gluing, bad-prime sets, partitions and the final
+    verification are recomputed and compared field by field.  Returns
+    (ok, detail).
     """
     try:
         _replay(A, cert)
@@ -450,37 +459,31 @@ def _replay(A: IntegralAlgebra, cert: LiftCertificate):
     _expect(len(cert.steps) == n + 1, "step count is not n + 1")
 
     generators: list[tuple[int, ...]] = []
-    recorded = iter(())
+    recorded = [iter(step.completions) for step in cert.steps]
 
     def extend(cell: PartitionCell, p: int, fib: Fiber) -> tuple:
-        rec = next(recorded, None)
-        _expect(rec is not None and rec.prime == p, "selected primes differ")
-        _expect(rec.witness == cell.witness, f"witness mismatch at {p}")
-        _expect(len(rec.extension) == n - cell.level, f"wrong extension length at {p}")
+        where = f"step {len(generators)}"
+        rec = next(recorded[len(generators)], None)
+        _expect(rec is not None and rec.prime == p, f"{where}: selected primes differ")
+        _expect(len(rec.extension) == n - cell.level, f"{where}: wrong extension length at {p}")
         partial = [fib.project(generators[t]) for t in cell.witness]
-        ok, _ = is_generating(fib.algebra, partial + [tuple(v) for v in rec.extension], unital=True)
-        _expect(ok, f"completion does not generate the fiber at {p}")
+        ok, _ = is_generating(fib.algebra, [*partial, *rec.extension], unital=True)
+        _expect(ok, f"{where}: completion does not generate the fiber at {p}")
         return rec.extension
 
-    cells: Sequence[PartitionCell] = (PartitionCell(region=ALL_PRIMES, witness=()),)
-    for step_no, step in enumerate(cert.steps):
-        recorded = iter(step.completions)
-        try:
-            fresh = _advance(A, n, cells, generators, extend)
-            _expect(next(recorded, None) is None, "selected primes differ")
-            _expect(fresh.element == tuple(step.element), "glued element differs")
-            for ps, rec in zip(fresh.completions, step.completions):
-                _expect(
-                    ps.completed == tuple(tuple(v) for v in rec.completed),
-                    f"completed tuple differs at {ps.prime}",
-                )
-                _expect(ps.excluded == tuple(rec.excluded), f"bad primes differ at {ps.prime}")
-            _expect(fresh.partition == tuple(step.partition), "partition snapshot differs")
-        except _Breach as bad:
-            raise _Breach(f"step {step_no}: {bad}") from None
-        generators.append(fresh.element)
-        cells = fresh.partition
+    _expect_same(_lift(A, n, generators, extend), cert, "")
 
-    verification = verify_global_generation(A, cert.generators)
-    _expect(verification.generates, "generators do not generate globally")
-    _expect(verification == cert.verification, "verification record differs")
+
+def _expect_same(fresh, recorded, where: str):
+    """Refuse the first field, in declaration order, in which a recorded
+    record differs from the rebuilt one; steps and completions are compared
+    one by one, so the detail names the step and a completion's prime."""
+    for field in fields(fresh):
+        new, old = getattr(fresh, field.name), getattr(recorded, field.name)
+        if field.name == "steps":
+            for i, pair in enumerate(zip(new, old)):
+                _expect_same(*pair, f"step {i}: ")
+        elif field.name == "completions":
+            for ps, rec in zip(new, old):
+                _expect_same(ps, rec, f"{where}completion at {ps.prime}: ")
+        _expect(new == old, f"{where}field {field.name} differs")

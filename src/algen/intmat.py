@@ -283,6 +283,15 @@ def crt(residues: Iterable[tuple[int, int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def decimal_str(x: int) -> str:
+    """x in decimal, however many digits: str() refuses an int longer than
+    sys.get_int_max_str_digits(), and Decimal's conversion has no limit."""
+    # imported here, so that no command pays for it at start
+    from decimal import Decimal
+
+    return str(Decimal(x))
+
+
 class FactorizationIncomplete(RuntimeError):
     """Raised when a computation needs a factorization that was not achieved."""
 
@@ -290,7 +299,7 @@ class FactorizationIncomplete(RuntimeError):
         self.n = n
         self.primes = primes
         self.cofactor = cofactor
-        super().__init__(f"could not factor cofactor {cofactor} of {n}")
+        super().__init__(f"could not factor cofactor {decimal_str(cofactor)} of {decimal_str(n)}")
 
 
 @dataclass(frozen=True)

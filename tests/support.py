@@ -1,12 +1,14 @@
 """Oracles and algebras that several test modules share and no library
 code needs: element arithmetic in field and Z algebras, trial-division
-primality, spans and lattices computed by sympy, the non-split etale forms
-F_p[x]/(f) of the split etale algebras, and the environment of a subprocess
-that imports algen from this checkout."""
+primality, spans and lattices computed by sympy, random Z-algebras whose
+tensors descend to their modules, the non-split etale forms F_p[x]/(f) of
+the split etale algebras, and the environment of a subprocess that imports
+algen from this checkout."""
 
 import itertools
 import os
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 import sympy
@@ -16,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 import algen
 from algen.algebra import Multialgebra, _closure_reducer, eval_tensor, make_tensor
 from algen.fields import GF, validate_vector
-from algen.integral import IntegralAlgebra, _int_vector, reduce_element
+from algen.integral import IntegralAlgebra, _int_vector, make_z_tensor, reduce_element
 
 
 def src_env() -> dict:
@@ -108,6 +110,45 @@ def lattice_contains(lat, v) -> bool:
         return not any(v)
     basis = sympy.Matrix(lat.rows).T
     return hermite_normal_form(basis.row_join(sympy.Matrix(list(v)))) == hermite_normal_form(basis)
+
+
+def _descent_safe_tensor(rng, factors, arity, count):
+    """Sparse arity-k tensor that descends to the module: torsion d_in in an
+    argument slot must annihilate the coefficient mod the target factor."""
+    m = len(factors)
+    triples = []
+    for _ in range(count):
+        idx = tuple(rng.randrange(m) for _ in range(arity))
+        out = rng.randrange(m)
+        d_out = factors[out]
+        torsion_in = [factors[i] for i in idx if factors[i]]
+        if d_out == 0:
+            if torsion_in:
+                continue
+            coeff = rng.randint(-3, 3)
+        else:
+            step = 1
+            for d_in in torsion_in:
+                need = d_out // gcd(d_out, d_in)
+                step = step * need // gcd(step, need)
+            coeff = step * rng.randint(-2, 2)
+        if coeff:
+            triples.append((idx, out, coeff))
+    return make_z_tensor(factors, arity, triples)
+
+
+def random_integral_algebra(rng):
+    """Random mixed free/torsion module with well-defined sparse tensors: a
+    product and, each half the time, an arity-0 constant (which closures
+    adjoin, as unital ones do) and a unary operation."""
+    shapes = [(2,), (4,), (6,), (0,), (2, 4), (2, 0), (6, 0), (2, 2, 0), (3, 0, 0), (2, 4, 0, 0)]
+    factors = shapes[rng.randrange(len(shapes))]
+    m = len(factors)
+    ops = [_descent_safe_tensor(rng, factors, 2, rng.randrange(1, 2 * m + 2))]
+    for arity in (0, 1):
+        if rng.randrange(2):
+            ops.append(_descent_safe_tensor(rng, factors, arity, rng.randrange(1, m + 1)))
+    return IntegralAlgebra(factors=factors, ops=tuple(ops), product_index=0)
 
 
 def _poly_trim(coeffs: list[int]) -> list[int]:

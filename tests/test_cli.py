@@ -10,9 +10,11 @@ import time
 import pytest
 
 import algen.cli
+import algen.integral
 import algen.search
 import algen.zoo
 from algen.cli import main
+from algen.intmat import Factorization
 from algen.ioformat import parse_algebra
 from support import src_env
 
@@ -295,6 +297,21 @@ def test_bad_primes_with_thousand_digit_coordinates(capsys, e3z, tmp_path):
     assert code == 2 and verdict["detail"].startswith("inconclusive: could not factor")
 
 
+def test_cofactor_beyond_the_int_string_limit_is_inconclusive(capsys, e3z, tmp_path, monkeypatch):
+    # a cofactor longer than Python's 4,300-digit int-string limit is written
+    # in full, so both commands exit 2 with a document that prints
+    big = 10**5069 + 1
+    code, doc = run(capsys, "bad-primes", e3z, "--tuple", '[["1","2","3"]]')
+    assert code == 0
+    cert = write(tmp_path, "bad-primes.json", doc)
+    monkeypatch.setattr(algen.integral, "factor", lambda n: Factorization(n=n, primes=(), cofactor=big))
+    code, doc = run(capsys, "bad-primes", e3z, "--tuple", '[["1","2","3"]]')
+    assert code == 2 and doc["error"] == "factorization-incomplete"
+    assert doc["cofactor"] == "1" + "0" * 5068 + "1"
+    code, verdict = run(capsys, "verify-cert", e3z, cert)
+    assert code == 2 and verdict["detail"].startswith("inconclusive: could not factor")
+
+
 def test_bad_primes_needs_z(capsys, m2):
     assert run(capsys, "bad-primes", m2, "--tuple", '[["1","0","0","0"]]')[0] == 3
 
@@ -328,6 +345,29 @@ def test_lift_and_verify(capsys, e3z, tmp_path):
     ):
         assert run(capsys, *argv)[0] in (0, 1)
         assert run(capsys, *argv, "--factor-bound", "1000000") == (3, None)
+
+
+def test_verify_cert_refuses_edited_lift_fields(capsys, tmp_path):
+    # the lift of Z/3 + Z with n = 2 splits its partition; each edit of a
+    # recorded field is refused by the replay with a detail naming its step
+    code, doc = run(capsys, "zoo", "zero-z", "--factors", "3,0")
+    algebra = write(tmp_path, "z30.json", doc)
+    code, lift = run(capsys, "forster-lift", algebra, "--n", "2")
+    assert code == 0
+    assert run(capsys, "verify-cert", algebra, write(tmp_path, "lift.json", lift))[0] == 0
+    edits = [
+        ("element", lambda d: d["steps"][0].update(element=["1", "1"]), "step 0: "),
+        ("excluded", lambda d: d["steps"][1]["completions"][1]["excluded"].append("7"), "step 1: "),
+        ("witness", lambda d: d["steps"][2]["completions"][0].update(witness=["0"]), "step 2: "),
+        ("partition", lambda d: d["steps"][1]["partition"].pop(), "step 1: "),
+        ("completions", lambda d: d["steps"][1]["completions"].pop(), "step 1: "),
+    ]
+    for name, edit, where in edits:
+        tampered = json.loads(json.dumps(lift))
+        edit(tampered)
+        code, verdict = run(capsys, "verify-cert", algebra, write(tmp_path, f"{name}.json", tampered))
+        assert code == 1 and verdict["ok"] is False, name
+        assert verdict["detail"].startswith(where), (name, verdict["detail"])
 
 
 def test_lift_on_presentation(capsys, tmp_path):

@@ -1,15 +1,21 @@
 import dataclasses
 import itertools
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algen.forster
 from algen.algebra import is_generating
 from algen.forster import (
     ALL_PRIMES,
     HypothesisFailure,
+    LiftCertificate,
+    LiftStep,
     PartitionCell,
+    PrimeStep,
     _check_partition,
     cofinite_set,
     finite_set,
@@ -23,10 +29,11 @@ from algen.integral import (
     integral_matrix_algebra,
     integral_split_etale,
     integral_zero_module,
+    monomial_subgroup,
     normalize_presentation,
 )
 from algen.search import BudgetExhausted, SearchBudget, completable
-from support import is_prime
+from support import is_prime, lattice_contains, random_integral_algebra
 
 SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
@@ -398,6 +405,46 @@ def test_zero_module_lifts_at_exact_requirement():
 
 
 # ---------------------------------------------------------------------------
+# The theorem on random Z-algebras
+# ---------------------------------------------------------------------------
+
+# brute force over the n-tuples of a hypothesis failure's fibre up to this many
+BRUTE_FORCE_TUPLES = 4096
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 3))
+def test_lift_theorem_on_random_z_algebras(seed, n):
+    # the paper's theorem over Z: n-generated fibres give n + 1 global
+    # generators; the lift and its replay share one step, so global
+    # generation is confirmed apart from both, by sympy's HNF of the
+    # monomial lattice and by fibre closures at small primes
+    A = random_integral_algebra(random.Random(seed))
+    try:
+        cert = forster_lift(A, n)
+    except HypothesisFailure as failure:
+        p = failure.report.prime
+        fib = fiber_mod_p(A, p).algebra
+        if p ** (fib.dim * n) <= BRUTE_FORCE_TUPLES:
+            vectors = list(itertools.product(range(p), repeat=fib.dim))
+            assert not any(
+                is_generating(fib, t, unital=True)[0]
+                for t in itertools.product(vectors, repeat=n)
+            )
+        return
+    except BudgetExhausted:
+        return
+    assert len(cert.generators) == n + 1
+    assert replay_lift(A, cert) == (True, "ok")
+    lattice = monomial_subgroup(A, cert.generators)
+    for i in range(A.rank):
+        assert lattice_contains(lattice, tuple(int(i == j) for j in range(A.rank)))
+    for p in (2, 3, 5, 7):
+        fib = fiber_mod_p(A, p)
+        assert is_generating(fib.algebra, [fib.project(v) for v in cert.generators], unital=True)[0]
+
+
+# ---------------------------------------------------------------------------
 # Failure modes
 # ---------------------------------------------------------------------------
 
@@ -459,7 +506,7 @@ def test_replay_rejects_tampering():
     assert "completed" in refused(
         _replace_completion(cert, 0, 0, completed=(done[0], (1, 1)))
     )
-    assert "bad primes" in refused(_replace_completion(cert, 0, 0, excluded=(5,)))
+    assert "excluded" in refused(_replace_completion(cert, 0, 0, excluded=(5,)))
 
     cells = list(cert.steps[0].partition)
     cells[0] = PartitionCell(cofinite_set((5,)), cells[0].witness)
@@ -475,6 +522,76 @@ def test_replay_rejects_tampering():
         dataclasses.replace(cert, verification=tampered_report)
     )
     assert "step" in refused(dataclasses.replace(cert, steps=cert.steps[:-1]))
+
+
+def _tampered_fields(cert):
+    """(label, tampered certificate, step it names or None, substrings of
+    the refusal): each stored field of the certificate, of each step and of
+    each completion replaced by another value of its type, and each step
+    with a completion appended and one dropped."""
+    support = cert.verification.support
+    yield "factors", dataclasses.replace(cert, factors=(9, 0)), None, ("factors",)
+    yield "n", dataclasses.replace(cert, n=cert.n - 1), None, ("step count",)
+    yield "steps", dataclasses.replace(cert, steps=cert.steps[:-1]), None, ("step count",)
+    yield "verification", dataclasses.replace(
+        cert,
+        verification=dataclasses.replace(
+            cert.verification, support=dataclasses.replace(support, primes=support.primes + (5,))
+        ),
+    ), None, ("verification",)
+    for i, step in enumerate(cert.steps):
+        where = f"step {i}"
+        element = tuple(x + 1 for x in step.element)
+        yield f"{where} element", _replace_step(cert, i, element=element), i, ("element",)
+        cells = list(step.partition)
+        cells[0] = PartitionCell(cofinite_set((5,)), cells[0].witness)
+        yield f"{where} partition", _replace_step(cert, i, partition=tuple(cells)), i, ("partition",)
+        longer = step.completions + step.completions[-1:]
+        yield f"{where} appended", _replace_step(cert, i, completions=longer), i, ("completions",)
+        shorter = step.completions[:-1]
+        yield f"{where} dropped", _replace_step(cert, i, completions=shorter), i, ("primes",)
+        for j, ps in enumerate(step.completions):
+            at = f"{where} completion at {ps.prime}"
+            yield f"{at} prime", _replace_completion(cert, i, j, prime=5), i, ("primes",)
+            witness = ps.witness[:-1] if ps.witness else (0,)
+            yield f"{at} witness", _replace_completion(cert, i, j, witness=witness), i, (
+                f"at {ps.prime}", "witness",
+            )
+            first = ps.extension[0]
+            extension = ((first[0] + 1) % ps.prime, *first[1:]), *ps.extension[1:]
+            # refused as a glued element that differs, or as a fibre not generated
+            yield f"{at} extension", _replace_completion(cert, i, j, extension=extension), i, ()
+            last = ps.completed[-1]
+            completed = *ps.completed[:-1], (last[0] + 1, *last[1:])
+            yield f"{at} completed", _replace_completion(cert, i, j, completed=completed), i, (
+                f"at {ps.prime}", "completed",
+            )
+            excluded = ps.excluded + (7,)
+            yield f"{at} excluded", _replace_completion(cert, i, j, excluded=excluded), i, (
+                f"at {ps.prime}", "excluded",
+            )
+
+
+def test_replay_refuses_every_tampered_field():
+    # every step of this lift keeps a finite cell, and step 1 completes at
+    # two primes, so each kind of record and field is present
+    A = integral_zero_module((3, 0))
+    cert = forster_lift(A, 2)
+    assert [len(step.completions) for step in cert.steps] == [1, 2, 1]
+    cases = list(_tampered_fields(cert))
+    assert len({label for label, *_ in cases}) == len(cases) == 4 + 3 * 4 + 4 * 5
+    # a stored field added to a record needs a case here; appending and
+    # dropping stand for a step's completions
+    named = {label.split()[-1] for label, *_ in cases} | {"completions"}
+    for record in (LiftCertificate, LiftStep, PrimeStep):
+        assert {f.name for f in dataclasses.fields(record)} <= named, record
+    for label, tampered, step, words in cases:
+        assert tampered != cert, label
+        ok, detail = replay_lift(A, tampered)
+        assert ok is False, label
+        if step is not None:
+            assert detail.startswith(f"step {step}: "), (label, detail)
+        assert all(word in detail for word in words), (label, detail)
 
 
 def test_replay_wrong_module():

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -28,7 +27,7 @@ from algen.integral import (
     verify_global_generation,
 )
 from algen.zoo import matrix_algebra, split_etale
-from support import evaluate, involution, lattice_contains, product, unit_vector
+from support import evaluate, involution, lattice_contains, product, random_integral_algebra, unit_vector
 
 # the ring Z[t]/(t^2 - 1) on basis (1, t): used as a presentation workout
 RING_T = [
@@ -516,45 +515,6 @@ def test_verify_zero_rank_module():
     A = integral_zero_module(())
     rep = verify_global_generation(A, [])
     assert rep.generates and rep.support.exponent == 1
-
-
-def _descent_safe_tensor(rng, factors, arity, count):
-    """Sparse arity-k tensor that descends to the module: torsion d_in in an
-    argument slot must annihilate the coefficient mod the target factor."""
-    m = len(factors)
-    triples = []
-    for _ in range(count):
-        idx = tuple(rng.randrange(m) for _ in range(arity))
-        out = rng.randrange(m)
-        d_out = factors[out]
-        torsion_in = [factors[i] for i in idx if factors[i]]
-        if d_out == 0:
-            if torsion_in:
-                continue
-            coeff = rng.randint(-3, 3)
-        else:
-            step = 1
-            for d_in in torsion_in:
-                need = d_out // gcd(d_out, d_in)
-                step = step * need // gcd(step, need)
-            coeff = step * rng.randint(-2, 2)
-        if coeff:
-            triples.append((idx, out, coeff))
-    return make_z_tensor(factors, arity, triples)
-
-
-def random_integral_algebra(rng):
-    """Random mixed free/torsion module with well-defined sparse tensors: a
-    product and, each half the time, an arity-0 constant (which closures
-    adjoin, as unital ones do) and a unary operation."""
-    shapes = [(2,), (4,), (6,), (0,), (2, 4), (2, 0), (6, 0), (2, 2, 0), (3, 0, 0), (2, 4, 0, 0)]
-    factors = shapes[rng.randrange(len(shapes))]
-    m = len(factors)
-    ops = [_descent_safe_tensor(rng, factors, 2, rng.randrange(1, 2 * m + 2))]
-    for arity in (0, 1):
-        if rng.randrange(2):
-            ops.append(_descent_safe_tensor(rng, factors, arity, rng.randrange(1, m + 1)))
-    return IntegralAlgebra(factors=factors, ops=tuple(ops), product_index=0)
 
 
 def _symmetrized(A):
