@@ -272,6 +272,16 @@ class Multialgebra:
             raise ValueError(f"dimension must be in [0, {sys.maxsize}]")
         check_roles(self, self.dim, field_mod(self.field))
 
+    @classmethod
+    def _checked_already(cls, **values) -> "Multialgebra":
+        """The algebra with these fields, built without __post_init__: for a
+        caller whose tensors and designations pass check_roles by
+        construction, as the base change of a checked Z form does
+        (integral._restricted_fiber)."""
+        alg = object.__new__(cls)
+        alg.__dict__.update(values)
+        return alg
+
     def constants(self) -> list[Element]:
         """Values of all arity-0 operations."""
         return [

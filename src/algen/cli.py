@@ -215,7 +215,7 @@ def _cmd_bad_primes(args) -> int:
         _emit(doc, "generic failure: the tuple misses a free direction")
         return 1
     shown = ", ".join(str(p) for p in report.primes) if report.primes else "none"
-    _emit(doc, f"bad primes: {shown} (quotient exponent {report.exponent})")
+    _emit(doc, f"bad primes: {shown} (quotient exponent {decimal_str(report.exponent)})")
     return 0
 
 

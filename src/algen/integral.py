@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     Multialgebra,
     OperationTensor,
+    _new_tuples,
     canonical_tensor,
     check_roles,
     eval_tensor,
@@ -34,9 +35,11 @@ from .algebra import (
 from .fields import GF, QQ, proved_prime
 from .intmat import (
     FactorizationIncomplete,
+    HermiteReducer,
     IntegerLattice,
     factor,
-    lattice_from_vectors,
+    # unused here, but perfbench/tracing.py wraps this binding by name
+    lattice_from_vectors,  # noqa: F401
     snf,
 )
 
@@ -266,7 +269,11 @@ class Fiber:
 def _restricted_fiber(A: IntegralAlgebra, coords: tuple[int, ...], field) -> Fiber:
     """A base changed to the field on the ascending coords: the entries whose
     indices all survive, reindexed (monotone, so still in canonical order),
-    each coefficient coerced into the field and the zeros dropped."""
+    each coefficient coerced into the field and the zeros dropped.
+
+    check_roles is not run again: A passed it, the fibre is the base change
+    M (x) F_p or M (x) Q, in which the unit and involution laws of M still
+    hold, and the tensors are canonical by construction."""
     pos = {c: j for j, c in enumerate(coords)}
     coerce = field.coerce
     ops = []
@@ -279,7 +286,7 @@ def _restricted_fiber(A: IntegralAlgebra, coords: tuple[int, ...], field) -> Fib
                 if row:
                     entries.append((tuple(pos[i] for i in idx), row))
         ops.append(OperationTensor(arity=op.arity, entries=tuple(entries)))
-    algebra = Multialgebra(
+    algebra = Multialgebra._checked_already(
         field=field,
         dim=len(coords),
         ops=tuple(ops),
@@ -323,35 +330,35 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
     Closure under an arity-0 operation means containing its constant, so any
     designated unit is always a member.  Returned as the canonical lattice in
     Z^m that contains the relation rows, so two element lists span the same
-    subgroup of M exactly when the canonical rows coincide.  Each round
-    evaluates every op on every tuple of the current rows, a symmetric
-    binary op (op(x, y) = op(y, x)) on each unordered pair once.
-    Termination: the lattices ascend in Z^m.
+    subgroup of M exactly when the canonical rows coincide.
+
+    Semi-naive, as the field closure: a list of generators holds the seed
+    vectors and then the operation values that enlarged the lattice (as
+    HermiteReducer.insert returns them), and _new_tuples evaluates each op
+    on each tuple of generators once, those of a new generator as it comes.
+    When the tuples run out every value lies in the lattice, which is
+    therefore closed, since by multilinearity op on lattice vectors is an
+    integer combination of op on generators and of op on tuples with a
+    relation row, and the latter lie in the relations because every op
+    descends to M.  All of Z^m is closed under every operation, so the loop
+    stops once the lattice is full.
     """
     m = A.rank
-    rows = A.relation_rows()
-    rows.extend(reduce_element(A.factors, v) for v in elements)
-    for op in A.ops:
-        if op.arity == 0:
-            rows.append(tuple(eval_tensor(op, m, ())))
-    current = lattice_from_vectors(rows, m)
-    # all of Z^m is closed under every operation: no round can grow it
-    while not current.is_full():
-        produced: list[Sequence[int]] = list(current.rows)
-        for op in A.ops:
-            if op.arity == 0 or not op.entries:
-                continue
-            if op.symmetric:
-                tuples = itertools.combinations_with_replacement(current.rows, 2)
-            else:
-                tuples = itertools.product(current.rows, repeat=op.arity)
-            for args in tuples:
-                produced.append(eval_tensor(op, m, args))
-        refreshed = lattice_from_vectors(produced, m)
-        if refreshed.rows == current.rows:
-            break
-        current = refreshed
-    return current
+    reducer = HermiteReducer(m)
+    for row in A.relation_rows():
+        reducer.insert(row)
+    seed = [reduce_element(A.factors, v) for v in elements]
+    seed.extend(eval_tensor(op, m, ()) for op in A.ops if op.arity == 0)
+    gens = [g for g in map(reducer.insert, seed) if g is not None]
+    ops = [op for op in A.ops if op.arity and op.entries]
+    if not reducer.full:
+        for op, args in _new_tuples(ops, gens, len(gens), 0):
+            g = reducer.insert(eval_tensor(op, m, args))
+            if g is not None:
+                gens.append(g)
+                if reducer.full:
+                    break
+    return reducer.lattice()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .fields import proved_prime
 
@@ -90,61 +90,105 @@ class IntegerLattice:
         return lcm(*denominators)
 
 
-def _hnf_rows(vectors: Iterable[Sequence[int]], ambient: int):
-    """Row-style HNF of the subgroup generated by the given vectors."""
-    work = []
-    for v in vectors:
-        row = [int(x) for x in v]
-        if len(row) != ambient:
-            raise ValueError(f"vector length {len(row)} != ambient {ambient}")
-        if any(row):
-            work.append(row)
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for c in range(ambient):
-        pivot_row = None
-        for row in work:
-            if row[c] == 0:
+class HermiteReducer:
+    """A subgroup of Z^ambient grown one vector at a time, its basis kept in
+    reduced Hermite normal form after every insert, so the basis reached at
+    any point is the canonical one of IntegerLattice.  Keeping the form
+    reduced keeps each entry at a pivot column below its pivot, so the work
+    rows do not blow up as in an unreduced sweep (Kannan and Bachem, SIAM
+    J. Comput. 1979); entries at columns without a pivot are not bounded.
+
+    _rows[c] is the basis row whose pivot column is c, or None: zero before
+    c, a positive pivot at c, and every entry at a later pivot column
+    reduced into [0, that pivot).
+    """
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self._rows: list[Optional[list[int]]] = [None] * ambient
+
+    @property
+    def full(self) -> bool:
+        """True iff the subgroup is all of Z^ambient."""
+        return all(row is not None and row[c] == 1 for c, row in enumerate(self._rows))
+
+    def lattice(self) -> IntegerLattice:
+        """The subgroup so far, as its canonical IntegerLattice."""
+        pivots = tuple(c for c, row in enumerate(self._rows) if row is not None)
+        return IntegerLattice(self.ambient, tuple(tuple(self._rows[c]) for c in pivots), pivots)
+
+    def insert(self, v: Sequence[int]) -> Optional[list[int]]:
+        """Add the integer vector v; returns None when the subgroup holds v
+        already, else v less a member of the old subgroup, which generates
+        the new subgroup together with the old one.
+
+        v is reduced column by column.  At a column without a row, v becomes
+        the row there.  At a row whose pivot p divides v's entry, a multiple
+        of the row clears the entry.  Otherwise the row and v are replaced
+        by the unimodular pair x row + y v (the new pivot gcd(p, v[c])) and
+        a combination of the two that is zero at c, which goes on.
+        """
+        rows = self._rows
+        grown = None
+        for c in range(self.ambient):
+            a = v[c]
+            if not a:
                 continue
-            if pivot_row is None:
-                pivot_row = row
-                continue
-            q, r = divmod(row[c], pivot_row[c])
+            row = rows[c]
+            if row is None:
+                rows[c] = list(v) if a > 0 else [-x for x in v]
+                self._settle(c)
+                return v if grown is None else grown
+            p = row[c]
+            t, r = divmod(a, p)
             if not r:
                 # a multiple of the pivot: subtraction clears it without a gcd step
-                row[:] = [b - q * a for a, b in zip(pivot_row, row)]
+                v = [u - t * s for s, u in zip(row, v)]
                 continue
-            g, x, y = xgcd(pivot_row[c], row[c])
-            qa, qb = pivot_row[c] // g, row[c] // g
-            merged = [x * a + y * b for a, b in zip(pivot_row, row)]
-            row[:] = [qa * b - qb * a for a, b in zip(pivot_row, row)]
-            pivot_row[:] = merged
-        if pivot_row is not None:
-            work = [row for row in work if row is not pivot_row]
-            if pivot_row[c] < 0:
-                pivot_row[:] = [-x for x in pivot_row]
-            basis.append(pivot_row)
-            pivots.append(c)
-        work = [row for row in work if any(row)]
-    # reduce entries above each pivot into [0, pivot)
-    for i in range(len(basis)):
-        c = pivots[i]
-        p = basis[i][c]
-        for j in range(i):
-            q = basis[j][c] // p
-            if q:
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
-    return basis, pivots
+            if grown is None:
+                grown = list(v)
+            g, x, y = xgcd(p, a)
+            rows[c] = [x * s + y * u for s, u in zip(row, v)]
+            p, a = p // g, a // g
+            v = [p * u - a * s for s, u in zip(row, v)]
+            self._settle(c)
+        return grown
+
+    def _reduce(self, v: list[int], start: int) -> list[int]:
+        """v with its entry at every pivot column from start on reduced into [0, pivot)."""
+        rows = self._rows
+        for k in range(start, self.ambient):
+            row = rows[k]
+            if row is not None:
+                t = v[k] // row[k]
+                if t:
+                    v = [u - t * s for s, u in zip(row, v)]
+        return v
+
+    def _settle(self, c: int) -> None:
+        """Restore the reduced form after the row at c changed: reduce it at
+        the later pivots, then each earlier row at c and, where that moved
+        the row, at the later pivots again."""
+        rows = self._rows
+        row = rows[c] = self._reduce(rows[c], c + 1)
+        p = row[c]
+        for j in range(c):
+            other = rows[j]
+            if other is not None:
+                t = other[c] // p
+                if t:
+                    rows[j] = self._reduce([u - t * s for s, u in zip(row, other)], c + 1)
 
 
 def lattice_from_vectors(vectors: Iterable[Sequence[int]], ambient: int) -> IntegerLattice:
     """Canonical lattice generated (as a subgroup of Z^ambient) by vectors."""
-    basis, pivots = _hnf_rows(vectors, ambient)
-    return IntegerLattice(
-        ambient=ambient,
-        rows=tuple(tuple(r) for r in basis),
-        pivots=tuple(pivots),
-    )
+    reducer = HermiteReducer(ambient)
+    for v in vectors:
+        row = [int(x) for x in v]
+        if len(row) != ambient:
+            raise ValueError(f"vector length {len(row)} != ambient {ambient}")
+        reducer.insert(row)
+    return reducer.lattice()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Oracles and algebras that several test modules share and no library
 code needs: element arithmetic in field and Z algebras, trial-division
-primality, spans and lattices computed by sympy, random Z-algebras whose
-tensors descend to their modules, the non-split etale forms F_p[x]/(f) of
-the split etale algebras, and the environment of a subprocess that imports
-algen from this checkout."""
+primality, spans and lattices computed by sympy, the monomial subgroup by
+plain rounds, random Z-algebras whose tensors descend to their modules, the
+non-split etale forms F_p[x]/(f) of the split etale algebras, and the
+environment of a subprocess that imports algen from this checkout."""
 
 import itertools
 import os
@@ -19,6 +19,7 @@ import algen
 from algen.algebra import Multialgebra, _closure_reducer, eval_tensor, make_tensor
 from algen.fields import GF, validate_vector
 from algen.integral import IntegralAlgebra, _int_vector, make_z_tensor, reduce_element
+from algen.intmat import lattice_from_vectors
 
 
 def src_env() -> dict:
@@ -110,6 +111,28 @@ def lattice_contains(lat, v) -> bool:
         return not any(v)
     basis = sympy.Matrix(lat.rows).T
     return hermite_normal_form(basis.row_join(sympy.Matrix(list(v)))) == hermite_normal_form(basis)
+
+
+def subgroup_by_rounds(A, elements):
+    """integral.monomial_subgroup as a plain round loop, the oracle for its
+    semi-naive loop: each round evaluates every op on every ordered tuple of
+    the current lattice rows, and rounds run until one adds nothing, even
+    after the lattice is all of Z^m."""
+    m = A.rank
+    rows = A.relation_rows()
+    rows.extend(reduce_element(A.factors, v) for v in elements)
+    rows.extend(tuple(eval_tensor(op, m, ())) for op in A.ops if op.arity == 0)
+    current = lattice_from_vectors(rows, m)
+    while True:
+        produced = list(current.rows)
+        for op in A.ops:
+            if op.arity and op.entries:
+                for args in itertools.product(current.rows, repeat=op.arity):
+                    produced.append(eval_tensor(op, m, args))
+        refreshed = lattice_from_vectors(produced, m)
+        if refreshed.rows == current.rows:
+            return refreshed
+        current = refreshed
 
 
 def _descent_safe_tensor(rng, factors, arity, count):

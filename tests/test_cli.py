@@ -9,13 +9,14 @@ import time
 
 import pytest
 
+import algen.algebra
 import algen.cli
 import algen.integral
 import algen.search
 import algen.zoo
 from algen.cli import main
-from algen.intmat import Factorization
-from algen.ioformat import parse_algebra
+from algen.intmat import Factorization, decimal_str
+from algen.ioformat import MAX_VERIFY_DIGITS, parse_algebra
 from support import src_env
 
 RING_PRESENTATION = {
@@ -310,6 +311,75 @@ def test_cofactor_beyond_the_int_string_limit_is_inconclusive(capsys, e3z, tmp_p
     assert doc["cofactor"] == "1" + "0" * 5068 + "1"
     code, verdict = run(capsys, "verify-cert", e3z, cert)
     assert code == 2 and verdict["detail"].startswith("inconclusive: could not factor")
+
+
+def test_exponent_beyond_the_int_string_limit_exits_0(capsys, e3z, tmp_path):
+    # (0, 2^14000, 2^14001) leaves a quotient of exponent 2^28001, 8,430
+    # digits, past Python's 4,300-digit int-string limit: the report writes
+    # it through decimal_str, and the verifier re-emits it the same way
+    element = ["0", str(2**14000), str(2**14001)]
+    code, doc = run(capsys, "bad-primes", e3z, "--tuple", json.dumps([element]))
+    assert code == 0
+    assert doc["report"]["primes"] == ["2"]
+    assert doc["report"]["exponent"] == decimal_str(2**28001)
+    code, verdict = run(capsys, "verify-cert", e3z, write(tmp_path, "bad-primes.json", doc))
+    assert code == 0 and verdict["ok"] is True
+
+
+def test_lift_exponent_is_parsed_up_to_the_digit_cap(capsys, e3z, tmp_path):
+    # a lift's verification exponent is parsed back: past the int-string
+    # limit it is read and refused as an edit (exit 1), past
+    # MAX_VERIFY_DIGITS it is not read and the verification is inconclusive
+    code, lift = run(capsys, "forster-lift", e3z, "--n", "2")
+    assert code == 0 and lift["verification"]["support"]["exponent"] == "1"
+    for digits, want in ((5000, 1), (MAX_VERIFY_DIGITS, 1), (MAX_VERIFY_DIGITS + 1, 2)):
+        lift["verification"]["support"]["exponent"] = "7" * digits
+        code, verdict = run(capsys, "verify-cert", e3z, write(tmp_path, f"lift{digits}.json", lift))
+        assert code == want and verdict["ok"] is False, digits
+        if want == 2:
+            assert verdict["detail"].startswith("inconclusive: an exponent of")
+        else:
+            assert verdict["detail"] == "field verification differs"
+
+
+def test_bad_primes_on_mat6_z(capsys, tmp_path):
+    # two random elements of Mat_6(Z) with entries in [-3, 3] generate a
+    # subgroup of exponent 4; the closure before the reduced Hermite form
+    # and the semi-naive loop ran for more than two minutes here
+    code, doc = run(capsys, "zoo", "matrix-z", "--n", "6")
+    algebra = write(tmp_path, "m6z.json", doc)
+    rng = random.Random(6)
+    pair = [[str(rng.randint(-3, 3)) for _ in range(36)] for _ in range(2)]
+    code, doc = run(capsys, "bad-primes", algebra, "--tuple", json.dumps(pair))
+    assert code == 0 and doc["report"] == {"exponent": "4", "generic_fail": False, "primes": ["2"]}
+    assert run(capsys, "verify-cert", algebra, write(tmp_path, "bad-primes.json", doc))[0] == 0
+
+
+def test_lift_checks_roles_once_per_parsed_algebra(capsys, tmp_path, monkeypatch):
+    # a Mat_3(Z) lift and its verification each check the parsed Z form
+    # once; the fibres they build are base changes and are not checked again
+    code, doc = run(capsys, "zoo", "matrix-z", "--n", "3")
+    algebra = write(tmp_path, "m3z.json", doc)
+    checked, fibres = [], []
+    real_check, real_fiber = algen.algebra.check_roles, algen.integral._restricted_fiber
+
+    def check_roles(alg, *args):
+        checked.append(type(alg).__name__)
+        return real_check(alg, *args)
+
+    def restricted_fiber(A, coords, field):
+        fibres.append(field)
+        return real_fiber(A, coords, field)
+
+    monkeypatch.setattr(algen.algebra, "check_roles", check_roles)
+    monkeypatch.setattr(algen.integral, "check_roles", check_roles)
+    monkeypatch.setattr(algen.integral, "_restricted_fiber", restricted_fiber)
+    code, lift = run(capsys, "forster-lift", algebra, "--n", "2")
+    assert code == 0 and checked == ["IntegralAlgebra"] and len(fibres) >= 2
+    checked.clear()
+    fibres.clear()
+    assert run(capsys, "verify-cert", algebra, write(tmp_path, "lift.json", lift))[0] == 0
+    assert checked == ["IntegralAlgebra"] and fibres
 
 
 def test_bad_primes_needs_z(capsys, m2):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algen.forster
-from algen.algebra import is_generating
+from algen.algebra import eval_tensor, is_generating
 from algen.forster import (
     ALL_PRIMES,
     HypothesisFailure,
@@ -32,6 +32,7 @@ from algen.integral import (
     monomial_subgroup,
     normalize_presentation,
 )
+from algen.intmat import HermiteReducer
 from algen.search import BudgetExhausted, SearchBudget, completable
 from support import is_prime, lattice_contains, random_integral_algebra
 
@@ -205,6 +206,33 @@ def test_lift_matrix_algebra():
     assert cert.n == 2 and len(cert.steps) == 3
     assert cert.verification.generates
     assert replay_lift(M, cert) == (True, "ok")
+
+
+def test_mat6_lift_counts(monkeypatch):
+    # exact counts, no timing, for the Mat_6(Z) n = 2 lift: Z evaluations
+    # in the monomial subgroups of the lift and of its replay, and the
+    # longest coefficient, in bits, that any Hermite form reached
+    evaluations = [0]
+    bits = [0]
+    real_settle = HermiteReducer._settle
+
+    def counting(*args):
+        evaluations[0] += 1
+        return eval_tensor(*args)
+
+    def settle(reducer, c):
+        real_settle(reducer, c)
+        longest = max(abs(x).bit_length() for row in reducer._rows if row for x in row)
+        bits[0] = max(bits[0], longest)
+
+    monkeypatch.setattr(algen.integral, "eval_tensor", counting)
+    monkeypatch.setattr(HermiteReducer, "_settle", settle)
+    M = integral_matrix_algebra(6)
+    cert = forster_lift(M, 2)
+    lift = evaluations[0]
+    evaluations[0] = 0
+    assert replay_lift(M, cert) == (True, "ok")
+    assert (lift, evaluations[0], bits[0]) == (321, 244, 2256)
 
 
 @pytest.mark.parametrize(

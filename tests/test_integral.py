@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import algen.algebra
 import algen.integral
-from algen.algebra import OperationTensor, eval_tensor, is_generating, make_tensor
+from algen.algebra import Multialgebra, OperationTensor, is_generating, make_tensor
 from algen.fields import GF, QQ
-from algen.intmat import FactorizationIncomplete, factor, lattice_from_vectors, snf
+from algen.intmat import FactorizationIncomplete, factor, snf
 from algen.integral import (
     BadPrimesReport,
     IntegralAlgebra,
@@ -27,7 +29,15 @@ from algen.integral import (
     verify_global_generation,
 )
 from algen.zoo import matrix_algebra, split_etale
-from support import evaluate, involution, lattice_contains, product, random_integral_algebra, unit_vector
+from support import (
+    evaluate,
+    involution,
+    lattice_contains,
+    product,
+    random_integral_algebra,
+    subgroup_by_rounds,
+    unit_vector,
+)
 
 # the ring Z[t]/(t^2 - 1) on basis (1, t): used as a presentation workout
 RING_T = [
@@ -315,6 +325,19 @@ def test_fibers_map_the_canonical_entries(name):
         assert fib.algebra.ops == _old_restriction(A, fib.coordinates, field)
 
 
+@pytest.mark.parametrize("name", sorted(Z_FORMS))
+def test_checking_constructor_accepts_every_fiber(name):
+    # fibres are built without check_roles, which their Z form passed; the
+    # checking constructor accepts each one and builds an equal algebra
+    A = Z_FORMS[name]()
+    for p in (2, 3, None):
+        fib = (fiber_mod_p(A, p) if p else generic_fiber(A)).algebra
+        checked = Multialgebra(
+            fib.field, fib.dim, fib.ops, fib.product_index, fib.unit_index, fib.involution_index
+        )
+        assert checked == fib
+
+
 def test_construction_and_fibers_do_not_recanonicalize(monkeypatch):
     # the Z forms and their fibers are built, with canonical tensors, before the patch
     forms = [cayley_dickson(integral_matrix_algebra(2), 1), _torsion_ring()]
@@ -432,26 +455,6 @@ def test_bad_primes_factorization_incomplete():
     assert info.value.cofactor == big
 
 
-def _subgroup_by_rounds(A, elements):
-    """monomial_subgroup as a plain round loop: rounds run until one adds
-    nothing, even after the lattice is all of Z^m."""
-    m = A.rank
-    rows = A.relation_rows()
-    rows.extend(reduce_element(A.factors, v) for v in elements)
-    rows.extend(tuple(eval_tensor(op, m, ())) for op in A.ops if op.arity == 0)
-    current = lattice_from_vectors(rows, m)
-    while True:
-        produced = list(current.rows)
-        for op in A.ops:
-            if op.arity and op.entries:
-                for args in itertools.product(current.rows, repeat=op.arity):
-                    produced.append(eval_tensor(op, m, args))
-        refreshed = lattice_from_vectors(produced, m)
-        if refreshed.rows == current.rows:
-            return refreshed
-        current = refreshed
-
-
 def _support_by_snf(A, B):
     """The prime support read off an SNF of every full-rank lattice."""
     if B.rank < A.rank:
@@ -488,7 +491,7 @@ def test_subgroup_stops_at_the_full_lattice(A, sizes, entries):
             for _ in range(rng.choice(sizes))
         ]
         B = monomial_subgroup(A, S)
-        want = _subgroup_by_rounds(A, S)
+        want = subgroup_by_rounds(A, S)
         assert B == want, (A.factors, S)
         assert bad_primes(A, S) == _support_by_snf(A, want), (A.factors, S)
         seen[B.is_full()] += 1
@@ -540,8 +543,28 @@ def test_subgroup_matches_ordered_round_loop_on_random_forms():
             assert A.ops[A.product_index].symmetric
         symmetric += A.ops[A.product_index].symmetric
         S = [tuple(rng.randint(-4, 4) for _ in range(A.rank)) for _ in range(rng.randrange(4))]
-        assert monomial_subgroup(A, S) == _subgroup_by_rounds(A, S), (A, S)
+        assert monomial_subgroup(A, S) == subgroup_by_rounds(A, S), (A, S)
     assert 300 <= symmetric < 600
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    torsion=st.booleans(),
+    symmetric=st.booleans(),
+    height=st.sampled_from((1, 4, 30)),
+)
+def test_semi_naive_subgroup_matches_the_round_loop(seed, torsion, symmetric, height):
+    # the semi-naive loop against the plain round loop it replaced, on random
+    # Z-algebras: with torsion set, on a module with a finite factor
+    rng = random.Random(seed)
+    A = random_integral_algebra(rng)
+    while torsion and not any(A.factors):
+        A = random_integral_algebra(rng)
+    if symmetric:
+        A = _symmetrized(A)
+    S = [tuple(rng.randint(-height, height) for _ in range(A.rank)) for _ in range(rng.randrange(5))]
+    assert monomial_subgroup(A, S) == subgroup_by_rounds(A, S)
 
 
 def test_fiber_coherence_randomized():

@@ -10,6 +10,7 @@ import algen.intmat
 from algen.intmat import (
     TRIAL_DIVISION_BOUND,
     Factorization,
+    HermiteReducer,
     IntegerLattice,
     crt,
     factor,
@@ -358,6 +359,56 @@ def test_hnf_divisible_pivots_match_sympy_hnf():
             shuffled = vectors[:]
             rng.shuffle(shuffled)
             assert lattice_from_vectors(shuffled, m) == ours
+
+
+def _assert_reduced_hnf(lat):
+    """The canonical shape: rows zero before their pivot, pivots positive
+    and strictly increasing, entries at a later row's pivot in [0, pivot)."""
+    assert list(lat.pivots) == sorted(set(lat.pivots))
+    for row, c in zip(lat.rows, lat.pivots):
+        assert not any(row[:c]) and row[c] > 0
+        assert all(0 <= row[d] < piv[d] for piv, d in zip(lat.rows, lat.pivots) if d > c)
+
+
+def test_hnf_of_rank_deficient_big_entries_matches_sympy_hnf():
+    # rows drawn from the span of fewer base rows with 50-100-bit entries:
+    # the lattice has rank below both the row count and the ambient
+    rng = random.Random(13)
+    for _ in range(60):
+        m = rng.randint(2, 6)
+        rank = rng.randint(1, m - 1)
+        bits = rng.randint(50, 100)
+        base = _random_matrix(rng, rank, m, height=2**bits)
+        vectors = []
+        for _ in range(rng.randint(rank + 1, rank + 4)):
+            coeffs = [rng.randint(-3, 3) for _ in base]
+            vectors.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(m)])
+        ours = _assert_sympy_hnf_lattice(vectors, m)
+        assert ours.rank <= rank < m
+        _assert_reduced_hnf(ours)
+
+
+def test_hermite_reducer_reports_each_growth():
+    # after every insert the reducer holds the canonical lattice of the
+    # vectors so far; insert returns None exactly when the lattice stays,
+    # and otherwise a vector that with the old rows generates the new one
+    rng = random.Random(17)
+    for _ in range(100):
+        m = rng.randint(1, 4)
+        reducer = HermiteReducer(m)
+        vectors = []
+        for _ in range(rng.randint(1, 8)):
+            v = [rng.randint(-12, 12) for _ in range(m)]
+            before = reducer.lattice()
+            grown = reducer.insert(v)
+            vectors.append(v)
+            after = reducer.lattice()
+            assert after == lattice_from_vectors(vectors, m)
+            assert (grown is None) == (after == before)
+            if grown is not None:
+                assert lattice_from_vectors([*before.rows, grown], m) == after
+            assert reducer.full == after.is_full()
+            _assert_reduced_hnf(after)
 
 
 def test_hnf_multiples_of_the_pivot_need_no_xgcd(monkeypatch):
