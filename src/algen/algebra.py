@@ -273,13 +273,28 @@ class Multialgebra:
         check_roles(self, self.dim, field_mod(self.field))
 
     @classmethod
-    def _checked_already(cls, **values) -> "Multialgebra":
+    def _checked_already(
+        cls,
+        field: Field,
+        dim: int,
+        ops: tuple[OperationTensor, ...],
+        product_index: int,
+        unit_index: Optional[int] = None,
+        involution_index: Optional[int] = None,
+    ) -> "Multialgebra":
         """The algebra with these fields, built without __post_init__: for a
         caller whose tensors and designations pass check_roles by
         construction, as the base change of a checked Z form does
         (integral._restricted_fiber)."""
         alg = object.__new__(cls)
-        alg.__dict__.update(values)
+        alg.__dict__.update(
+            field=field,
+            dim=dim,
+            ops=ops,
+            product_index=product_index,
+            unit_index=unit_index,
+            involution_index=involution_index,
+        )
         return alg
 
     def constants(self) -> list[Element]:

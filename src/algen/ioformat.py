@@ -61,10 +61,6 @@ CERTIFICATE_VERSION = "2"
 # to verify, so the verifier's cost does not depend on the document.
 MAX_VERIFY_EXHAUSTIVE = 10 * DEFAULT_BUDGET.max_exhaustive
 MAX_VERIFY_TRIALS = 10 * DEFAULT_BUDGET.random_trials
-# A report's exponent may pass Python's 4,300-digit int-string limit.  A
-# verifier parses one back up to this many digits (the time is quadratic in
-# the length), and refuses a longer one as inconclusive.
-MAX_VERIFY_DIGITS = 50_000
 
 
 class FormatError(ValueError):
@@ -108,27 +104,6 @@ def parse_int(value) -> int:
         if n is not None:
             return n
     raise FormatError(f"expected an integer, got {value!r}")
-
-
-def parse_exponent(value) -> int:
-    """parse_int for a report's exponent, of any length up to
-    MAX_VERIFY_DIGITS: a plain digit string past the int-string limit is
-    read through Decimal, which has no such limit.  A string longer than
-    the cap makes the verification inconclusive."""
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        if len(value) > MAX_VERIFY_DIGITS:
-            raise _Refused(
-                f"inconclusive: an exponent of {len(value)} digits is too costly to "
-                f"verify (cap {MAX_VERIFY_DIGITS})"
-            )
-        try:
-            return int(value)
-        except ValueError:
-            # imported here, as in decimal_str, so that no command pays for it at start
-            from decimal import Decimal
-
-            return int(Decimal(value))
-    return parse_int(value)
 
 
 def parse_scalar(field: Field, value):
@@ -411,12 +386,7 @@ def _parse_integral(doc: dict) -> ParsedAlgebra:
 
 
 BUDGET = record(SearchBudget, max_exhaustive=INT, random_trials=INT, seed=INT, coeff_height=INT)
-SUPPORT = record(
-    BadPrimesReport,
-    generic_fail=BOOL,
-    primes=INT_VECTOR,
-    exponent=optional(Codec(int_str, parse_exponent)),
-)
+SUPPORT = record(BadPrimesReport, generic_fail=BOOL, primes=INT_VECTOR, exponent=OPT_INT)
 # region primes are written sorted as decimal strings
 REGION = record(
     ConstructibleSet,

@@ -16,7 +16,7 @@ import algen.search
 import algen.zoo
 from algen.cli import main
 from algen.intmat import Factorization, decimal_str
-from algen.ioformat import MAX_VERIFY_DIGITS, parse_algebra
+from algen.ioformat import parse_algebra
 from support import src_env
 
 RING_PRESENTATION = {
@@ -326,20 +326,15 @@ def test_exponent_beyond_the_int_string_limit_exits_0(capsys, e3z, tmp_path):
     assert code == 0 and verdict["ok"] is True
 
 
-def test_lift_exponent_is_parsed_up_to_the_digit_cap(capsys, e3z, tmp_path):
-    # a lift's verification exponent is parsed back: past the int-string
-    # limit it is read and refused as an edit (exit 1), past
-    # MAX_VERIFY_DIGITS it is not read and the verification is inconclusive
+def test_edited_lift_exponent_is_refused_at_any_length(capsys, e3z, tmp_path):
+    # a lift's verification exponent is always 1, so any other value is an
+    # edit, refused (exit 1) below and past the 4,300-digit int-string limit
     code, lift = run(capsys, "forster-lift", e3z, "--n", "2")
     assert code == 0 and lift["verification"]["support"]["exponent"] == "1"
-    for digits, want in ((5000, 1), (MAX_VERIFY_DIGITS, 1), (MAX_VERIFY_DIGITS + 1, 2)):
+    for digits in (1, 4000, 5000, 50_001):
         lift["verification"]["support"]["exponent"] = "7" * digits
         code, verdict = run(capsys, "verify-cert", e3z, write(tmp_path, f"lift{digits}.json", lift))
-        assert code == want and verdict["ok"] is False, digits
-        if want == 2:
-            assert verdict["detail"].startswith("inconclusive: an exponent of")
-        else:
-            assert verdict["detail"] == "field verification differs"
+        assert code == 1 and verdict["ok"] is False, digits
 
 
 def test_bad_primes_on_mat6_z(capsys, tmp_path):
