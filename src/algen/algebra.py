@@ -364,10 +364,25 @@ def _closure_reducer(
     P are independent over Q, so such a value becomes a new generator with
     no exact work, and r of them span Q^r.  Values inside the span mod P
     are kept pending.  When the generators run out below full dimension,
-    the exact span of the generators decides each pending value; one that
-    is new over Q (P was a bad prime for it) becomes a generator, and the
-    loop goes on testing every value exactly.  A bad prime costs time,
-    never correctness, and no structure constant needs to be P-integral.
+    their exact span (built in one pass, _RationalSpan.spanned_by) decides
+    each pending value; one that is new over Q (P was a bad prime for it)
+    becomes a generator, and the loop goes on testing every value exactly.
+    A bad prime costs time, never correctness, and no structure constant
+    needs to be P-integral.
+
+    Most pending values need no exact arithmetic, by a size bound.  Let
+    bound = delta + max_k sum_i |rows[i][k]| over the non-pivot columns k of
+    the exact span (_RationalSpan.size_limit).  A pending value v with
+    max|v| * bound < P lies in the span.  For v = 0 that is plain.
+    Otherwise P does not divide delta <= bound < P, so the RREF rows
+    rows[i] / delta are P-integral, each generator g = sum_i g[c_i]
+    rows[i] / delta holds mod P, and the rows mod P are an RREF over F_P
+    whose span holds the generators, so also v, which lies in their span
+    mod P.  Hence each equation delta v[k] - sum_i v[c_i] rows[i][k] is 0
+    mod P; smaller than P in absolute value, it is 0.  Larger values take
+    the exact column test, and when bound >= P every nonzero value does,
+    which covers P dividing delta.  A value that grows the span renews the
+    bound.
     """
     r = alg.dim
     pending = None
@@ -415,11 +430,13 @@ def _closure_reducer(
         # the mod-P generators ran out: decide the pending values exactly;
         # the tuples of the generators so far are done, as for a seed
         base = start = len(gens)
-        span = _RationalSpan(r)
+        span = _RationalSpan.spanned_by(r, gens)
         grow = span.insert
-        for g in gens:
-            grow(g)
-        gens += [v for v in pending if grow(v)]
+        limit = span.size_limit(_WITNESS_PRIME)
+        for v in pending:
+            if max(map(abs, v)) > limit and grow(v):
+                gens.append(v)
+                limit = span.size_limit(_WITNESS_PRIME)
         pending = None
     # a full span mod P is the identity RREF with delta 1, also its RREF over Q
     return span, len(gens) - seed_rank
@@ -491,6 +508,11 @@ class _RationalSpan:
     u[pivots[i]] R_i.  Test and insert are scale-invariant, so u may be any
     nonzero integer multiple of a value, as scaled tensors on integer
     vectors produce.
+
+    The exact span of vectors known to be independent is built in one
+    fraction-free pass by spanned_by, with the (delta, rows, pivots) that
+    inserting them one at a time gives: the RREF is unique, and so is its
+    scaling by the least positive delta that makes it integral.
     """
 
     def __init__(self, width: int, modulus: int = 0):
@@ -501,9 +523,57 @@ class _RationalSpan:
         self.pivots: list[int] = []
         self._equations()
 
+    @classmethod
+    def spanned_by(cls, width: int, vectors: Sequence[Sequence[int]]) -> _RationalSpan:
+        """The exact span of integer vectors independent over Q.
+
+        One fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968).
+        Step k takes the leftmost column col where a row from k on is
+        nonzero, swaps the first such row up to row k, and clears col from
+        every other row: row_i = (lead * row_i - row_i[col] * row_k) / prev,
+        with lead = row_k[col] and prev the lead of step k - 1 (1 at first);
+        the division is exact.  Every pivot entry then equals the last lead,
+        so the rows are that lead times the RREF rows, and one gcd brings
+        them to the canonical form."""
+        span = cls(width)
+        rows = [list(v) for v in vectors]
+        pivots = []
+        prev = 1
+        col = 0
+        for k in range(len(rows)):
+            while not any(row[col] for row in rows[k:]):
+                col += 1
+            i = next(i for i in range(k, len(rows)) if rows[i][col])
+            rows[k], rows[i] = rows[i], rows[k]
+            pivot = rows[k]
+            lead = pivot[col]
+            for i, row in enumerate(rows):
+                if i != k:
+                    a = row[col]
+                    rows[i] = [(lead * x - a * y) // prev for x, y in zip(row, pivot)]
+            pivots.append(col)
+            prev = lead
+            col += 1
+        g = gcd(prev, *(x for row in rows for x in row))
+        if prev < 0:
+            g = -g
+        span.delta = prev // g
+        span.rows = [[x // g for x in row] for row in rows]
+        span.pivots = pivots
+        span._equations()
+        return span
+
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    def size_limit(self, p: int) -> int:
+        """(p - 1) // bound for bound = delta + max_k sum_i |rows[i][k]| over
+        the non-pivot columns k: an integer vector u with max|u| at most this
+        that lies in the span mod the prime p lies in the exact span (see
+        _closure_reducer)."""
+        bound = self.delta + max((sum(abs(s) for _, s in column) for _, column in self.columns), default=0)
+        return (p - 1) // bound
 
     def _equations(self):
         # per non-pivot column k, the (pivot, rows[i][k]) terms that are nonzero

@@ -13,6 +13,7 @@ from algen.algebra import (
     GenerationCertificate,
     Multialgebra,
     OperationTensor,
+    _RationalSpan,
     _WITNESS_PRIME,
     is_generating,
     make_tensor,
@@ -642,6 +643,57 @@ def test_closure_exact_when_witness_prime_is_bad():
     ok, cert = is_generating(A, [(1, 0), (1 + P, P)])
     assert ok and cert.monomial_count == 0
     _assert_matches_plain_loop(A, [(1, 0), (1 + P, P)], False)
+
+
+def test_pending_values_at_the_edge_of_the_size_bound():
+    # the exact span of (1, 0, 0) has delta 1 and bound 1, so pending values
+    # up to max|v| = P - 1 are settled without the exact test: (P - 1, 0, 0)
+    # lies in it, (0, P, 0) one step above lies in it only mod P
+    zero = zero_algebra(QQ, 3)
+    assert _RationalSpan.spanned_by(3, [(1, 0, 0)]).size_limit(P) == P - 1
+    for seed in ([(1, 0, 0), (P - 1, 0, 0)], [(1, 0, 0), (P - 1, 0, 0), (0, P, 0)]):
+        _assert_matches_plain_loop(zero, seed, False)
+    _, cert = is_generating(zero, [(1, 0, 0), (0, P, 0)])
+    assert cert.closure_dim == 2
+    # span (1, 2, 0) has bound 1 + 2 = 3: an operation value t (1, 2, 0) at
+    # max|v| = 2t = (P - 1) // 3, and a unary one (-m, P - 2m, 0), equal to
+    # m (-1, -2, 0) only mod P, at m = (P - 1) // 3 + 1
+    limit = (P - 1) // 3
+    assert _RationalSpan.spanned_by(3, [(1, 2, 0)]).size_limit(P) == limit
+    t, m = limit // 2, limit + 1
+    prod = make_tensor(QQ, 3, 2, [((0, 0), 0, t), ((0, 0), 1, 2 * t)])
+    unary = make_tensor(QQ, 3, 1, [((0,), 0, -m), ((0,), 1, P - 2 * m)])
+    inside = Multialgebra(field=QQ, dim=3, ops=(prod,), product_index=0)
+    _, cert = is_generating(inside, [(1, 2, 0)])
+    assert (cert.closure_dim, cert.monomial_count) == (1, 0)
+    _assert_matches_plain_loop(inside, [(1, 2, 0)], False)
+    above = Multialgebra(field=QQ, dim=3, ops=(prod, unary), product_index=0)
+    _, cert = is_generating(above, [(1, 2, 0)])
+    assert cert.closure_dim == 2
+    _assert_matches_plain_loop(above, [(1, 2, 0)], False)
+
+
+def test_pending_values_when_p_divides_the_exact_delta():
+    # the exact span of (P, 1, 0) is delta = P with the row (P, 1, 0), so
+    # bound >= P and every nonzero pending value takes the exact test: the
+    # seed (0, 1, 0), or the value b2 b2 = b1, lies in the span mod P only
+    zero = zero_algebra(QQ, 3)
+    span = _RationalSpan.spanned_by(3, [(P, 1, 0)])
+    assert (span.delta, span.rows, span.size_limit(P)) == (P, [[P, 1, 0]], 0)
+    _, cert = is_generating(zero, [(P, 1, 0), (0, 1, 0)])
+    assert (cert.closure_dim, cert.monomial_count) == (2, 0)
+    _assert_matches_plain_loop(zero, [(P, 1, 0), (0, 1, 0)], False)
+    prod = make_tensor(QQ, 3, 2, [((2, 2), 1, 1)])
+    A = Multialgebra(field=QQ, dim=3, ops=(prod,), product_index=0)
+    ok, cert = is_generating(A, [(P, 1, 0), (0, 0, 1)])
+    assert ok and cert.monomial_count == 1
+    _assert_matches_plain_loop(A, [(P, 1, 0), (0, 0, 1)], False)
+    # zero values, pending as seeds and as products (b0 b0 = 0), lie in
+    # every span whatever the bound
+    for seed in ([(P, 1, 0), (0, 0, 0)], [(1, 0, 0), (0, 0, 0)], [(0, 0, 0)]):
+        _, cert = is_generating(A, seed)
+        assert cert.closure_dim == (1 if any(map(any, seed)) else 0)
+        _assert_matches_plain_loop(A, seed, False)
 
 
 def test_closure_without_p_integral_data_takes_plain_loop():

@@ -128,6 +128,32 @@ def test_row_reducer_incremental():
     assert first == [1, 1, 0] and r.rows[0] == [1, 0, 2]
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_pass_span_equals_one_at_a_time_inserts(data):
+    # spanned_by on independent integer vectors builds the canonical span
+    # that inserting them one at a time does; leading zeros of random
+    # length, in random order, make the pass swap rows
+    width = data.draw(st.integers(1, 12), label="width")
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(2**100), 2**100))
+
+    @st.composite
+    def vectors(draw):
+        zeros = draw(st.integers(0, width - 1))
+        return [0] * zeros + draw(st.lists(entries, min_size=width - zeros, max_size=width - zeros))
+
+    drawn = data.draw(st.lists(vectors(), min_size=1, max_size=width + 2), label="vectors")
+    inserted = _RationalSpan(width)
+    independent = [v for v in drawn if inserted.insert(v)]
+    built = _RationalSpan.spanned_by(width, independent)
+    assert (built.delta, built.rows, built.pivots, built.columns) == (
+        inserted.delta,
+        inserted.rows,
+        inserted.pivots,
+        inserted.columns,
+    )
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_residue_decides_the_span_of_one_more_vector(data):
