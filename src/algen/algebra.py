@@ -16,11 +16,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .fields import QQ, Field, Scalar, validate_vector
-from .linalg import RowReducer
+from .linalg import RationalSpan, RowReducer
 
 Element = tuple[Scalar, ...]
 
@@ -334,7 +334,7 @@ def _closure_reducer(
 ):
     """Close the span of rows under all operations; returns (span, monomial count).
 
-    The span is a RowReducer over F_p and a _RationalSpan over Q; both have
+    The span is a RowReducer over F_p and a RationalSpan over Q; both have
     dim and rows.  The seed is the rows, plus the arity-0 constants when
     unital.  Over F_p a caller that holds the seed's RREF already may pass
     it as span: the closure then starts from its rows, inserts no seed
@@ -364,17 +364,17 @@ def _closure_reducer(
     P are independent over Q, so such a value becomes a new generator with
     no exact work, and r of them span Q^r.  Values inside the span mod P
     are kept pending.  When the generators run out below full dimension,
-    their exact span (built in one pass, _RationalSpan.spanned_by) decides
-    each pending value; one that is new over Q (P was a bad prime for it)
-    becomes a generator, and the loop goes on testing every value exactly.
-    A bad prime costs time, never correctness, and no structure constant
-    needs to be P-integral.
+    their exact span, one RationalSpan.add step per generator (they are
+    independent), decides each pending value; one that is new over Q (P
+    was a bad prime for it) becomes a generator, and the loop goes on
+    testing every value exactly.  A bad prime costs time, never
+    correctness, and no structure constant needs to be P-integral.
 
     Most pending values need no exact arithmetic, by a size bound.  Let
     bound = delta + max_k sum_i |rows[i][k]| over the non-pivot columns k of
-    the exact span (_RationalSpan.size_limit).  A pending value v with
-    max|v| * bound < P lies in the span.  For v = 0 that is plain.
-    Otherwise P does not divide delta <= bound < P, so the RREF rows
+    the exact span's canonical form (RationalSpan.size_limit).  A pending
+    value v with max|v| * bound < P lies in the span.  For v = 0 that is
+    plain.  Otherwise P does not divide delta <= bound < P, so the RREF rows
     rows[i] / delta are P-integral, each generator g = sum_i g[c_i]
     rows[i] / delta holds mod P, and the rows mod P are an RREF over F_P
     whose span holds the generators, so also v, which lies in their span
@@ -389,7 +389,7 @@ def _closure_reducer(
     if alg.field == QQ:
         ops = alg._scaled_ops
         seed = [integral_row(v) for v in ([*rows, *alg.constants()] if unital else rows)]
-        span = _RationalSpan(r, _WITNESS_PRIME)
+        span = RationalSpan(r, _WITNESS_PRIME)
         pending = []
     else:
         ops = alg.ops
@@ -411,7 +411,7 @@ def _closure_reducer(
     base = seed_rank = len(gens)
     if pending and seed_rank < r:
         # a seed vector inside the span mod P may still be new over Q
-        exact = _RationalSpan(r)
+        exact = RationalSpan(r)
         seed_rank = sum(1 for v in seed if exact.insert(v))
     ops = [op for op in ops if op.arity and op.entries]
     start = 0
@@ -430,9 +430,13 @@ def _closure_reducer(
         # the mod-P generators ran out: decide the pending values exactly;
         # the tuples of the generators so far are done, as for a seed
         base = start = len(gens)
-        span = _RationalSpan.spanned_by(r, gens)
+        span = RationalSpan(r)
+        for g in gens:
+            span.add(g)
         grow = span.insert
-        limit = span.size_limit(_WITNESS_PRIME)
+        # the bound reads every column, so it waits for a value to settle
+        if pending:
+            limit = span.size_limit(_WITNESS_PRIME)
         for v in pending:
             if max(map(abs, v)) > limit and grow(v):
                 gens.append(v)
@@ -495,138 +499,6 @@ def integral_row(v: Sequence[Scalar]) -> list[int]:
     """A rational vector times the lcm of its denominators."""
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v]
-
-
-class _RationalSpan:
-    """A subspace of Q^width as its RREF held in integers, or with a modulus
-    P the span of integer vectors reduced mod P as its RREF over F_P.
-
-    rows[i] is delta * R_i for the RREF rows R_i (pivot pivots[i]); delta is
-    the lcm of their denominators over Q, and 1 mod P.  A vector u lies in the
-    span iff delta * u[k] = sum_i u[pivots[i]] * rows[i][k] (mod P) for
-    every non-pivot column k, the only candidate combination being sum_i
-    u[pivots[i]] R_i.  Test and insert are scale-invariant, so u may be any
-    nonzero integer multiple of a value, as scaled tensors on integer
-    vectors produce.
-
-    The exact span of vectors known to be independent is built in one
-    fraction-free pass by spanned_by, with the (delta, rows, pivots) that
-    inserting them one at a time gives: the RREF is unique, and so is its
-    scaling by the least positive delta that makes it integral.
-    """
-
-    def __init__(self, width: int, modulus: int = 0):
-        self.width = width
-        self.modulus = modulus
-        self.delta = 1
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self._equations()
-
-    @classmethod
-    def spanned_by(cls, width: int, vectors: Sequence[Sequence[int]]) -> _RationalSpan:
-        """The exact span of integer vectors independent over Q.
-
-        One fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968).
-        Step k takes the leftmost column col where a row from k on is
-        nonzero, swaps the first such row up to row k, and clears col from
-        every other row: row_i = (lead * row_i - row_i[col] * row_k) / prev,
-        with lead = row_k[col] and prev the lead of step k - 1 (1 at first);
-        the division is exact.  Every pivot entry then equals the last lead,
-        so the rows are that lead times the RREF rows, and one gcd brings
-        them to the canonical form."""
-        span = cls(width)
-        rows = [list(v) for v in vectors]
-        pivots = []
-        prev = 1
-        col = 0
-        for k in range(len(rows)):
-            while not any(row[col] for row in rows[k:]):
-                col += 1
-            i = next(i for i in range(k, len(rows)) if rows[i][col])
-            rows[k], rows[i] = rows[i], rows[k]
-            pivot = rows[k]
-            lead = pivot[col]
-            for i, row in enumerate(rows):
-                if i != k:
-                    a = row[col]
-                    rows[i] = [(lead * x - a * y) // prev for x, y in zip(row, pivot)]
-            pivots.append(col)
-            prev = lead
-            col += 1
-        g = gcd(prev, *(x for row in rows for x in row))
-        if prev < 0:
-            g = -g
-        span.delta = prev // g
-        span.rows = [[x // g for x in row] for row in rows]
-        span.pivots = pivots
-        span._equations()
-        return span
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def size_limit(self, p: int) -> int:
-        """(p - 1) // bound for bound = delta + max_k sum_i |rows[i][k]| over
-        the non-pivot columns k: an integer vector u with max|u| at most this
-        that lies in the span mod the prime p lies in the exact span (see
-        _closure_reducer)."""
-        bound = self.delta + max((sum(abs(s) for _, s in column) for _, column in self.columns), default=0)
-        return (p - 1) // bound
-
-    def _equations(self):
-        # per non-pivot column k, the (pivot, rows[i][k]) terms that are nonzero
-        taken = set(self.pivots)
-        self.columns = [
-            (k, [(c, row[k]) for c, row in zip(self.pivots, self.rows) if row[k]])
-            for k in range(self.width)
-            if k not in taken
-        ]
-
-    def insert(self, u: Sequence[int]):
-        """Add u unless it lies in the span; returns u if the span grew,
-        else None."""
-        delta, p = self.delta, self.modulus
-        for k, column in self.columns:
-            d = delta * u[k] - sum([u[c] * s for c, s in column])
-            if d % p if p else d:
-                self._add(u)
-                return u
-        return None
-
-    def _add(self, u: Sequence[int]):
-        delta, p = self.delta, self.modulus
-        # w = delta * (u - sum_i u[c_i] R_i): zero on the pivot columns
-        w = [delta * x for x in u]
-        for c, row in zip(self.pivots, self.rows):
-            a = u[c]
-            if a:
-                w = [x - a * y for x, y in zip(w, row)]
-        if p:
-            w = [x % p for x in w]
-        q = next(k for k, x in enumerate(w) if x)
-        lead = w[q]
-        # the new row is w / lead; clearing column q from R_i and moving to
-        # the denominator delta * lead turns rows[i] into lead * rows[i] -
-        # rows[i][q] * w, and the new row into delta * w
-        rows = [[lead * x - row[q] * y for x, y in zip(row, w)] for row in self.rows]
-        at = next((i for i, c in enumerate(self.pivots) if c > q), len(self.pivots))
-        rows.insert(at, [delta * x for x in w])
-        delta *= lead
-        if p:
-            # back to delta = 1 over F_P
-            g = pow(delta, -1, p)
-            self.delta = 1
-            self.rows = [[x * g % p for x in row] for row in rows]
-        else:
-            g = gcd(delta, *(x for row in rows for x in row))
-            if delta < 0:
-                g = -g
-            self.delta = delta // g
-            self.rows = [[x // g for x in row] for row in rows]
-        self.pivots.insert(at, q)
-        self._equations()
 
 
 @dataclass(frozen=True)

@@ -64,18 +64,23 @@ def _emit(doc, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _read_json_text(text: str):
-    """Inline JSON, or @path to read the JSON from a file."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
+def _read_json(source: str, inline: bool = False):
+    """The JSON document in the file at source; with inline, source is the
+    JSON itself, or @path to read it from a file.  Every JSON input is read
+    here, and nesting too deep for the decoder is invalid input."""
+    if inline and source.startswith("@"):
+        source, inline = source[1:], False
+    try:
+        if inline:
+            return json.loads(source)
+        with open(source, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    return json.loads(text)
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
 
 
 def _load_algebra(path: str) -> ParsedAlgebra:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return parse_algebra(doc)
+    return parse_algebra(_read_json(path))
 
 
 def _budget_from_args(args) -> SearchBudget:
@@ -165,7 +170,7 @@ def _cmd_zoo(args) -> int:
 
 def _cmd_check(args) -> int:
     parsed = _load_algebra(args.algebra)
-    elements = parsed.parse_elements(_read_json_text(args.tuple))
+    elements = parsed.parse_elements(_read_json(args.tuple, inline=True))
     if parsed.is_integral:
         if args.unital:
             raise FormatError(
@@ -208,7 +213,7 @@ def _cmd_bad_primes(args) -> int:
     parsed = _load_algebra(args.algebra)
     if not parsed.is_integral:
         raise FormatError("bad-primes expects a Z algebra")
-    elements = parsed.parse_elements(_read_json_text(args.tuple))
+    elements = parsed.parse_elements(_read_json(args.tuple, inline=True))
     report = bad_primes(parsed.algebra, elements)
     doc = bad_primes_doc(parsed.algebra, elements, report)
     if report.generic_fail:
@@ -239,8 +244,7 @@ def _cmd_forster_lift(args) -> int:
 
 def _cmd_verify_cert(args) -> int:
     parsed = _load_algebra(args.algebra)
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = _read_json(args.certificate)
     ok, detail = verify_certificate(parsed, doc)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     _emit({"ok": ok, "kind": kind, "detail": detail}, detail)

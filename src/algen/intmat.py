@@ -9,10 +9,11 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .fields import proved_prime
+from .linalg import RationalSpan
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -64,30 +65,18 @@ class IntegerLattice:
 
         A pivot-1 column is a unit column, since the entries above it are
         reduced into [0, 1), so the quotient is presented by the block of
-        rows and columns whose pivot exceeds 1.  Its exponent is the lcm of
-        the denominators of that block's inverse, found by back substitution
-        in integers: each row of the inverse is kept as an integer row over
-        one denominator, in lowest terms.
+        rows and columns whose pivot exceeds 1.  Its exponent is the least
+        e with e block^-1 integral: the canonical delta of the span of
+        [block | I] over Q, whose RREF is [I | block^-1].
         """
         if self.rank != self.ambient:
             raise ValueError("a lattice below full rank has an infinite quotient")
         # full rank: row c has its pivot in column c
         big = [c for c in range(self.ambient) if self.rows[c][c] > 1]
-        block = [[self.rows[i][j] for j in big] for i in big]
-        s = len(big)
-        numerators: list[list[int]] = [[] for _ in range(s)]
-        denominators = [1] * s
-        for i in reversed(range(s)):
-            common = lcm(*(denominators[k] for k in range(i + 1, s) if block[i][k]))
-            row = [common * (i == j) for j in range(s)]
-            for k in range(i + 1, s):
-                if block[i][k]:
-                    q = block[i][k] * (common // denominators[k])
-                    row = [a - q * b for a, b in zip(row, numerators[k])]
-            den = common * block[i][i]
-            g = gcd(den, *row)
-            numerators[i], denominators[i] = [a // g for a in row], den // g
-        return lcm(*denominators)
+        span = RationalSpan(2 * len(big))
+        for i in big:
+            span.add([self.rows[i][j] for j in big] + [int(i == j) for j in big])
+        return span.canonical()[0]
 
 
 class HermiteReducer:

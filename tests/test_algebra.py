@@ -13,7 +13,6 @@ from algen.algebra import (
     GenerationCertificate,
     Multialgebra,
     OperationTensor,
-    _RationalSpan,
     _WITNESS_PRIME,
     is_generating,
     make_tensor,
@@ -22,7 +21,7 @@ from algen.algebra import (
 from algen.fields import GF, QQ, validate_vector
 from algen.integral import IntegralAlgebra, make_z_tensor
 from algen.ioformat import canonical_json, generation_certificate_doc
-from algen.linalg import RowReducer
+from algen.linalg import RationalSpan, RowReducer
 from algen.zoo import (
     albert,
     albert_generators,
@@ -645,12 +644,23 @@ def test_closure_exact_when_witness_prime_is_bad():
     _assert_matches_plain_loop(A, [(1, 0), (1 + P, P)], False)
 
 
+def _exact_span(width, vectors):
+    # the exact span of independent vectors, as the closure's exact phase builds it
+    span = RationalSpan(width)
+    for v in vectors:
+        span.add(v)
+    return span
+
+
 def test_pending_values_at_the_edge_of_the_size_bound():
     # the exact span of (1, 0, 0) has delta 1 and bound 1, so pending values
     # up to max|v| = P - 1 are settled without the exact test: (P - 1, 0, 0)
     # lies in it, (0, P, 0) one step above lies in it only mod P
     zero = zero_algebra(QQ, 3)
-    assert _RationalSpan.spanned_by(3, [(1, 0, 0)]).size_limit(P) == P - 1
+    # built from (3, 0, 0) the Bareiss span has delta 3, and the bound is
+    # read off the canonical form
+    span = _exact_span(3, [(3, 0, 0)])
+    assert (span.delta, span.canonical(), span.size_limit(P)) == (3, (1, [[1, 0, 0]]), P - 1)
     for seed in ([(1, 0, 0), (P - 1, 0, 0)], [(1, 0, 0), (P - 1, 0, 0), (0, P, 0)]):
         _assert_matches_plain_loop(zero, seed, False)
     _, cert = is_generating(zero, [(1, 0, 0), (0, P, 0)])
@@ -659,7 +669,8 @@ def test_pending_values_at_the_edge_of_the_size_bound():
     # max|v| = 2t = (P - 1) // 3, and a unary one (-m, P - 2m, 0), equal to
     # m (-1, -2, 0) only mod P, at m = (P - 1) // 3 + 1
     limit = (P - 1) // 3
-    assert _RationalSpan.spanned_by(3, [(1, 2, 0)]).size_limit(P) == limit
+    span = _exact_span(3, [(2, 4, 0)])
+    assert (span.canonical(), span.size_limit(P)) == ((1, [[1, 2, 0]]), limit)
     t, m = limit // 2, limit + 1
     prod = make_tensor(QQ, 3, 2, [((0, 0), 0, t), ((0, 0), 1, 2 * t)])
     unary = make_tensor(QQ, 3, 1, [((0,), 0, -m), ((0,), 1, P - 2 * m)])
@@ -678,8 +689,8 @@ def test_pending_values_when_p_divides_the_exact_delta():
     # bound >= P and every nonzero pending value takes the exact test: the
     # seed (0, 1, 0), or the value b2 b2 = b1, lies in the span mod P only
     zero = zero_algebra(QQ, 3)
-    span = _RationalSpan.spanned_by(3, [(P, 1, 0)])
-    assert (span.delta, span.rows, span.size_limit(P)) == (P, [[P, 1, 0]], 0)
+    span = _exact_span(3, [(P, 1, 0)])
+    assert (span.canonical(), span.size_limit(P)) == ((P, [[P, 1, 0]]), 0)
     _, cert = is_generating(zero, [(P, 1, 0), (0, 1, 0)])
     assert (cert.closure_dim, cert.monomial_count) == (2, 0)
     _assert_matches_plain_loop(zero, [(P, 1, 0), (0, 1, 0)], False)

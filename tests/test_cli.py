@@ -514,6 +514,64 @@ def test_memory_error_exits_internal(tmp_path):
     assert report["error"] == "internal" and "MemoryError" in report["detail"]
 
 
+def test_huge_declared_dimension_over_q_refutes_at_once(tmp_path):
+    # the document above over Q: the empty tuple closes to 0 of 10^12, a
+    # certified negative, so check exits 1 and its certificate verifies,
+    # both under the same 256 MiB limit.  The closure does no work per
+    # coordinate before a value is pending; an exact span that built its
+    # column equations at construction ran out of memory here (exit 4)
+    doc = (
+        '{"base":"Q","dim":"1000000000000","format":"algen-algebra",'
+        '"ops":[{"arity":"2","entries":[],"role":"product"}],"version":"1"}'
+    )
+    path = tmp_path / "huge-q.json"
+    path.write_text(doc + "\n", encoding="utf-8")
+    assert path.stat().st_size == 126
+
+    def algen(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "algen.cli", *argv],
+            env=src_env(),
+            preexec_fn=_limit_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    done = algen("check", str(path), "--tuple", "[]")
+    assert done.returncode == 1, done.stderr[-500:]
+    cert = json.loads(done.stdout)
+    assert (cert["closure_dim"], cert["ambient_dim"]) == ("0", "1000000000000")
+    cert_path = tmp_path / "huge-q-check.json"
+    cert_path.write_text(done.stdout, encoding="utf-8")
+    done = algen("verify-cert", str(path), str(cert_path))
+    assert done.returncode == 0, done.stderr[-500:]
+    assert json.loads(done.stdout) == {"detail": "ok", "kind": "generation", "ok": True}
+
+
+def test_deeply_nested_json_is_invalid_input(capsys, m2, tmp_path, monkeypatch):
+    # JSON nested past the decoder's recursion limit is malformed input
+    # (exit 3, no document on stdout) as an algebra, as a tuple inline or
+    # from @file, and as a certificate
+    nested = "[" * 100000 + "]" * 100000
+    deep = tmp_path / "deep.json"
+    deep.write_text(nested + "\n", encoding="utf-8")
+    for argv in (
+        ("check", str(deep), "--tuple", "[]"),
+        ("check", m2, "--tuple", f"@{deep}"),
+        ("check", m2, "--tuple", nested),
+        ("verify-cert", m2, str(deep)),
+    ):
+        assert run(capsys, *argv) == (3, None), argv
+    # a RecursionError raised anywhere else is still an internal error
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(algen.cli, "is_generating", crash)
+    code, doc = run(capsys, "check", m2, "--tuple", '[["1","0","0","0"]]')
+    assert code == 4 and doc["error"] == "internal" and "RecursionError" in doc["detail"]
+
+
 def test_internal_error_exits_4(capsys, e3z, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("internal: lift step lost its prime")

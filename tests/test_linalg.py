@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algen.algebra import _RationalSpan
 from algen.fields import GF, QQ
-from algen.linalg import RowReducer
+from algen.linalg import RationalSpan, RowReducer
 from support import span_basis
 
 
@@ -25,8 +25,8 @@ def span_fp(field, rows):
 
 
 def reduced(field, rows, width):
-    """A RowReducer (over Q, an exact _RationalSpan) after inserting rows."""
-    span = RowReducer(field, width) if field.char else _RationalSpan(width)
+    """A RowReducer (over Q, an exact RationalSpan) after inserting rows."""
+    span = RowReducer(field, width) if field.char else RationalSpan(width)
     for r in rows:
         span.insert(r)
     return span
@@ -34,7 +34,7 @@ def reduced(field, rows, width):
 
 def pivots(span):
     """Pivot columns of a RowReducer, read off its RREF rows; over odd p they
-    must match the pivot list the reducer keeps.  A _RationalSpan keeps its
+    must match the pivot list the reducer keeps.  A RationalSpan keeps its
     own list."""
     if not isinstance(span, RowReducer):
         return span.pivots
@@ -81,7 +81,8 @@ def test_rref_span_matches_enumeration():
 
 def test_rref_idempotent_and_order_independent():
     # RowReducer rows are sympy's RREF whatever the insertion order, also
-    # from unreduced integers; over Q the exact span has sympy's span
+    # from unreduced integers; over Q the exact span has sympy's span, and
+    # its canonical form, unlike its Bareiss rows, is the same in any order
     rng = random.Random(7)
     for field in (GF(2), GF(5), QQ):
         for _ in range(25):
@@ -97,7 +98,10 @@ def test_rref_idempotent_and_order_independent():
                     assert span_basis(field, r.rows) == expected
                 assert r.dim == len(expected)
                 again = reduced(field, r.rows, 4)
-                assert (again.rows, pivots(again)) == (r.rows, pivots(r))
+                if field.char:
+                    assert (again.rows, pivots(again)) == (r.rows, pivots(r))
+                else:
+                    assert (again.canonical(), again.pivots) == (r.canonical(), r.pivots)
 
 
 def test_rref_rejects_bad_entries():
@@ -128,12 +132,19 @@ def test_row_reducer_incremental():
     assert first == [1, 1, 0] and r.rows[0] == [1, 0, 2]
 
 
+def _lcm_scaled(basis) -> tuple:
+    """A span_basis over Q times the lcm of its denominators: (delta, rows)."""
+    d = math.lcm(*(x.denominator for row in basis for x in row))
+    return d, [[int(x * d) for x in row] for row in basis]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_one_pass_span_equals_one_at_a_time_inserts(data):
-    # spanned_by on independent integer vectors builds the canonical span
-    # that inserting them one at a time does; leading zeros of random
-    # length, in random order, make the pass swap rows
+def test_rational_span_canonical_form_is_sympy_rref(data):
+    # one-at-a-time inserts in two random orders: the Bareiss state (delta,
+    # rows) depends on the order, canonical() is sympy's RREF scaled by the
+    # lcm of its denominators in both; leading zeros of random length make
+    # the pivots arrive out of order
     width = data.draw(st.integers(1, 12), label="width")
     entries = st.one_of(st.integers(-3, 3), st.integers(-(2**100), 2**100))
 
@@ -143,15 +154,33 @@ def test_one_pass_span_equals_one_at_a_time_inserts(data):
         return [0] * zeros + draw(st.lists(entries, min_size=width - zeros, max_size=width - zeros))
 
     drawn = data.draw(st.lists(vectors(), min_size=1, max_size=width + 2), label="vectors")
-    inserted = _RationalSpan(width)
-    independent = [v for v in drawn if inserted.insert(v)]
-    built = _RationalSpan.spanned_by(width, independent)
-    assert (built.delta, built.rows, built.pivots, built.columns) == (
-        inserted.delta,
-        inserted.rows,
-        inserted.pivots,
-        inserted.columns,
+    basis = span_basis(QQ, drawn)
+    pivots = [next(k for k, x in enumerate(row) if x) for row in basis]
+    for order in range(2):
+        shuffled = data.draw(st.permutations(drawn), label=f"order {order}")
+        span = reduced(QQ, shuffled, width)
+        assert span.canonical() == _lcm_scaled(basis)
+        assert span.pivots == pivots
+        assert all(row[c] == span.delta for row, c in zip(span.rows, span.pivots))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rational_span_mod_p_is_row_reducer(data):
+    # mod p, RationalSpan keeps the RREF over F_p that RowReducer keeps:
+    # the same rows after the same integer inserts, and both grow on the
+    # same vectors
+    p = data.draw(st.sampled_from([2, 3, 5, 2**31 - 1]), label="p")
+    width = data.draw(st.integers(1, 8), label="width")
+    entries = st.one_of(st.integers(-2 * p, 2 * p), st.integers(-(2**40), 2**40))
+    drawn = data.draw(
+        st.lists(st.lists(entries, min_size=width, max_size=width), max_size=width + 3), label="vectors"
     )
+    span, reducer = RationalSpan(width, p), RowReducer(GF(p), width)
+    for v in drawn:
+        assert (span.insert(v) is None) == (reducer.insert(v) is None)
+        assert (span.delta, span.rows, span.pivots) == (1, reducer.rows, pivots(reducer))
+        assert span.canonical() == (1, reducer.rows)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
