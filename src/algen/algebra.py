@@ -338,20 +338,10 @@ def _closure_reducer(
     dim and rows.  The seed is the rows, plus the arity-0 constants when
     unital.  Over F_p a caller that holds the seed's RREF already may pass
     it as span: the closure then starts from its rows, inserts no seed
-    vector, and grows span in place.  One straight-line loop keeps a list of
-    generators: first the rows of the starting span and the seed vectors
-    that enlarged it, then every operation value that enlarged it.
-    _new_tuples hands the loop every tuple of generators exactly once, the
-    tuples of each new generator with the seed before those with the other
-    new generators.  The loop stops at full dimension or when the tuples
-    run out.  Below full dimension every operation on every tuple of
-    generators has then been evaluated and lies in their span, which is
-    therefore closed (by multilinearity it is the closure), and its
-    dimension is the number of generators.  The monomial count is the final
-    dimension minus the rank of the seed.
+    vector, and grows span in place.  The seed and then the operation values
+    (_new_values) go through _grow, so the final dimension is the number of
+    generators, and the monomial count is that minus the rank of the seed.
 
-    Over F_p each generator is an RREF row: one of the starting span, or
-    the row that RowReducer.insert returns when it adds one.
     Over Q only the span of a value matters, so the tensors scaled to
     integers (_scaled_ops) are evaluated on integer generators, and each
     value is first tested against the span of the generators mod P =
@@ -363,12 +353,13 @@ def _closure_reducer(
     b_i g_i mod P.  The same argument shows that generators independent mod
     P are independent over Q, so such a value becomes a new generator with
     no exact work, and r of them span Q^r.  Values inside the span mod P
-    are kept pending.  When the generators run out below full dimension,
-    their exact span, one RationalSpan.add step per generator (they are
-    independent), decides each pending value; one that is new over Q (P
-    was a bad prime for it) becomes a generator, and the loop goes on
-    testing every value exactly.  A bad prime costs time, never
-    correctness, and no structure constant needs to be P-integral.
+    are kept pending.  When the values run out below full dimension, the
+    exact span of the generators, one RationalSpan.add step per generator
+    (they are independent), decides each pending value; one that is new
+    over Q (P was a bad prime for it) becomes a generator, and the closure
+    goes on exactly, the tuples of the generators so far done, as for a
+    seed.  A bad prime costs time, never correctness, and no structure
+    constant needs to be P-integral.
 
     Most pending values need no exact arithmetic, by a size bound.  Let
     bound = delta + max_k sum_i |rows[i][k]| over the non-pivot columns k of
@@ -381,8 +372,8 @@ def _closure_reducer(
     mod P.  Hence each equation delta v[k] - sum_i v[c_i] rows[i][k] is 0
     mod P; smaller than P in absolute value, it is 0.  Larger values take
     the exact column test, and when bound >= P every nonzero value does,
-    which covers P dividing delta.  A value that grows the span renews the
-    bound.
+    which covers P dividing delta.  A value within the bound lies in every
+    span grown from this one, so the first bound serves all pending values.
     """
     r = alg.dim
     pending = None
@@ -398,59 +389,64 @@ def _closure_reducer(
             span = RowReducer(alg.field, r)
         else:
             seed = ()  # span holds the seed's RREF already
-    grow = span.insert
     # a new list: gens grows, and over odd p rows is the reducer's own list
     gens = list(span.rows)
-    for v in seed:
-        g = grow(v)
-        if g:
-            gens.append(g)
-        elif pending is not None:
-            pending.append(v)
-    # generators below base come from the seed
+    _grow(span, seed, gens, pending)
     base = seed_rank = len(gens)
     if pending and seed_rank < r:
         # a seed vector inside the span mod P may still be new over Q
         exact = RationalSpan(r)
         seed_rank = sum(1 for v in seed if exact.insert(v))
-    ops = [op for op in ops if op.arity and op.entries]
-    start = 0
-    while len(gens) < r:
-        for op, args in _new_tuples(ops, gens, base, start):
-            value = eval_tensor(op, r, args)
-            g = grow(value)
-            if g:
-                gens.append(g)
-                if len(gens) == r:
-                    break
-            elif pending is not None:
-                pending.append(value)
-        if pending is None or len(gens) == r:
-            break
-        # the mod-P generators ran out: decide the pending values exactly;
-        # the tuples of the generators so far are done, as for a seed
-        base = start = len(gens)
+    _grow(span, _new_values(ops, r, gens, base, 0), gens, pending)
+    if alg.field == QQ and not span.full:
+        base = len(gens)
         span = RationalSpan(r)
         for g in gens:
             span.add(g)
-        grow = span.insert
         # the bound reads every column, so it waits for a value to settle
         if pending:
             limit = span.size_limit(_WITNESS_PRIME)
-        for v in pending:
-            if max(map(abs, v)) > limit and grow(v):
-                gens.append(v)
-                limit = span.size_limit(_WITNESS_PRIME)
-        pending = None
+            _grow(span, (v for v in pending if max(map(abs, v)) > limit), gens)
+        _grow(span, _new_values(ops, r, gens, base, base), gens)
     # a full span mod P is the identity RREF with delta 1, also its RREF over Q
     return span, len(gens) - seed_rank
 
 
-def _new_tuples(ops, gens: list, base: int, start: int):
-    """(op, arguments) for each op and each tuple of generators with an
-    index at least start, each tuple once.  gens[:base] are the seed's
-    generators and start is 0 or base.  Reads gens as it grows, so the
-    generators appended meanwhile are combined too.
+def _grow(span, values: Iterable, gens: list, pending: Optional[list] = None) -> None:
+    """Insert values into span until it is full, appending to gens whatever
+    span.insert returns when the span grows; a value that does not grow it
+    goes to pending when pending is given.
+
+    The one closure loop, for a RowReducer over F_p, a RationalSpan over Q
+    or mod P, and a HermiteReducer over Z.  It is semi-naive evaluation
+    (Bancilhon and Ramakrishnan, SIGMOD 1986): gens holds the generators,
+    first the span's rows or seed vectors, then each operation value that
+    grew the span, as insert returns it, and _new_values evaluates every
+    operation once on every tuple of generators, including the generators
+    appended while it runs.  When those values run out below a full span,
+    every operation on every tuple of generators lies in their span, which
+    is therefore closed, since by multilinearity an operation on members of
+    the span is a combination of its values on generators.  A full span is
+    closed already, so no value is read once the span is full.
+    """
+    if span.full:
+        return
+    insert = span.insert
+    for v in values:
+        g = insert(v)
+        if g is not None:
+            gens.append(g)
+            if span.full:
+                return
+        elif pending is not None:
+            pending.append(v)
+
+
+def _new_values(ops, width: int, gens: list, base: int, start: int):
+    """eval_tensor of each op of positive arity on each tuple of generators
+    with an index at least start, each tuple once.  gens[:base] are the
+    seed's generators and start is 0 or base.  Reads gens as it grows, so
+    the generators appended meanwhile are combined too.
 
     Two cursors walk gens.  The first takes generator j to the tuples of j
     and indices below min(j, base): a seed generator meets the seed
@@ -461,12 +457,13 @@ def _new_tuples(ops, gens: list, base: int, start: int):
     tuple whose highest index is m comes from the first cursor at m when
     its other indices lie below min(m, base), else from the second at m.
     So when both cursors reach the end of gens, every tuple of generators
-    has been yielded exactly once.
+    has been evaluated exactly once.
 
     A symmetric binary op takes each unordered pair once, since op(x, y) =
     op(y, x).  Binary tuples are built directly; other arities filter the
     tuples over range(m + 1).
     """
+    ops = [op for op in ops if op.arity and op.entries]
     j, k = start, base
     while True:
         if j < len(gens):
@@ -483,16 +480,16 @@ def _new_tuples(ops, gens: list, base: int, start: int):
                 both = not op.symmetric
                 for a in partners:
                     h = gens[a]
-                    yield op, (h, g)
+                    yield eval_tensor(op, width, (h, g))
                     if both:
-                        yield op, (g, h)
+                        yield eval_tensor(op, width, (g, h))
                 if first:
-                    yield op, (g, g)
+                    yield eval_tensor(op, width, (g, g))
                 continue
             for idx in itertools.product(range(new + 1), repeat=op.arity):
                 # the first cursor's tuples are those whose other indices lie below base
                 if new in idx and all(a < base or a == new for a in idx) == first:
-                    yield op, [gens[a] for a in idx]
+                    yield eval_tensor(op, width, [gens[a] for a in idx])
 
 
 def integral_row(v: Sequence[Scalar]) -> list[int]:

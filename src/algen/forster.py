@@ -76,11 +76,11 @@ class ConstructibleSet:
         return not self.cofinite and not self.primes
 
     @property
-    def dimension(self):
-        """1 for cofinite, 0 for finite nonempty, -inf for empty."""
+    def dimension(self) -> int:
+        """1 for cofinite, 0 for finite nonempty, -1 for empty."""
         if self.cofinite:
             return 1
-        return 0 if self.primes else float("-inf")
+        return 0 if self.primes else -1
 
     # -- set algebra ---------------------------------------------------------
 

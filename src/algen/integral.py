@@ -25,7 +25,8 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     Multialgebra,
     OperationTensor,
-    _new_tuples,
+    _grow,
+    _new_values,
     canonical_tensor,
     check_roles,
     eval_tensor,
@@ -332,16 +333,13 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
     Z^m that contains the relation rows, so two element lists span the same
     subgroup of M exactly when the canonical rows coincide.
 
-    Semi-naive, as the field closure: a list of generators holds the seed
-    vectors and then the operation values that enlarged the lattice (as
-    HermiteReducer.insert returns them), and _new_tuples evaluates each op
-    on each tuple of generators once, those of a new generator as it comes.
-    When the tuples run out every value lies in the lattice, which is
-    therefore closed, since by multilinearity op on lattice vectors is an
-    integer combination of op on generators and of op on tuples with a
-    relation row, and the latter lie in the relations because every op
-    descends to M.  All of Z^m is closed under every operation, so the loop
-    stops once the lattice is full.
+    The field closure's loop (algebra._grow over algebra._new_values) on
+    one HermiteReducer that holds the relation rows: its generators are the
+    seed vectors and each operation value that enlarged the lattice, as
+    HermiteReducer.insert returns them.  Relation rows take no operations:
+    by multilinearity op on lattice vectors is an integer combination of op
+    on generators and of op on tuples with a relation row, and the latter
+    lie in the relations because every op descends to M.
     """
     m = A.rank
     reducer = HermiteReducer(m)
@@ -349,15 +347,9 @@ def monomial_subgroup(A: IntegralAlgebra, elements: Iterable[Sequence[int]]) -> 
         reducer.insert(row)
     seed = [reduce_element(A.factors, v) for v in elements]
     seed.extend(eval_tensor(op, m, ()) for op in A.ops if op.arity == 0)
-    gens = [g for g in map(reducer.insert, seed) if g is not None]
-    ops = [op for op in A.ops if op.arity and op.entries]
-    if not reducer.full:
-        for op, args in _new_tuples(ops, gens, len(gens), 0):
-            g = reducer.insert(eval_tensor(op, m, args))
-            if g is not None:
-                gens.append(g)
-                if reducer.full:
-                    break
+    gens = []
+    _grow(reducer, seed, gens)
+    _grow(reducer, _new_values(A.ops, m, gens, len(gens), 0), gens)
     return reducer.lattice()
 
 

@@ -44,6 +44,10 @@ class RowReducer:
         return len(self._rows)
 
     @property
+    def full(self) -> bool:
+        return len(self._rows) == self.width
+
+    @property
     def rows(self) -> list[list[int]]:
         """The RREF rows as coordinate lists (the reducer's own list over odd
         p, fresh lists over F_2)."""
@@ -171,6 +175,10 @@ class RationalSpan:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def full(self) -> bool:
+        return len(self.rows) == self.width
 
     def canonical(self) -> tuple[int, list[list[int]]]:
         """(delta, rows) for the least positive delta that makes the RREF

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import operator
@@ -606,6 +607,53 @@ def test_generating_closure_pairs_new_generators_with_the_seed_first(monkeypatch
     assert alb.ops[alb.product_index].symmetric
     ok, _, _, total = _evaluations(monkeypatch, alb, albert_generators(alb), unital=True)
     assert ok and total <= 70
+
+
+def test_value_source_evaluates_each_new_tuple_once(monkeypatch):
+    # _new_values against a brute-force enumeration of the tuples of the
+    # final generators, some appended while the source is read: each tuple
+    # with an index at least start once, a symmetric product on each
+    # unordered pair once, no constant and no empty tensor, and each new
+    # generator's tuples with the seed before its other tuples
+    def tensor(arity, idx):
+        return OperationTensor(arity=arity, entries=((idx, ((0, 1),)),))
+
+    constant, unary = tensor(0, ()), tensor(1, (0,))
+    product, commutative, ternary = tensor(2, (0, 1)), tensor(2, (0, 0)), tensor(3, (0, 1, 2))
+    empty = OperationTensor(arity=2, entries=())
+    assert commutative.symmetric and not product.symmetric
+    calls = []
+    monkeypatch.setattr(algen.algebra, "eval_tensor", lambda op, width, args: calls.append((op, args)))
+    rng = random.Random(5)
+    appended = 0
+    for _ in range(300):
+        ops = [op for op in (constant, unary, product, commutative, ternary, empty) if rng.randrange(3)]
+        gens = [[i] for i in range(rng.randrange(4))]
+        base = rng.randrange(len(gens) + 1)
+        start = rng.choice((0, base))
+        limit = len(gens) + rng.randrange(4)
+        calls.clear()
+        for _ in algen.algebra._new_values(ops, 1, gens, base, start):
+            if len(gens) < limit and not rng.randrange(3):
+                gens.append([len(gens)])
+                appended += 1
+        index = {id(g): i for i, g in enumerate(gens)}
+        seen = [(op, tuple(index[id(g)] for g in args)) for op, args in calls]
+        expected = [
+            (op, idx)
+            for op in ops
+            if op.arity and op.entries
+            for idx in itertools.product(range(len(gens)), repeat=op.arity)
+            if max(idx) >= start and (op is not commutative or idx[0] <= idx[1])
+        ]
+        unordered = [(op, tuple(sorted(idx)) if op is commutative else idx) for op, idx in seen]
+        assert collections.Counter(unordered) == collections.Counter(expected)
+        for g in range(base, len(gens)):
+            owned = [k for k, (_, idx) in enumerate(seen) if max(idx) == g]
+            with_seed = [k for k in owned if all(a < base or a == g for a in seen[k][1])]
+            others = [k for k in owned if k not in with_seed]
+            assert max(with_seed, default=-1) < min(others, default=len(seen))
+    assert appended > 100
 
 
 @settings(max_examples=100, deadline=None)

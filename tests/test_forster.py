@@ -69,7 +69,7 @@ def least_members(region, k):
 
 def test_constructible_set_basics():
     assert finite_set(()).is_empty
-    assert finite_set(()).dimension == float("-inf")
+    assert finite_set(()).dimension == -1
     assert finite_set((5,)).dimension == 0
     assert cofinite_set((2,)).dimension == 1
     assert not cofinite_set(()).is_empty
@@ -210,15 +210,22 @@ def test_lift_matrix_algebra():
 
 def test_mat6_lift_counts(monkeypatch):
     # exact counts, no timing, for the Mat_6(Z) n = 2 lift: Z evaluations
-    # in the monomial subgroups of the lift and of its replay, and the
-    # longest coefficient, in bits, that any Hermite form reached
+    # in the monomial subgroups of the lift and of its replay (the seed's
+    # constants and the values the closure loop reads), and the longest
+    # coefficient, in bits, that any Hermite form reached
     evaluations = [0]
     bits = [0]
     real_settle = HermiteReducer._settle
+    real_values = algen.integral._new_values
 
     def counting(*args):
         evaluations[0] += 1
         return eval_tensor(*args)
+
+    def values(*args):
+        for value in real_values(*args):
+            evaluations[0] += 1
+            yield value
 
     def settle(reducer, c):
         real_settle(reducer, c)
@@ -226,6 +233,7 @@ def test_mat6_lift_counts(monkeypatch):
         bits[0] = max(bits[0], longest)
 
     monkeypatch.setattr(algen.integral, "eval_tensor", counting)
+    monkeypatch.setattr(algen.integral, "_new_values", values)
     monkeypatch.setattr(HermiteReducer, "_settle", settle)
     M = integral_matrix_algebra(6)
     cert = forster_lift(M, 2)

@@ -30,6 +30,7 @@ from algen.integral import (
 )
 from algen.zoo import matrix_algebra, split_etale
 from support import (
+    _descent_safe_tensor,
     evaluate,
     involution,
     lattice_contains,
@@ -565,6 +566,33 @@ def test_semi_naive_subgroup_matches_the_round_loop(seed, torsion, symmetric, he
         A = _symmetrized(A)
     S = [tuple(rng.randint(-height, height) for _ in range(A.rank)) for _ in range(rng.randrange(5))]
     assert monomial_subgroup(A, S) == subgroup_by_rounds(A, S)
+
+
+def test_subgroup_matches_the_round_loop_with_a_ternary_op():
+    # the closure loop's general-arity tuples over Z: a product and a
+    # descent-safe arity-3 operation on rank at most 4, each draw checked
+    # against the plain round loop, and the ternary op enlarges some lattices
+    factors = (0, 0, 0, 0)
+    # b3 = t(b1, b2, b0) needs a tuple of two generators beyond the seed b0
+    chain = make_z_tensor(factors, 3, [((0, 0, 0), 1, 1), ((1, 0, 0), 2, 1), ((1, 2, 0), 3, 2)])
+    A = IntegralAlgebra(factors=factors, ops=(make_z_tensor(factors, 2, []), chain), product_index=0)
+    B = monomial_subgroup(A, [(1, 0, 0, 0)])
+    assert B == subgroup_by_rounds(A, [(1, 0, 0, 0)]) and B.rows[-1] == (0, 0, 0, 2)
+    rng = random.Random(31)
+    shapes = [(2,), (0,), (6,), (2, 0), (6, 0), (2, 4), (2, 2, 0), (3, 0, 0), (2, 4, 0, 0), (0, 0, 0, 0)]
+    enlarged = 0
+    for _ in range(150):
+        factors = shapes[rng.randrange(len(shapes))]
+        m = len(factors)
+        prod = _descent_safe_tensor(rng, factors, 2, rng.randrange(1, 2 * m + 2))
+        ternary = _descent_safe_tensor(rng, factors, 3, rng.randrange(1, m + 2))
+        A = IntegralAlgebra(factors=factors, ops=(prod, ternary), product_index=0)
+        S = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(rng.randrange(5))]
+        B = monomial_subgroup(A, S)
+        assert B == subgroup_by_rounds(A, S), (A, S)
+        without = IntegralAlgebra(factors=factors, ops=(prod,), product_index=0)
+        enlarged += B != monomial_subgroup(without, S)
+    assert enlarged >= 10, enlarged
 
 
 def test_fiber_coherence_randomized():
