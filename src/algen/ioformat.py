@@ -575,7 +575,8 @@ def _replay_mingen(alg: Multialgebra, doc: dict) -> dict:
             "inconclusive: too costly to verify (budget above "
             f"max_exhaustive {MAX_VERIFY_EXHAUSTIVE}, random_trials {MAX_VERIFY_TRIALS})"
         )
-    return _mingen_body(alg, min_generators(alg, budget, unital=unital), budget)
+    # the rerun enumerates every tuple: it does not rely on the prover's prune
+    return _mingen_body(alg, min_generators(alg, budget, unital=unital, prune=False), budget)
 
 
 def _replay_bad_primes(A: IntegralAlgebra, doc: dict) -> dict:

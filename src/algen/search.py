@@ -15,6 +15,14 @@ validation.  `tested` still counts tuples.
 Otherwise seeded random sampling gives upper bounds only.  Every random
 draw uses a per-trial generator derived from (seed, trial index), so
 results are reproducible regardless of how the work is scheduled.
+
+`min_generators` also prunes once every smaller size is certified_none: a
+candidate whose residue modulo its node's span is zero lies in the span of
+the prefix (with the constants when unital), so its tuples span what an
+(n - 1)-tuple spans, and none of them generates.  The first generating
+tuple and every count stay as they are.  `completable` and the verifier's
+rerun (`prune=False`) enumerate every tuple: without the smaller sizes
+refuted first, a dependent tuple can be the first that generates.
 """
 
 from __future__ import annotations
@@ -91,17 +99,25 @@ class MinGenReport:
 
 
 def min_generators(
-    alg: Multialgebra, budget: SearchBudget = DEFAULT_BUDGET, unital: bool = False
+    alg: Multialgebra,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    unital: bool = False,
+    *,
+    prune: bool = True,
 ) -> MinGenReport:
     """Smallest generating tuple size, iterating n = 0, 1, 2, ...
 
     Each size is a completability search from the empty tuple.  The
     iteration stops at the first size that yields a generating tuple, and
-    never needs to pass n = dim since the basis itself generates.
+    never needs to pass n = dim since the basis itself generates.  While
+    every smaller size is certified_none, prune lets the walk skip the
+    linearly dependent tuples; the report is the same either way, and the
+    verifier reruns the search with prune=False.
     """
     attempts: list[CompletionResult] = []
     for n in range(alg.dim + 1):
-        attempts.append(completable(alg, [], n, budget, unital))
+        refuted = prune and all(a.status == "certified_none" for a in attempts)
+        attempts.append(_completion(alg, [], n, budget, unital, refuted))
         if attempts[-1].status == "found":
             break
     return MinGenReport(attempts=tuple(attempts), unital=unital)
@@ -175,8 +191,20 @@ def completable(
 
     Decides membership of the partial tuple in the set of completable
     i-tuples: exhaustive over all p^(r(n-i)) extensions when that fits the
-    budget (so a miss is a certified no), seeded random otherwise.
+    budget (so a miss is a certified no), seeded random otherwise.  It never
+    prunes, since the smaller sizes were not refuted first.
     """
+    return _completion(alg, partial, n, budget, unital, False)
+
+
+def _completion(
+    alg: Multialgebra,
+    partial: Sequence[Sequence],
+    n: int,
+    budget: SearchBudget,
+    unital: bool,
+    prune: bool,
+) -> CompletionResult:
     field = _require_prime_field(alg)
     p, r = field.p, alg.dim
     fixed = [validate_vector(field, v, r) for v in partial]
@@ -186,13 +214,13 @@ def completable(
     slots = n - i  # zero slots: the tuple itself is tested as-is
     total = p ** (r * slots)
     if total <= budget.max_exhaustive:
-        found = _exhaustive_completion(alg, fixed, slots, unital)
+        found = _exhaustive_completion(alg, fixed, slots, unital, prune)
         return found or CompletionResult("certified_none", None, total)
     return _random_completion(alg, fixed, slots, budget, unital)
 
 
 def _exhaustive_completion(
-    alg: Multialgebra, fixed: list[Element], slots: int, unital: bool
+    alg: Multialgebra, fixed: list[Element], slots: int, unital: bool, prune: bool
 ) -> Optional[CompletionResult]:
     """First generating extension of fixed by slots elements, or None.
 
@@ -203,7 +231,8 @@ def _exhaustive_completion(
     and inserts no seed vector.  A prefix whose RREF already appeared at
     the same length had all of its extensions refuted then (else the walk
     would have returned), so its subtree is skipped; the index still counts
-    the tuples in it.
+    the tuples in it.  prune skips the children inside their parent's span
+    too; it is sound only when every shorter tuple is known not to generate.
     """
     base = RowReducer(alg.field, alg.dim)
     for v in fixed:
@@ -212,13 +241,14 @@ def _exhaustive_completion(
         for const in alg.constants():
             base.insert(const)
     seen: list[set] = [set() for _ in range(slots)]
-    return _walk(alg, fixed, unital, seen, [], base, 0)
+    return _walk(alg, fixed, unital, prune, seen, [], base, 0)
 
 
 def _walk(
     alg: Multialgebra,
     fixed: list[Element],
     unital: bool,
+    prune: bool,
     seen: list[set],
     chosen: list[Element],
     reducer: RowReducer,
@@ -235,9 +265,12 @@ def _walk(
     residue modulo reducer is new at this node: span(reducer + v) depends
     only on that residue, so a repeat has the span of an earlier child,
     whose key is in seen[depth] already, and each distinct child span is
-    copied and inserted once.  This is a module-level function rather than
-    a nested one because a recursive closure is a reference cycle, which
-    would keep seen alive until a full collection.
+    copied and inserted once.  With prune, the zero residue counts as met
+    before the first candidate: a child inside reducer's span gives tuples
+    that span what a shorter tuple spans, and the caller sets prune only
+    once every shorter tuple is refuted.  This is a module-level function
+    rather than a nested one because a recursive closure is a reference
+    cycle, which would keep seen alive until a full collection.
     """
     p, r = alg.field.p, alg.dim
     depth = len(chosen)
@@ -248,7 +281,8 @@ def _walk(
         cert = replace(cert, index=index)
         return CompletionResult("found", cert, index + 1)
     below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
-    tried = set()  # residues modulo reducer of the children met so far
+    # residues modulo reducer of the children met so far
+    tried = {reducer.residue((0,) * r)} if prune else set()
     # product() varies the last coordinate fastest: lexicographic order
     for t, v in enumerate(itertools.product(range(p), repeat=r)):
         residue = reducer.residue(v)
@@ -262,7 +296,7 @@ def _walk(
             continue
         seen[depth].add(key)
         chosen.append(v)
-        found = _walk(alg, fixed, unital, seen, chosen, child, index + t * below)
+        found = _walk(alg, fixed, unital, prune, seen, chosen, child, index + t * below)
         chosen.pop()
         if found is not None:
             return found

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -10,7 +11,7 @@ import algen.algebra
 import algen.search
 from algen.algebra import Multialgebra, is_generating, make_tensor, replay_certificate
 from algen.fields import GF, QQ
-from algen.ioformat import canonical_json, mingen_report_doc
+from algen.ioformat import ParsedAlgebra, canonical_json, mingen_report_doc, verify_certificate
 from algen.linalg import RowReducer
 from algen.search import (
     DEFAULT_BUDGET,
@@ -356,9 +357,10 @@ def test_min_generators_skips_tuples_with_seen_span(monkeypatch):
     rep = min_generators(A)
     assert [a.tested for a in rep.attempts] == [1, 4, 7]
     assert rep.certificate.index == 6
-    # n = 2 closes (0, v) for the four v, then ((0,1), (1,0)); the pairs
-    # ((0,1), (0,0)) and ((0,1), (0,1)) repeat the span of ((0,0), (0,1))
-    assert len(calls) == 1 + 4 + 5
+    # sizes 0 and 1 are refuted first, so the walk skips each candidate
+    # inside its prefix's span: n = 1 skips (0, 0), and n = 2 skips every
+    # pair with a zero or a repeated vector and closes ((0,1), (1,0)) alone
+    assert len(calls) == 1 + 3 + 1
     per_size = {}
     for span, (_, elements, _) in zip(_spans(calls), calls):
         per_size.setdefault(len(elements), []).append(span)
@@ -418,9 +420,10 @@ def test_exhaustive_leaves_insert_no_seed_vectors(monkeypatch):
 
 def test_exhaustive_walk_builds_each_child_span_once(monkeypatch):
     # a node copies its span only for a candidate whose residue modulo that
-    # span is new there, and the leaves validate no element.  Pinned when
-    # the walk began to skip repeated residues; it copied 3,303 and 177
-    # times before, once per candidate at every inner node
+    # span is new there and, once the smaller sizes are refuted, nonzero; the
+    # leaves validate no element.  Pinned when mingen began to skip the zero
+    # residue; it copied 1,467 and 88 times before, and 3,303 and 177 times
+    # before the walk skipped repeated residues
     counts = {"copies": 0, "validations": 0}
 
     def counting(name, fn):
@@ -432,7 +435,41 @@ def test_exhaustive_walk_builds_each_child_span_once(monkeypatch):
 
     monkeypatch.setattr(RowReducer, "copy", counting("copies", RowReducer.copy))
     monkeypatch.setattr(algen.algebra, "validate_vector", counting("validations", algen.algebra.validate_vector))
-    for alg, copies in ((split_etale(GF(2), 5), 1467), (matrix_algebra(GF(3), 2), 88)):
+    for alg, copies in ((split_etale(GF(2), 5), 804), (matrix_algebra(GF(3), 2), 44)):
         counts.update(copies=0, validations=0)
         assert min_generators(alg).lower_bound_certified
         assert counts == {"copies": copies, "validations": 0}
+
+
+def test_prover_prunes_dependent_tuples_and_verifier_does_not(monkeypatch):
+    # the mingen-fp families: once the smaller sizes are refuted, the prover
+    # skips every tuple with an element inside its prefix's span, while the
+    # verifier's rerun closes every distinct span as the prover did before
+    calls = _count_closures(monkeypatch)
+    for alg, unital, prover, verifier in (
+        (split_etale(GF(2), 5), False, 274, 494),
+        (split_etale(GF(2), 5), True, 58, 126),
+        (zero_algebra(GF(2), 4), False, 67, 201),
+        (matrix_algebra(GF(3), 2), False, 44, 86),
+        (split_etale(GF(3), 4), False, 77, 119),
+    ):
+        calls.clear()
+        rep = min_generators(alg, unital=unital)
+        assert rep.lower_bound_certified and len(calls) == prover
+        doc = json.loads(canonical_json(mingen_report_doc(alg, rep, DEFAULT_BUDGET)))
+        calls.clear()
+        assert verify_certificate(ParsedAlgebra(alg), doc) == (True, "ok")
+        assert len(calls) == verifier
+
+
+def test_completable_never_prunes():
+    # Forster's local searches do not refute the smaller sizes first, so the
+    # first completing tuple may hold a dependent element: here (0, 0), which
+    # a pruned walk would skip
+    A = split_etale(GF(3), 2)
+    res = completable(A, [], 2)
+    assert res.status == "found" and res.certificate.elements == ((0, 0), (1, 2))
+    assert res.tested == 6
+    res = completable(A, [], 2, unital=True)
+    assert res.status == "found" and res.certificate.elements == ((0, 0), (0, 1))
+    assert res.tested == 2
