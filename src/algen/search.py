@@ -1,28 +1,25 @@
 """Generator-tuple search: exhaustive counts, random probes, completability.
 
-Exhaustive enumeration tests tuples in lexicographic order over concatenated
-coordinate vectors whenever the candidate count fits the budget, so refuted
-sizes are certified and the reported tuple is the lexicographically smallest
-one.  The subalgebra a tuple generates depends only on its linear span (with
-the constants adjoined when unital), so each distinct span is closed once:
-a tuple whose span already appeared earlier at the same size was refuted
-then and is skipped, and so is every extension of a prefix whose span
-already appeared at the same length.  Each node of the walk builds each
-distinct child span once: a candidate whose residue modulo the node's span
-repeats an earlier candidate's gives that candidate's span, and is skipped
-before any copy.  A leaf trusts the walk's own tuples, which need no
-validation.  `tested` still counts tuples.
-Otherwise seeded random sampling gives upper bounds only.  Every random
-draw uses a per-trial generator derived from (seed, trial index), so
+One loop, `_first`, closes candidate extensions of a fixed prefix and
+returns the first certificate that generates, stamped with the candidate's
+provenance.  `_completion` picks one of two candidate sources for it.
+When the p^(r·slots) extensions fit the budget, `_spans` enumerates them,
+so a miss is certified and a hit is the lexicographically smallest tuple.
+The subalgebra a tuple generates depends only on its span (with the
+constants adjoined when unital), so `_spans` yields each distinct span
+once, with its RREF for the closure to start from, and builds each
+distinct child span of a prefix once.  `tested` still counts tuples.
+Otherwise `_draws` yields seeded random extensions, which give upper
+bounds only; each uses a generator derived from (seed, trial index), so
 results are reproducible regardless of how the work is scheduled.
 
 `min_generators` also prunes once every smaller size is certified_none: a
-candidate whose residue modulo its node's span is zero lies in the span of
-the prefix (with the constants when unital), so its tuples span what an
-(n - 1)-tuple spans, and none of them generates.  The first generating
-tuple and every count stay as they are.  `completable` and the verifier's
-rerun (`prune=False`) enumerate every tuple: without the smaller sizes
-refuted first, a dependent tuple can be the first that generates.
+candidate inside the span of its prefix (with the constants when unital)
+gives tuples that span what an (n - 1)-tuple spans, and none of them
+generates.  The first generating tuple and every count stay as they are.
+`completable` and the verifier's rerun (`prune=False`) enumerate every
+tuple: without the smaller sizes refuted first, a dependent tuple can be
+the first that generates.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .algebra import Element, GenerationCertificate, Multialgebra, is_generating
+from .algebra import GenerationCertificate, Multialgebra, is_generating
 from .fields import Field, PrimeField, validate_vector
 from .linalg import RowReducer
 
@@ -56,20 +53,6 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
-
-
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    return random.Random(seed * (1 << 64) + trial)
-
-
-def _random_element(rng: random.Random, field: Field, r: int, height: int) -> Element:
-    return tuple(field.coerce(rng.randint(-height, height)) for _ in range(r))
-
-
-def _require_prime_field(alg: Multialgebra) -> PrimeField:
-    if not isinstance(alg.field, PrimeField):
-        raise ValueError("exhaustive search needs a finite (prime) field")
-    return alg.field
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +122,7 @@ def random_probe(
     """
     if n < 0:
         raise ValueError("tuple size must be nonnegative")
-    return _random_completion(alg, [], n, budget, unital).certificate
-
-
-def _random_completion(
-    alg: Multialgebra, fixed: list[Element], slots: int, budget: SearchBudget, unital: bool
-) -> CompletionResult:
-    """First generating extension of fixed by slots seeded random elements."""
-    for trial in range(budget.random_trials):
-        rng = _trial_rng(budget.seed, trial)
-        ext = [_random_element(rng, alg.field, alg.dim, budget.coeff_height) for _ in range(slots)]
-        ok, cert = is_generating(alg, fixed + ext, unital=unital)
-        if ok:
-            cert = replace(cert, seed=budget.seed, trial=trial)
-            return CompletionResult("found", cert, trial + 1)
-    return CompletionResult("inconclusive", None, budget.random_trials)
+    return _first(alg, [], unital, _draws(alg.field, alg.dim, n, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -205,89 +174,99 @@ def _completion(
     unital: bool,
     prune: bool,
 ) -> CompletionResult:
-    field = _require_prime_field(alg)
-    p, r = field.p, alg.dim
+    field, r = alg.field, alg.dim
+    if not isinstance(field, PrimeField):
+        raise ValueError("exhaustive search needs a finite (prime) field")
     fixed = [validate_vector(field, v, r) for v in partial]
     i = len(fixed)
     if i > n:
         raise ValueError(f"partial tuple of length {i} cannot extend to length {n}")
     slots = n - i  # zero slots: the tuple itself is tested as-is
-    total = p ** (r * slots)
-    if total <= budget.max_exhaustive:
-        found = _exhaustive_completion(alg, fixed, slots, unital, prune)
-        return found or CompletionResult("certified_none", None, total)
-    return _random_completion(alg, fixed, slots, budget, unital)
-
-
-def _exhaustive_completion(
-    alg: Multialgebra, fixed: list[Element], slots: int, unital: bool, prune: bool
-) -> Optional[CompletionResult]:
-    """First generating extension of fixed by slots elements, or None.
-
-    Extensions are tested in lexicographic order by a depth-first walk that
-    keeps the RREF of span(fixed + prefix), with the constants when unital.
-    The verdict, closure dimension and monomial count of a tuple depend
-    only on that span, so at a leaf the closure starts from the walk's RREF
-    and inserts no seed vector.  A prefix whose RREF already appeared at
-    the same length had all of its extensions refuted then (else the walk
-    would have returned), so its subtree is skipped; the index still counts
-    the tuples in it.  prune skips the children inside their parent's span
-    too; it is sound only when every shorter tuple is known not to generate.
-    """
-    base = RowReducer(alg.field, alg.dim)
-    for v in fixed:
+    total = field.p ** (r * slots)
+    if total > budget.max_exhaustive:
+        cert = _first(alg, fixed, unital, _draws(field, r, slots, budget))
+        if cert is None:
+            return CompletionResult("inconclusive", None, budget.random_trials)
+        return CompletionResult("found", cert, cert.trial + 1)
+    base = RowReducer(field, r)  # the span of fixed, with the constants when unital
+    for v in fixed + (alg.constants() if unital else []):
         base.insert(v)
-    if unital:
-        for const in alg.constants():
-            base.insert(const)
-    seen: list[set] = [set() for _ in range(slots)]
-    return _walk(alg, fixed, unital, prune, seen, [], base, 0)
+    cert = _first(alg, fixed, unital, _spans(base, slots, prune))
+    if cert is None:
+        return CompletionResult("certified_none", None, total)
+    return CompletionResult("found", cert, cert.index + 1)
 
 
-def _walk(
-    alg: Multialgebra,
-    fixed: list[Element],
-    unital: bool,
-    prune: bool,
-    seen: list[set],
-    chosen: list[Element],
-    reducer: RowReducer,
-    index: int,
-) -> Optional[CompletionResult]:
-    """First generating extension of fixed + chosen, or None.
+# ---------------------------------------------------------------------------
+# The search loop and its two candidate sources
+# ---------------------------------------------------------------------------
 
-    reducer holds the RREF of fixed + chosen, with the constants when
-    unital; a leaf hands it to is_generating as the closure's starting
-    span, which grows it, with fixed + chosen as they are: completable
-    validated fixed, and chosen comes from product(range(p)).  index is the
-    position of the first tuple below this node.  seen[d] holds the keys of
-    the RREFs met at prefix length d + 1.  A child v is built only when its
-    residue modulo reducer is new at this node: span(reducer + v) depends
-    only on that residue, so a repeat has the span of an earlier child,
-    whose key is in seen[depth] already, and each distinct child span is
-    copied and inserted once.  With prune, the zero residue counts as met
-    before the first candidate: a child inside reducer's span gives tuples
-    that span what a shorter tuple spans, and the caller sets prune only
-    once every shorter tuple is refuted.  This is a module-level function
-    rather than a nested one because a recursive closure is a reference
-    cycle, which would keep seen alive until a full collection.
+
+def _first(alg: Multialgebra, fixed: list, unital: bool, candidates) -> Optional[GenerationCertificate]:
+    """Certificate of the first fixed + extension that generates, or None.
+
+    candidates yields (extension, span, provenance): span is None when
+    is_generating must validate the elements, or else the RREF of fixed +
+    extension (with the constants when unital) for the closure to start
+    from and grow; provenance, a seed and trial or an index, is stamped on
+    the certificate.
     """
-    p, r = alg.field.p, alg.dim
+    for extension, span, provenance in candidates:
+        ok, cert = is_generating(alg, fixed + extension, unital=unital, span=span)
+        if ok:
+            return replace(cert, **provenance)
+    return None
+
+
+def _draws(field: Field, r: int, slots: int, budget: SearchBudget):
+    """(extension, None, {"seed": s, "trial": t}) for each trial t: slots
+    elements of length r, coordinates in [-coeff_height, coeff_height]
+    coerced into the field, drawn from a generator derived from (s, t).
+    With no slots every trial draws the same empty extension, so only trial
+    0 is yielded."""
+    h = budget.coeff_height
+    for trial in range(budget.random_trials if slots else 1):
+        rng = random.Random(budget.seed * (1 << 64) + trial)
+        extension = [tuple(field.coerce(rng.randint(-h, h)) for _ in range(r)) for _ in range(slots)]
+        yield extension, None, {"seed": budget.seed, "trial": trial}
+
+
+def _spans(base: RowReducer, slots: int, prune: bool):
+    """(extension, RREF, {"index": i}) for each distinct span of base + extension.
+
+    An extension is slots vectors with coordinates in [0, p).  Each span
+    comes with the lexicographically first extension that gives it, in
+    lexicographic order, i being its position among all p^(r·slots), and
+    with the RREF of base + extension, which the walk does not read again.
+    prune also skips every extension holding an element inside the span of
+    base and the elements before it.
+    """
+    if slots == 0:
+        return iter([([], base, {"index": 0})])
+    return _children(base, slots, prune, [set() for _ in range(slots)], [], 0)
+
+
+def _children(reducer: RowReducer, slots: int, prune: bool, seen: list, chosen: list, index: int):
+    """_spans below the prefix chosen, whose span is reducer.
+
+    index is the position of the first extension below it, and seen[d]
+    holds the keys of the spans met at prefix length d + 1: a prefix whose
+    span appeared before at its length is skipped with all its extensions,
+    which span what the earlier prefix's extensions span.  A child v is
+    built only when its residue modulo reducer is new here, since
+    span(reducer + v) depends only on that residue; with prune, the zero
+    residue counts as met before the first child.
+    """
+    p, r = reducer.p, reducer.width
     depth = len(chosen)
-    if depth == len(seen):
-        ok, cert = is_generating(alg, fixed + chosen, unital=unital, span=reducer)
-        if not ok:
-            return None
-        cert = replace(cert, index=index)
-        return CompletionResult("found", cert, index + 1)
-    below = p ** (r * (len(seen) - 1 - depth))  # tuples under each child
+    below = p ** (r * (slots - 1 - depth))  # extensions under each child
     # residues modulo reducer of the children met so far
     tried = {reducer.residue((0,) * r)} if prune else set()
     # product() varies the last coordinate fastest: lexicographic order
     for t, v in enumerate(itertools.product(range(p), repeat=r)):
         residue = reducer.residue(v)
         if residue in tried:
-            continue  # an earlier child with this span was refuted or skipped
+            continue  # an earlier child with this span was yielded or skipped
         tried.add(residue)
         child = reducer.copy()
         child.insert(v)
@@ -295,9 +274,7 @@ def _walk(
         if key in seen[depth]:
             continue
         seen[depth].add(key)
-        chosen.append(v)
-        found = _walk(alg, fixed, unital, prune, seen, chosen, child, index + t * below)
-        chosen.pop()
-        if found is not None:
-            return found
-    return None
+        if depth + 1 < slots:
+            yield from _children(child, slots, prune, seen, chosen + [v], index + t * below)
+        else:
+            yield chosen + [v], child, {"index": index + t * below}

@@ -1,13 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import algen.algebra
 import algen.cli
@@ -18,6 +25,7 @@ from algen.cli import main
 from algen.intmat import Factorization, decimal_str
 from algen.ioformat import parse_algebra
 from support import src_env
+from test_ioformat import _ALGEBRA_MUTATIONS, _algebra_doc, _mutate
 
 RING_PRESENTATION = {
     "format": "algen-algebra",
@@ -443,7 +451,7 @@ def test_lift_on_presentation(capsys, tmp_path):
     assert run(capsys, "verify-cert", path, cert)[0] == 0
 
 
-def test_lift_failures(capsys, tmp_path):
+def test_lift_failures(capsys, tmp_path, monkeypatch):
     code, doc = run(capsys, "zoo", "zero-z", "--factors", "2,2")
     path = write(tmp_path, "z22.json", doc)
     code, failure = run(capsys, "forster-lift", path, "--n", "1")
@@ -457,6 +465,19 @@ def test_lift_failures(capsys, tmp_path):
     assert code == 2 and failure["error"] == "budget-exhausted"
     assert run(capsys, "forster-lift", mz, "--n", "-1")[0] == 3
     assert run(capsys, "forster-lift", mz)[0] == 3
+    # the rational fiber of Z^2 needs a generator; with n = 0 every random
+    # trial would draw the same empty tuple, so one closure decides
+    closures = []
+
+    def counted(alg, elements, **kwargs):
+        closures.append(list(elements))
+        return algen.algebra.is_generating(alg, elements, **kwargs)
+
+    monkeypatch.setattr(algen.search, "is_generating", counted)
+    code, doc = run(capsys, "zoo", "split-etale-z", "--n", "2")
+    code, failure = run(capsys, "forster-lift", write(tmp_path, "e2z.json", doc), "--n", "0")
+    assert code == 2 and failure["error"] == "budget-exhausted"
+    assert closures == [[]]
 
 
 def test_verify_cert_mismatch(capsys, m2, e3z, tmp_path):
@@ -614,3 +635,143 @@ def test_ci_entry_point_commands(tmp_path):
     assert all(v["ok"] is True for v in verdicts), verdicts
     kinds = {v["kind"] for v in verdicts}
     assert kinds >= {"generation", "mingen", "bad-primes", "global-generation", "lift"}, kinds
+
+
+# ---------------------------------------------------------------------------
+# The commands on mutated algebra documents
+# ---------------------------------------------------------------------------
+
+
+class _TimedOut(BaseException):
+    """A command ran past its time limit.  Not an Exception, so that main
+    cannot turn it into an exit code."""
+
+
+def _time_out(signum, frame):
+    raise _TimedOut
+
+
+def _algen_within(seconds, argv):
+    """(exit code, stdout) of main(argv), which must return within seconds."""
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except _TimedOut:
+        raise AssertionError(f"{argv[0]} ran past {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue()
+
+
+def _width(doc) -> int:
+    """The dimension or rank an algebra document declares, clamped to
+    [0, 6], or 2 when it declares none."""
+    try:
+        if "factors" in doc:
+            return min(len(doc["factors"]), 6)
+        if "presentation" in doc:
+            return max(0, min(int(doc["presentation"]["generators"]), 6))
+        return max(0, min(int(doc["dim"]), 6))
+    except (KeyError, TypeError, ValueError):
+        return 2
+
+
+def _edit(data, doc) -> None:
+    """One edit of an algebra document, in place: _mutate's mutations with a
+    hostile dim, an appended operation of arity 0-3, a role set or dropped,
+    or an invariant factor replaced."""
+    kind = data.draw(st.sampled_from(["mutate", "op", "role", "factor"]), label="edit")
+    ops = doc["ops"] if isinstance(doc.get("ops"), list) else None
+    factors = doc["factors"] if isinstance(doc.get("factors"), list) else None
+    if kind == "mutate":
+        _mutate(data, doc, _ALGEBRA_MUTATIONS)
+    elif kind == "op" and ops is not None:
+        arity = data.draw(st.integers(0, 3), label="arity")
+        index = st.integers(0, min(_width(doc), 4)).map(str)  # at times one past the end
+        entry = st.tuples(*[index] * (arity + 1), st.sampled_from(["1", "2", "-1"])).map(list)
+        entries = data.draw(st.lists(entry, max_size=3), label="entries")
+        ops.append({"arity": str(arity), "entries": entries})
+    elif kind == "role" and ops:
+        op = data.draw(st.sampled_from(ops), label="op")
+        role = data.draw(st.sampled_from([None, "product", "unit", "involution", "x"]), label="role")
+        if isinstance(op, dict) and role is None:
+            op.pop("role", None)
+        elif isinstance(op, dict):
+            op["role"] = role
+    elif kind == "factor" and factors:
+        at = data.draw(st.integers(0, len(factors) - 1), label="at")
+        factors[at] = data.draw(st.sampled_from(["0", "1", "2", "3", "4", "6", "-2"]), label="factor")
+
+
+_FUZZ_BUDGET = ["--max-exhaustive", "20", "--trials", "2"]
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(name=st.sampled_from(["f2", "f3-unital", "q", "z-factors", "z-presentation"]), data=st.data())
+def _commands_survive_mutations(name, data):
+    """One or two edits of an algebra document, then check, mingen,
+    bad-primes and forster-lift on it with small budgets: each exits 0-3
+    within 5 s, prints one JSON document unless it exits 3 (invalid input,
+    nothing on stdout), and every certificate it prints passes verify-cert."""
+    doc = copy.deepcopy(_algebra_doc(name))
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        _edit(data, doc)
+    width = _width(doc)
+    vector = st.lists(st.sampled_from(["0", "1", "2", "-1"]), min_size=width, max_size=width)
+    tuple_text = json.dumps(data.draw(st.lists(vector, max_size=2), label="tuple"))
+    unital = ["--unital"] if data.draw(st.booleans(), label="unital") else []
+    n = str(data.draw(st.integers(0, 2), label="n"))
+    with tempfile.TemporaryDirectory() as work:
+        algebra, cert = os.path.join(work, "algebra.json"), os.path.join(work, "cert.json")
+        with open(algebra, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        for argv in (
+            ["check", algebra, "--tuple", tuple_text, *unital],
+            ["mingen", algebra, *unital, *_FUZZ_BUDGET],
+            ["bad-primes", algebra, "--tuple", tuple_text],
+            ["forster-lift", algebra, "--n", n, *_FUZZ_BUDGET],
+        ):
+            code, out = _algen_within(5, argv)
+            assert code in (0, 1, 2, 3), (argv[0], code, out[-500:])
+            if code == 3:
+                assert out == "", (argv[0], out[-500:])
+                continue
+            if "kind" not in json.loads(out):
+                continue  # a hypothesis failure or an exhausted budget, not a certificate
+            with open(cert, "w", encoding="utf-8") as handle:
+                handle.write(out)
+            verdict = _algen_within(5, ["verify-cert", algebra, cert])
+            assert verdict[0] == 0, (argv[0], verdict)
+
+
+_COMMANDS_ON_MUTATED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from test_cli import _commands_survive_mutations
+_commands_survive_mutations()
+"""
+
+
+def test_commands_survive_mutated_algebra_documents():
+    # in a subprocess with a 2 GiB address-space limit, so that a command
+    # whose cost grows with a declared size fails the test, not the host
+    tests = os.path.dirname(os.path.abspath(__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_ON_MUTATED, tests],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]

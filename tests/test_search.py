@@ -93,7 +93,7 @@ def test_min_generators_zero_dim():
     assert rep.certificate.elements == ()
 
 
-def test_random_probe():
+def test_random_probe(monkeypatch):
     assert random_probe(zero_algebra(QQ, 3), 2) is None
     cert = random_probe(split_etale(GF(5), 3), 1)
     assert cert is not None and cert.method == "random"
@@ -102,6 +102,10 @@ def test_random_probe():
     # deterministic given the budget
     again = random_probe(split_etale(GF(5), 3), 1)
     assert again == cert
+    # with no slots every trial draws the empty tuple, so it is closed once
+    calls = _count_closures(monkeypatch)
+    assert random_probe(split_etale(QQ, 2), 0, unital=True) is None
+    assert [elements for _, elements, _ in calls] == [[]]
 
 
 def test_random_probe_over_q_respects_height():
@@ -473,3 +477,51 @@ def test_completable_never_prunes():
     res = completable(A, [], 2, unital=True)
     assert res.status == "found" and res.certificate.elements == ((0, 0), (0, 1))
     assert res.tested == 2
+
+
+def _rref(p, rows):
+    """Reduced row echelon form of rows over F_p by plain elimination: the
+    nonzero rows, each led by 1, with zeros above and below every pivot."""
+    out = []
+    for row in rows:
+        row = [x % p for x in row]
+        for pivot_row in out:
+            q = next(j for j, x in enumerate(pivot_row) if x)
+            row = [(x - row[q] * y) % p for x, y in zip(row, pivot_row)]
+        if any(row):
+            q = next(j for j, x in enumerate(row) if x)
+            row = [x * pow(row[q], -1, p) % p for x in row]
+            out = [[(x - r[q] * y) % p for x, y in zip(r, row)] for r in out] + [row]
+    return tuple(sorted(tuple(r) for r in out))
+
+
+def test_spans_yield_the_first_tuple_of_each_distinct_span():
+    # the exhaustive source against every tuple in lexicographic order: it
+    # yields the first tuple of each distinct span of base + tuple, with its
+    # position and that span's RREF; with prune, the oracle skips every tuple
+    # holding an element inside the span of the base and the elements before it
+    rng = random.Random(32)
+    shapes = [(p, r, slots) for p in (2, 3, 5) for r in (1, 2, 3) for slots in (0, 1, 2, 3)]
+    shapes = [s for s in shapes if s[0] ** (s[1] * s[2]) <= 729]
+    for case in range(300):
+        p, r, slots = shapes[case % len(shapes)]
+        base = [tuple(rng.randrange(p) for _ in range(r)) for _ in range(rng.randrange(3))]
+        prune = rng.random() < 0.5
+        expected, met = [], set()
+        vectors = list(itertools.product(range(p), repeat=r))
+        for index, ext in enumerate(itertools.product(vectors, repeat=slots)):
+            ranks = [len(_rref(p, base + list(ext[:k]))) for k in range(slots + 1)]
+            if prune and any(a == b for a, b in zip(ranks, ranks[1:])):
+                continue
+            span = _rref(p, base + list(ext))
+            if span not in met:
+                met.add(span)
+                expected.append((list(ext), index, span))
+        reducer = RowReducer(GF(p), r)
+        for v in base:
+            reducer.insert(v)
+        got = [
+            (ext, provenance["index"], _rref(p, rref.rows))
+            for ext, rref, provenance in algen.search._spans(reducer, slots, prune)
+        ]
+        assert got == expected, (p, r, slots, base, prune)
